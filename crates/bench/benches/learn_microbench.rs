@@ -1,10 +1,12 @@
 //! Criterion microbenchmarks of the training substrate: matmul kernels,
-//! the Tea core-layer forward/backward, and the erf special function.
+//! the Tea core-layer forward/backward, one full bench-1 training step,
+//! and the erf special function.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;
 use tn_learn::layer::LayerGrads;
 use tn_learn::prelude::*;
+use truenorth::testbench::{RunScale, TestBench};
 
 fn bench_matmul(c: &mut Criterion) {
     let mut group = c.benchmark_group("matmul");
@@ -40,6 +42,42 @@ fn bench_tn_layer(c: &mut Criterion) {
             let dz = cache.output.map(|z| z - 0.5);
             let mut grads = LayerGrads::zeros_like(&layer);
             layer.backward(&cache, &dz, &mut grads)
+        })
+    });
+    group.finish();
+}
+
+/// One SGD step of bench 1 (4 cores × 256 axons × 256 neurons) at batch
+/// 32 on its own synthetic digits: `loss_and_grads` + `Sgd::step`, the
+/// unit of work that `learn.train_s` repeats.
+fn bench_train_step(c: &mut Criterion) {
+    let mut group = c.benchmark_group("train_step");
+    group
+        .sample_size(15)
+        .measurement_time(Duration::from_secs(3));
+    let bench = TestBench::new(1, 77);
+    let scale = RunScale {
+        n_train: 32,
+        n_test: 10,
+        ..RunScale::tiny()
+    };
+    let data = bench.load_data(&scale, 77);
+    let cfg = bench.train_config(bench.biasing_penalty(), 1, 77);
+    let mut net = bench.arch.build().expect("bench 1 builds");
+    let mut opt = Sgd::new(cfg.sgd, net.layers());
+    let mut grads = net.zero_grads();
+    group.bench_function("train_step_bench1", |b| {
+        b.iter(|| {
+            grads.iter_mut().for_each(LayerGrads::clear);
+            let out = net.loss_and_grads(
+                &data.train_x,
+                &data.train_y,
+                &cfg.penalty,
+                cfg.score_scale,
+                &mut grads,
+            );
+            opt.step(net.layers_mut(), &grads, 0);
+            out.loss
         })
     });
     group.finish();
@@ -88,6 +126,7 @@ criterion_group!(
     benches,
     bench_matmul,
     bench_tn_layer,
+    bench_train_step,
     bench_erf,
     bench_penalty
 );

@@ -247,9 +247,10 @@ impl TestBench {
         // SGD steps (4000 samples / batch 32 × 8 epochs); rescale λ so the
         // total polarization displacement is invariant to run scale.
         const REFERENCE_UPDATES: f32 = 1000.0;
-        let updates = (data.train_y.len().div_ceil(32) * phase2).max(1) as f32;
-        let scaled = penalty.scaled(REFERENCE_UPDATES / updates);
-        let cfg2 = self.consolidate_config(scaled, phase2, seed.wrapping_add(1));
+        let mut cfg2 = self.consolidate_config(penalty, phase2, seed.wrapping_add(1));
+        let batches = data.train_y.len().div_ceil(cfg2.batch_size.max(1));
+        let updates = (batches * phase2).max(1) as f32;
+        cfg2.penalty = penalty.scaled(REFERENCE_UPDATES / updates);
         stats.extend(Trainer::new(cfg2).fit(&mut net, &data.train_x, &data.train_y, None)?);
         Ok((net, stats))
     }

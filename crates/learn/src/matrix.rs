@@ -2,8 +2,16 @@
 //! training substrate needs.
 //!
 //! This is deliberately small: the TrueNorth workloads are batches of at most
-//! a few hundred rows against 256-column crossbar blocks, so a cache-friendly
-//! `ikj` matmul is plenty. No external linear-algebra crate is used.
+//! a few hundred rows against 256-column crossbar blocks. Every product's
+//! inner loop is a row update `out[j] += a·b[j]`, which LLVM vectorizes,
+//! and skips an exact-zero `a` (digit frames are mostly zeros). No
+//! external linear-algebra crate is used.
+//!
+//! Training must give the same bits on every build, so no kernel reorders a
+//! sum: each output accumulates its products in `k` order from +0.0, and
+//! Rust never contracts `a * b + c` into an FMA. Skipping `a == 0.0` is
+//! exact for finite operands, since such an accumulator never becomes −0.0.
+//! The Tea layer's fused kernels in [`crate::layer`] follow the same rule.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -176,7 +184,12 @@ impl Matrix {
         out
     }
 
-    /// Matrix product `self · rhsᵀ` without materializing the transpose.
+    /// Matrix product `self · rhsᵀ`.
+    ///
+    /// Runs [`Matrix::matmul`]'s `ikj` loop over the transposed `rhs`, so
+    /// the inner loop is a vectorizable row update rather than a serial dot
+    /// product. Each output still sums `self[i][k]·rhs[j][k]` in `k` order
+    /// from +0.0, so the result is bit-identical to the dot-product form.
     ///
     /// # Panics
     ///
@@ -187,19 +200,7 @@ impl Matrix {
             "matmul_transpose_rhs shape mismatch: {}x{} · ({}x{})ᵀ",
             self.rows, self.cols, rhs.rows, rhs.cols
         );
-        let mut out = Matrix::zeros(self.rows, rhs.rows);
-        for i in 0..self.rows {
-            let arow = self.row(i);
-            for j in 0..rhs.rows {
-                let brow = rhs.row(j);
-                let mut acc = 0.0_f32;
-                for (&a, &b) in arow.iter().zip(brow.iter()) {
-                    acc += a * b;
-                }
-                out.data[i * rhs.rows + j] = acc;
-            }
-        }
-        out
+        self.matmul(&rhs.transpose())
     }
 
     /// Matrix product `selfᵀ · rhs` without materializing the transpose.
@@ -488,8 +489,68 @@ mod tests {
     }
 }
 
+/// Naive references and edge-heavy inputs for the bit-exactness proptests
+/// of the matmul kernels here and the fused Tea kernels in
+/// [`crate::layer`].
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::Matrix;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// A `rows × cols` matrix mixing exact ±0.0, ±1.0 and arbitrary
+    /// values in `[-2, 2)`.
+    pub(crate) fn edge_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let data = (0..rows * cols)
+            .map(|_| match rng.gen_range(0u32..8) {
+                0 => 0.0,
+                1 => -0.0,
+                2 => 1.0,
+                3 => -1.0,
+                _ => rng.gen_range(-2.0f32..2.0),
+            })
+            .collect();
+        Matrix::from_vec(rows, cols, data)
+    }
+
+    /// `a · b` as a textbook triple loop: every output sums all `k` terms
+    /// in order from +0.0, zero factors included.
+    pub(crate) fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
+        assert_eq!(a.cols(), b.rows());
+        let mut out = Matrix::zeros(a.rows(), b.cols());
+        for i in 0..a.rows() {
+            for j in 0..b.cols() {
+                let mut acc = 0.0_f32;
+                for k in 0..a.cols() {
+                    acc += a[(i, k)] * b[(k, j)];
+                }
+                out[(i, j)] = acc;
+            }
+        }
+        out
+    }
+
+    /// `a · bᵀ` as serial dot products over `k`.
+    pub(crate) fn matmul_transpose_rhs(a: &Matrix, b: &Matrix) -> Matrix {
+        matmul(a, &b.transpose())
+    }
+
+    /// `aᵀ · b` as serial sums over the shared row index.
+    pub(crate) fn matmul_transpose_lhs(a: &Matrix, b: &Matrix) -> Matrix {
+        matmul(&a.transpose(), b)
+    }
+
+    /// The bit patterns of every element, for exact comparisons that
+    /// tell +0.0 from −0.0.
+    pub(crate) fn bits(m: &Matrix) -> Vec<u32> {
+        m.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+}
+
 #[cfg(test)]
 mod proptests {
+    use super::reference::{self, bits, edge_matrix};
     use super::*;
     use proptest::prelude::*;
 
@@ -536,6 +597,31 @@ mod proptests {
                     prop_assert!((x - y).abs() < 1e-3);
                 }
             }
+        }
+
+        /// The vectorized kernels give exactly the naive loops' bits,
+        /// zeros and signs included, at shapes that are not multiples of
+        /// any SIMD width.
+        #[test]
+        fn matmul_kernels_match_naive_bits(
+            rows in 1usize..=37,
+            inner in 1usize..=37,
+            cols in 1usize..=37,
+            seed in 0u64..u64::MAX,
+        ) {
+            let a = edge_matrix(rows, inner, seed);
+            let b = edge_matrix(inner, cols, seed ^ 1);
+            let bt = edge_matrix(cols, inner, seed ^ 2);
+            let c = edge_matrix(rows, cols, seed ^ 3);
+            prop_assert_eq!(bits(&a.matmul(&b)), bits(&reference::matmul(&a, &b)));
+            prop_assert_eq!(
+                bits(&a.matmul_transpose_rhs(&bt)),
+                bits(&reference::matmul_transpose_rhs(&a, &bt))
+            );
+            prop_assert_eq!(
+                bits(&a.matmul_transpose_lhs(&c)),
+                bits(&reference::matmul_transpose_lhs(&a, &c))
+            );
         }
 
         /// Hadamard is commutative; axpy is linear.

@@ -157,7 +157,12 @@ impl Network {
         let out = softmax_cross_entropy(&scores, labels, score_scale);
         let mut dz = self.readout.backward(&out.dscores);
         for (i, layer) in self.layers.iter().enumerate().rev() {
-            dz = layer.backward(&caches[i], &dz, &mut grads[i]);
+            let delta = layer.backward_params(&caches[i], &dz, &mut grads[i]);
+            // Layer 0's input gradient would be dL/d(pixels), which no
+            // parameter depends on: skip it.
+            if i > 0 {
+                dz = layer.backward_input(&caches[i], &delta);
+            }
         }
         for (layer, g) in self.layers.iter().zip(grads.iter_mut()) {
             layer.accumulate_penalty(penalty, g);
@@ -306,6 +311,55 @@ mod tests {
     fn mismatched_readout_rejected() {
         let a = TnCoreLayer::new(4, vec![vec![0, 1]], 3, 0);
         let _ = Network::new(vec![Layer::TnCore(a)], Readout::round_robin(5, 2));
+    }
+
+    /// Skipping layer 0's input gradient changes no gradient bit: a
+    /// reference that runs the full [`Layer::backward`] on every layer,
+    /// layer 0 included, fills identical buffers.
+    #[test]
+    fn skipping_first_layer_input_grad_keeps_grads_bit_identical() {
+        let l0 = TnCoreLayer::new(6, vec![vec![0, 1, 2, 3], vec![2, 3, 4, 5]], 5, 3);
+        let l1 = TnCoreLayer::new(10, vec![(0..10).collect()], 4, 4);
+        let net = Network::new(
+            vec![Layer::TnCore(l0), Layer::TnCore(l1)],
+            Readout::round_robin(4, 2),
+        );
+        let x = Matrix::from_rows(&[
+            &[0.0, 0.9, 0.5, 0.3, 1.0, 0.0],
+            &[0.8, 0.2, 0.0, 0.7, 0.1, 0.6],
+            &[0.3, 0.0, 0.4, 1.0, 0.0, 0.2],
+        ]);
+        let labels = [0usize, 1, 1];
+        let penalty = Penalty::biasing(0.01);
+        let mut grads = net.zero_grads();
+        let out = net.loss_and_grads(&x, &labels, &penalty, 8.0, &mut grads);
+
+        let caches = net.forward_cached(&x);
+        let scores = net.readout.merge(&caches[1].output);
+        let ref_out = softmax_cross_entropy(&scores, &labels, 8.0);
+        let mut reference = net.zero_grads();
+        let mut dz = net.readout.backward(&ref_out.dscores);
+        for i in (0..net.layers.len()).rev() {
+            dz = net.layers[i].backward(&caches[i], &dz, &mut reference[i]);
+        }
+        assert_eq!(dz.shape(), x.shape(), "reference computed layer 0's dX");
+        for (layer, g) in net.layers.iter().zip(reference.iter_mut()) {
+            layer.accumulate_penalty(&penalty, g);
+        }
+
+        assert_eq!(out.loss.to_bits(), ref_out.loss.to_bits());
+        let bits = |gs: &[LayerGrads]| -> Vec<u32> {
+            gs.iter()
+                .flat_map(|g| {
+                    g.weights
+                        .iter()
+                        .flat_map(|w| w.as_slice().iter().copied())
+                        .chain(g.biases.iter().flatten().copied())
+                })
+                .map(f32::to_bits)
+                .collect()
+        };
+        assert_eq!(bits(&grads), bits(&reference));
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! `Trainer::new(cfg).fit(&mut net, …)` with [`Penalty::None`]; the paper's
 //! probability-biased learning is the same call with [`Penalty::biasing`].
 
+use crate::layer::LayerGrads;
 use crate::matrix::Matrix;
 use crate::metrics::EpochStats;
 use crate::model::Network;
@@ -141,6 +142,7 @@ impl Trainer {
         let mut order: Vec<usize> = (0..labels.len()).collect();
         let mut stats = Vec::with_capacity(self.config.epochs);
         let bs = self.config.batch_size.max(1);
+        let mut grads = net.zero_grads();
 
         for epoch in 0..self.config.epochs {
             order.shuffle(&mut rng);
@@ -149,7 +151,7 @@ impl Trainer {
             let mut batches = 0usize;
             for chunk in order.chunks(bs) {
                 let (bx, by) = gather_batch(inputs, labels, chunk);
-                let mut grads = net.zero_grads();
+                grads.iter_mut().for_each(LayerGrads::clear);
                 let out = net.loss_and_grads(
                     &bx,
                     &by,

@@ -1208,7 +1208,11 @@ fn observer_loop(ctx: &ObserverCtx) {
         let stopped = {
             let (lock, cvar) = &*ctx.stop;
             let guard = lock.lock().expect("stop lock");
-            let (guard, _) = cvar.wait_timeout(guard, tick).expect("stop wait");
+            // Re-check the flag before parking: a stop signalled while
+            // this thread was busy must not wait out a whole tick.
+            let (guard, _) = cvar
+                .wait_timeout_while(guard, tick, |stop| !*stop)
+                .expect("stop wait");
             *guard
         };
         let now_ns = ctx.clock.now_ns();
@@ -2260,6 +2264,32 @@ mod tests {
             Err(ServeError::UnknownClass { class: 9, classes: 2 })
         ));
         rt.shutdown();
+    }
+
+    #[test]
+    fn shutdown_does_not_wait_out_the_observer_interval() {
+        // A stop signalled before the observer parks on its condvar must
+        // still end it at once, not after the hour-long sample interval.
+        use crate::control::ControllerConfig;
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let shutdowns = std::thread::spawn(move || {
+            for _ in 0..50 {
+                let controller = ControllerConfig {
+                    sample_interval: Duration::from_secs(3600),
+                    ..ControllerConfig::default()
+                };
+                let cfg = ServeConfig::builder(3)
+                    .controller(controller)
+                    .build()
+                    .expect("cfg");
+                runtime(cfg).shutdown();
+            }
+            done_tx.send(()).expect("report");
+        });
+        done_rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("every shutdown returned promptly");
+        shutdowns.join().expect("shutdown thread");
     }
 
     #[test]

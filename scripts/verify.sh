@@ -10,6 +10,11 @@ cargo build --release
 echo "== tier 1: workspace tests =="
 cargo test -q
 
+echo "== training bit-identity: golden digests under release codegen =="
+# Tier 1 runs the golden-bits suite in the debug profile; release code is
+# vectorized differently, and trained bits must not depend on that.
+cargo test --release -q -p truenorth --test integration_golden_bits
+
 echo "== kernel equivalence: compiled fast path vs reference interpreter =="
 cargo test -q -p truenorth --test integration_kernel
 
