@@ -2,7 +2,7 @@
 //! throughput at 1/2/4 replicas on fractional (Tea-like) vs polarized
 //! (biased-like) synthetic specs, the batch-first chip-level `run_frames`
 //! fast path at several lockstep batch sizes, bare queue round-trips, and
-//! the full over-the-wire HTTP round trip through the tn-gateway reactor.
+//! the full over-the-wire HTTP round trip through tn-gateway.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::io::{Read, Write};
@@ -156,7 +156,7 @@ fn bench_gateway_roundtrip(c: &mut Criterion) {
     let mut chunk = [0u8; 4096];
     // Comparable to serve_request/polarized/1_replicas: the delta is the
     // wire cost — HTTP parse, JSON encode/decode, two socket hops, and
-    // one reactor poll cycle.
+    // the hand-offs between the gateway's reader and writer threads.
     group.bench_function("classify_roundtrip", |b| {
         b.iter(|| {
             stream.write_all(&request).expect("send");

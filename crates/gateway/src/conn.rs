@@ -1,38 +1,43 @@
-//! Per-connection state machine.
+//! One client connection: a reader thread and a writer thread over one
+//! blocking socket.
 //!
-//! Each accepted socket owns a read buffer, a write buffer, and a FIFO of
-//! pending responses. The reactor ticks every connection once per loop:
-//! read until `WouldBlock`, parse as many complete requests as the
-//! in-flight cap allows, poll the *head* of the pending FIFO for
-//! completion (responses go out strictly in request order, which is what
-//! HTTP/1.1 pipelining requires), then write until `WouldBlock`.
+//! The *reader* blocks in `read`, sniffs the wire mode from the
+//! connection's first byte (`{` means line-JSON, anything else means
+//! HTTP/1.1; the mode is sticky), parses complete requests, routes each
+//! one, and queues the resulting [`Pending`] on the connection's FIFO.
+//! The *writer* pops the FIFO in arrival order, blocks on each classify
+//! handle until a worker completes it, renders the response and writes
+//! it. Responses therefore leave in request order, as HTTP/1.1
+//! pipelining requires, and a connection's submissions reach the runtime
+//! in arrival order.
 //!
-//! The first byte of a connection picks its wire mode: `{` means
-//! line-JSON, anything else means HTTP/1.1. The mode is sticky for the
-//! connection's lifetime.
+//! Backpressure is layered: per connection, the reader admits no request
+//! while [`crate::GatewayConfig::max_in_flight_per_conn`] are admitted and
+//! unanswered, so it stops reading and the socket's receive buffer
+//! throttles the client via TCP; globally, queue admission rejects
+//! surface as `503` + `Retry-After`. The FIFO is bounded by that cap.
 //!
-//! Backpressure is layered: per-connection, parsing stops while the
-//! pending FIFO is at [`crate::GatewayConfig::max_in_flight_per_conn`]
-//! (the socket's receive buffer then throttles the client via TCP);
-//! globally, queue admission rejects surface as `503` + `Retry-After`.
+//! The reader stops at EOF, on a read error, after a close-bound request,
+//! or once the gateway drains; the writer then flushes what was admitted
+//! and shuts the socket down. A write error or a close-bound response
+//! shuts the socket down at once, which also wakes a reader blocked in
+//! `read`.
 
-use std::collections::VecDeque;
 use std::io::{ErrorKind, Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::time::Instant;
 
 use tn_serve::{RequestHandle, ServeError};
 
 use crate::http::{parse_request, HttpLimits, HttpResponse, Parsed};
 use crate::proto;
 use crate::router::{self, ServiceCtx};
-use crate::GatewayConfig;
-
-/// Max bytes read from one socket per reactor tick (fairness bound).
-const READ_QUANTUM: usize = 64 * 1024;
+use crate::server::Conns;
 
 /// What a queued response is waiting on.
 #[derive(Debug)]
-pub(crate) enum Payload {
+enum Payload {
     /// Already rendered (introspection endpoints, errors).
     Ready(String),
     /// A submitted classify request; completes when a worker serves it.
@@ -45,7 +50,7 @@ pub(crate) struct Pending {
     payload: Payload,
     status: u16,
     retry_after: Option<u64>,
-    pub(crate) close: bool,
+    close: bool,
     line_mode: bool,
 }
 
@@ -83,283 +88,181 @@ impl Pending {
         self.close = true;
         self
     }
-}
 
-/// Sticky wire mode, decided by the connection's first byte.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    Undecided,
-    Http,
-    Line,
-}
-
-/// One live client connection.
-#[derive(Debug)]
-pub(crate) struct Conn {
-    stream: TcpStream,
-    read_buf: Vec<u8>,
-    write_buf: Vec<u8>,
-    pending: VecDeque<Pending>,
-    mode: Mode,
-    /// Still reading + parsing new requests (false after EOF, a protocol
-    /// error, or a close-bound response).
-    read_open: bool,
-    /// A close-bound response has been rendered; close once flushed.
-    wants_close: bool,
-    closed: bool,
-}
-
-impl Conn {
-    /// Adopt an accepted stream (switches it to nonblocking mode).
-    pub(crate) fn new(stream: TcpStream) -> std::io::Result<Self> {
-        stream.set_nonblocking(true)?;
-        // Responses are small; coalescing delay would dominate latency.
-        let _ = stream.set_nodelay(true);
-        Ok(Self {
-            stream,
-            read_buf: Vec::new(),
-            write_buf: Vec::new(),
-            pending: VecDeque::new(),
-            mode: Mode::Undecided,
-            read_open: true,
-            wants_close: false,
-            closed: false,
-        })
-    }
-
-    /// Whether the reactor can drop this connection.
-    pub(crate) fn is_closed(&self) -> bool {
-        self.closed
-    }
-
-    /// Whether any response is still queued or buffered.
-    pub(crate) fn is_idle(&self) -> bool {
-        self.pending.is_empty() && self.write_buf.is_empty()
-    }
-
-    /// Refuse this connection up front (gateway at its connection cap).
-    pub(crate) fn reject_overloaded(&mut self) {
-        let pend = Pending::ready(
-            503,
-            proto::error_json("overloaded", "gateway connection limit reached"),
-            false,
-        )
-        .with_retry_after(1)
-        .closing();
-        self.push_pending(pend);
-    }
-
-    /// One reactor pass over this connection; returns whether any byte
-    /// moved or any response became ready (the reactor's idle signal).
-    pub(crate) fn tick(
-        &mut self,
+    /// Block until the response is complete and serialize it; returns the
+    /// wire bytes and whether the connection closes after them. Once the
+    /// gateway drains, the wait is bounded by the drain `deadline`, and
+    /// `None` means the deadline passed first.
+    pub(crate) fn render(
+        self,
         ctx: &ServiceCtx,
-        cfg: &GatewayConfig,
-        limits: &HttpLimits,
-        draining: bool,
-    ) -> bool {
-        if self.closed {
-            return false;
-        }
-        let mut progress = false;
-        if self.read_open && !draining && self.pending.len() < cfg.max_in_flight_per_conn {
-            progress |= self.fill_read();
-        }
-        if self.read_open && !draining {
-            progress |= self.parse_and_route(ctx, cfg, limits);
-        }
-        progress |= self.pump_completions(ctx);
-        progress |= self.flush_writes();
-        if !self.closed
-            && self.is_idle()
-            && (self.wants_close || !self.read_open || draining)
-        {
-            self.closed = true;
-        }
-        progress
-    }
-
-    /// Read until `WouldBlock`, EOF, or the per-tick quantum.
-    fn fill_read(&mut self) -> bool {
-        let mut progress = false;
-        let mut taken = 0usize;
-        let mut chunk = [0u8; 8192];
-        while taken < READ_QUANTUM {
-            match self.stream.read(&mut chunk) {
-                Ok(0) => {
-                    self.read_open = false;
-                    break;
-                }
-                Ok(n) => {
-                    self.read_buf.extend_from_slice(&chunk[..n]);
-                    taken += n;
-                    progress = true;
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.closed = true;
-                    break;
+        deadline: Option<Instant>,
+    ) -> Option<(Vec<u8>, bool)> {
+        let (status, body, retry_after, close) = match self.payload {
+            Payload::Ready(body) => (self.status, body, self.retry_after, self.close),
+            Payload::Handle(handle) => {
+                let result = match deadline {
+                    None => handle.wait(),
+                    Some(at) => handle.wait_timeout(at.saturating_duration_since(Instant::now())),
+                };
+                match result {
+                    Ok(resp) => {
+                        let jpf = ctx.rt.metrics().joules_per_frame();
+                        (200, proto::classify_json(&resp, jpf), None, self.close)
+                    }
+                    Err(ServeError::WaitTimeout) => return None,
+                    Err(ServeError::ShuttingDown) => (
+                        503,
+                        proto::error_json("shutting_down", "gateway is draining"),
+                        None,
+                        true,
+                    ),
+                    Err(e) => (
+                        500,
+                        proto::error_json("internal", &e.to_string()),
+                        None,
+                        true,
+                    ),
                 }
             }
-        }
-        progress
-    }
-
-    /// Parse complete requests off the read buffer and route them, up to
-    /// the per-connection in-flight cap.
-    fn parse_and_route(
-        &mut self,
-        ctx: &ServiceCtx,
-        cfg: &GatewayConfig,
-        limits: &HttpLimits,
-    ) -> bool {
-        let mut progress = false;
-        while self.read_open && self.pending.len() < cfg.max_in_flight_per_conn {
-            if self.mode == Mode::Undecided {
-                match self.read_buf.first() {
-                    Some(b'{') => self.mode = Mode::Line,
-                    Some(_) => self.mode = Mode::Http,
-                    None => break,
-                }
-            }
-            match self.mode {
-                Mode::Undecided => unreachable!("mode decided above"),
-                Mode::Http => match parse_request(&self.read_buf, limits) {
-                    Parsed::Incomplete => break,
-                    Parsed::Request { request, consumed } => {
-                        self.read_buf.drain(..consumed);
-                        self.push_pending(router::handle_http(&request, ctx));
-                        progress = true;
-                    }
-                    Parsed::Error(e) => {
-                        let status = e.status();
-                        self.push_pending(
-                            Pending::ready(
-                                status,
-                                proto::error_json(proto::http_error_code(status), &e.to_string()),
-                                false,
-                            )
-                            .closing(),
-                        );
-                        progress = true;
-                    }
-                },
-                Mode::Line => {
-                    let Some(nl) = self.read_buf.iter().position(|&b| b == b'\n') else {
-                        if self.read_buf.len() > limits.max_body_bytes {
-                            self.push_pending(
-                                Pending::ready(
-                                    400,
-                                    proto::error_json("bad_request", "line exceeds body limit"),
-                                    true,
-                                )
-                                .closing(),
-                            );
-                            progress = true;
-                        }
-                        break;
-                    };
-                    let raw: Vec<u8> = self.read_buf.drain(..=nl).collect();
-                    let text = String::from_utf8_lossy(&raw);
-                    let line = text.trim();
-                    if line.is_empty() {
-                        continue;
-                    }
-                    self.push_pending(router::route_line(line, ctx));
-                    progress = true;
-                }
-            }
-        }
-        progress
-    }
-
-    /// Queue a response; a close-bound one also stops further parsing.
-    fn push_pending(&mut self, pend: Pending) {
-        if pend.close {
-            self.read_open = false;
-        }
-        self.pending.push_back(pend);
-    }
-
-    /// Render every in-order-complete response at the head of the FIFO
-    /// into the write buffer. Only the head is polled: responses must go
-    /// out in request order, so a completed response behind a pending one
-    /// simply keeps its result parked in its handle.
-    fn pump_completions(&mut self, ctx: &ServiceCtx) -> bool {
-        let mut progress = false;
-        loop {
-            let result = match self.pending.front() {
-                None => break,
-                Some(pend) => match &pend.payload {
-                    Payload::Ready(_) => None,
-                    Payload::Handle(handle) => match handle.try_take() {
-                        Some(result) => Some(result),
-                        None => break,
-                    },
-                },
-            };
-            let pend = self.pending.pop_front().expect("non-empty FIFO");
-            let (status, body, retry_after, close) = match (pend.payload, result) {
-                (Payload::Ready(body), _) => (pend.status, body, pend.retry_after, pend.close),
-                (Payload::Handle(_), Some(Ok(resp))) => {
-                    let jpf = ctx.rt.metrics().joules_per_frame();
-                    (200, proto::classify_json(&resp, jpf), None, pend.close)
-                }
-                (Payload::Handle(_), Some(Err(ServeError::ShuttingDown))) => (
-                    503,
-                    proto::error_json("shutting_down", "gateway is draining"),
-                    None,
-                    true,
-                ),
-                (Payload::Handle(_), Some(Err(e))) => {
-                    (500, proto::error_json("internal", &e.to_string()), None, true)
-                }
-                (Payload::Handle(_), None) => unreachable!("head completion checked above"),
-            };
-            if pend.line_mode {
-                self.write_buf.extend_from_slice(body.as_bytes());
-                self.write_buf.push(b'\n');
-            } else {
-                let mut resp = HttpResponse::json(status, body);
-                if let Some(secs) = retry_after {
-                    resp = resp.with_retry_after(secs);
-                }
-                if close {
-                    resp = resp.with_close();
-                }
-                resp.write_to(&mut self.write_buf);
+        };
+        let mut out = Vec::new();
+        if self.line_mode {
+            out.extend_from_slice(body.as_bytes());
+            out.push(b'\n');
+        } else {
+            let mut resp = HttpResponse::json(status, body);
+            if let Some(secs) = retry_after {
+                resp = resp.with_retry_after(secs);
             }
             if close {
-                self.read_open = false;
-                self.wants_close = true;
+                resp = resp.with_close();
             }
-            progress = true;
+            resp.write_to(&mut out);
         }
-        progress
+        Some((out, close))
     }
+}
 
-    /// Write buffered response bytes until `WouldBlock` or empty.
-    fn flush_writes(&mut self) -> bool {
-        let mut progress = false;
-        while !self.write_buf.is_empty() {
-            match self.stream.write(&self.write_buf) {
-                Ok(0) => {
-                    self.closed = true;
-                    break;
-                }
-                Ok(n) => {
-                    self.write_buf.drain(..n);
-                    progress = true;
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => {
-                    self.closed = true;
-                    break;
-                }
-            }
+/// Serve one accepted connection on the calling thread (the reader) plus
+/// one scoped writer thread; returns once both have finished.
+pub(crate) fn serve(stream: &TcpStream, conns: &Conns) {
+    let (queue, fifo) = mpsc::channel();
+    let (answered, answers) = mpsc::channel();
+    std::thread::scope(|s| {
+        let writer = std::thread::Builder::new()
+            .name("tn-gateway-write".into())
+            .spawn_scoped(s, move || write_loop(stream, fifo, answered, conns));
+        if writer.is_ok() {
+            read_loop(stream, conns, queue, &answers);
         }
-        progress
+    });
+}
+
+/// Parse, route and queue requests until the connection or the gateway
+/// stops reading.
+fn read_loop(
+    mut stream: &TcpStream,
+    conns: &Conns,
+    queue: Sender<Pending>,
+    answers: &Receiver<()>,
+) {
+    let limits = HttpLimits {
+        max_header_bytes: conns.cfg.max_header_bytes,
+        max_body_bytes: conns.cfg.max_body_bytes,
+    };
+    let mut buf = Vec::new();
+    let mut chunk = [0u8; 8192];
+    let mut line_mode = None;
+    let mut unanswered = 0usize;
+    loop {
+        // At the cap, admit nothing until the writer has answered one; a
+        // closed channel means the writer is gone.
+        if unanswered == conns.cfg.max_in_flight_per_conn {
+            if answers.recv().is_err() {
+                return;
+            }
+            unanswered -= 1;
+        }
+        let pend = loop {
+            if conns.draining() {
+                return;
+            }
+            if let Some(pend) = next_request(&mut buf, &mut line_mode, &limits, &conns.ctx) {
+                break pend;
+            }
+            match stream.read(&mut chunk) {
+                Ok(0) => return,
+                Ok(n) => buf.extend_from_slice(&chunk[..n]),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(_) => return,
+            }
+        };
+        let close = pend.close;
+        if queue.send(pend).is_err() || close {
+            return;
+        }
+        unanswered += 1;
     }
+}
+
+/// Take and route the next complete request off `buf`, or `None` if more
+/// bytes are needed. `line_mode` is decided by the connection's first
+/// byte.
+fn next_request(
+    buf: &mut Vec<u8>,
+    line_mode: &mut Option<bool>,
+    limits: &HttpLimits,
+    ctx: &ServiceCtx,
+) -> Option<Pending> {
+    let first = *buf.first()?;
+    if !*line_mode.get_or_insert(first == b'{') {
+        return match parse_request(buf, limits) {
+            Parsed::Incomplete => None,
+            Parsed::Request { request, consumed } => {
+                buf.drain(..consumed);
+                Some(router::handle_http(&request, ctx))
+            }
+            Parsed::Error(e) => {
+                let status = e.status();
+                let body = proto::error_json(proto::http_error_code(status), &e.to_string());
+                Some(Pending::ready(status, body, false).closing())
+            }
+        };
+    }
+    loop {
+        let Some(nl) = buf.iter().position(|&b| b == b'\n') else {
+            return (buf.len() > limits.max_body_bytes).then(|| {
+                let body = proto::error_json("bad_request", "line exceeds body limit");
+                Pending::ready(400, body, true).closing()
+            });
+        };
+        let raw: Vec<u8> = buf.drain(..=nl).collect();
+        let text = String::from_utf8_lossy(&raw);
+        let line = text.trim();
+        if !line.is_empty() {
+            return Some(router::route_line(line, ctx));
+        }
+    }
+}
+
+/// Answer queued requests in order until the FIFO closes, a write fails,
+/// a close-bound response is sent, or the drain deadline passes; then
+/// shut the socket down.
+fn write_loop(
+    mut stream: &TcpStream,
+    fifo: Receiver<Pending>,
+    answered: Sender<()>,
+    conns: &Conns,
+) {
+    for pend in fifo {
+        let Some((bytes, close)) = pend.render(&conns.ctx, conns.drain_deadline()) else {
+            break;
+        };
+        if stream.write_all(&bytes).is_err() || close {
+            break;
+        }
+        let _ = answered.send(());
+    }
+    let _ = stream.shutdown(Shutdown::Both);
 }

@@ -9,37 +9,41 @@
 //! # Architecture
 //!
 //! ```text
-//!   TCP clients                tn-gateway reactor           tn-serve
-//!  ┌───────────┐  nonblocking ┌──────────────────┐ submit ┌─────────┐
-//!  │ HTTP/1.1  │ ───────────► │ per-conn state   │ ─────► │ bounded │
-//!  │ keep-alive│   sockets    │ machines:        │ reject │ queue + │
-//!  │ pipelined │ ◄─────────── │  read → parse →  │ ◄───── │ worker  │
-//!  ├───────────┤   in-order   │  route → pending │  503   │ pool    │
-//!  │ line-JSON │   responses  │  FIFO → write    │        └────┬────┘
-//!  └───────────┘              └────────┬─────────┘   try_take  │
-//!                                      └───────◄── RequestHandle
+//!   TCP clients              tn-gateway                      tn-serve
+//!  ┌───────────┐  blocking  ┌─────────────────────┐ submit ┌─────────┐
+//!  │ HTTP/1.1  │ ─────────► │ reader: read → parse│ ─────► │ bounded │
+//!  │ keep-alive│   socket   │  → route → FIFO     │ reject │ queue + │
+//!  │ pipelined │            │         │ in order  │ ◄───── │ worker  │
+//!  ├───────────┤  in-order  │ writer: wait → write│  503   │ pool    │
+//!  │ line-JSON │ ◄───────── │  (one pair per conn)│        └────┬────┘
+//!  └───────────┘ responses  └─────────▲───────────┘  condvar     │
+//!                                     └─────────◄── RequestHandle
 //! ```
 //!
-//! * **One reactor thread**, all sockets nonblocking. There is no epoll
-//!   binding available offline, so readiness is discovered by poll
-//!   passes with a short idle sleep (see [`crate::GatewayConfig::poll_interval`]);
-//!   under load the reactor never sleeps.
-//! * **Never blocks on inference**: a classify request is submitted with
+//! * **Blocking std I/O, nothing polls.** One accept thread blocks in
+//!   `accept`; each connection gets a reader thread that blocks in `read`
+//!   and a writer thread that blocks on the next response's
+//!   [`tn_serve::RequestHandle`] (a worker's completion wakes it) and
+//!   then in `write_all`. A quiet gateway uses no CPU, and a request pays
+//!   no wake-up latency beyond the thread hand-offs.
+//! * **Admission never blocks**: a classify request is submitted with
 //!   rejecting backpressure ([`Gateway::bind`] forces
 //!   [`tn_serve::Backpressure::Reject`] regardless of the passed config —
-//!   a blocking `submit` would stall every connection) and parks as a
-//!   [`tn_serve::RequestHandle`] in the connection's response FIFO,
-//!   polled with `try_take`. Responses leave in request order, as
-//!   HTTP/1.1 pipelining requires.
+//!   a full queue must become a `503` the client sees, not a reader
+//!   stalled in `submit` with its socket unread) and its handle joins the
+//!   connection's response FIFO. The writer answers that FIFO in request
+//!   order, as HTTP/1.1 pipelining requires.
 //! * **Two wire modes on one port**, picked by the first byte of each
 //!   connection: `{` starts newline-delimited JSON commands, anything
 //!   else is parsed as HTTP/1.1.
 //! * **Backpressure at every layer**: per-connection in-flight caps stop
-//!   parsing (TCP throttles the client), queue admission rejects become
+//!   the reader (TCP throttles the client), queue admission rejects become
 //!   `503` + `Retry-After`, and a connection cap refuses excess sockets.
-//! * **Graceful drain**: [`Gateway::shutdown`] closes the listener,
-//!   completes and flushes every admitted request, then shuts the
-//!   runtime down — whose observer exports one final telemetry snapshot.
+//! * **Graceful drain**: [`Gateway::shutdown`] closes the listener, ends
+//!   every connection's reading, completes and flushes every admitted
+//!   request (bounded by [`GatewayConfig::drain_timeout`]), joins every
+//!   gateway thread, then shuts the runtime down — whose observer exports
+//!   one final telemetry snapshot.
 //!
 //! # Endpoints
 //!
@@ -96,10 +100,10 @@ mod conn;
 mod error;
 pub mod http;
 mod proto;
-mod reactor;
 mod router;
+mod server;
 
-use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -121,18 +125,16 @@ pub struct GatewayConfig {
     /// Max concurrently served connections; excess connects are answered
     /// `503` + `Retry-After: 1` and closed.
     pub max_connections: usize,
-    /// Max queued responses per connection. Parsing stops at the cap, so
-    /// TCP flow control throttles a pipelining client.
+    /// Max requests admitted but not yet answered per connection. The
+    /// connection's reader stops reading at the cap, so TCP flow control
+    /// throttles a pipelining client.
     pub max_in_flight_per_conn: usize,
     /// Max bytes for an HTTP request line + headers (`431` beyond).
     pub max_header_bytes: usize,
     /// Max bytes for an HTTP body or one JSON line (`413`/`400` beyond).
     pub max_body_bytes: usize,
-    /// Reactor sleep when a full poll pass made no progress. Smaller is
-    /// lower idle latency, larger is fewer wasted wake-ups.
-    pub poll_interval: Duration,
     /// Upper bound on graceful drain: past this, connections still
-    /// holding unflushed responses are dropped.
+    /// holding unflushed responses are shut down.
     pub drain_timeout: Duration,
 }
 
@@ -143,7 +145,6 @@ impl Default for GatewayConfig {
             max_in_flight_per_conn: 32,
             max_header_bytes: 8 * 1024,
             max_body_bytes: 1024 * 1024,
-            poll_interval: Duration::from_micros(200),
             drain_timeout: Duration::from_secs(5),
         }
     }
@@ -165,11 +166,6 @@ impl GatewayConfig {
             if v == 0 {
                 return Err(GatewayError::BadConfig(format!("{name} must be >= 1")));
             }
-        }
-        if self.poll_interval.is_zero() {
-            return Err(GatewayError::BadConfig(
-                "poll_interval must be > 0".into(),
-            ));
         }
         if self.drain_timeout.is_zero() {
             return Err(GatewayError::BadConfig(
@@ -206,7 +202,8 @@ impl Backend {
     }
 }
 
-/// A running serving front-end: one TCP listener, one reactor thread, one
+/// A running serving front-end: one TCP listener with its accept thread, a
+/// reader and a writer thread per open connection, and one
 /// [`ServeBackend`] behind it (a [`ServeRuntime`] the gateway builds via
 /// the `bind*` constructors, or any caller-provided backend — e.g. a
 /// `tn-fleet` router — via [`Gateway::bind_backend`]).
@@ -217,7 +214,7 @@ impl Backend {
 pub struct Gateway {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    reactor: Option<JoinHandle<()>>,
+    acceptor: Option<JoinHandle<()>>,
     backend: Option<Backend>,
     latest: Arc<LatestSink>,
 }
@@ -228,9 +225,9 @@ impl Gateway {
     /// [`Gateway::local_addr`]).
     ///
     /// `serve_cfg.backpressure` is forced to [`Backpressure::Reject`]: a
-    /// blocking submit would stall the reactor — and with it every other
-    /// connection — so the gateway always sheds load with `503` +
-    /// `Retry-After` instead.
+    /// blocking submit would park the connection's reader with its socket
+    /// unread and hide the overload from the client, so the gateway always
+    /// sheds load with `503` + `Retry-After` instead.
     ///
     /// # Errors
     ///
@@ -357,7 +354,7 @@ impl Gateway {
         Self::start(addr, Backend::Shared(backend), gw_cfg, latest)
     }
 
-    /// Bind the listener and spawn the reactor over an already-built
+    /// Bind the listener and spawn the accept thread over an already-built
     /// backend (shared tail of every `bind*` constructor).
     fn start(
         addr: impl ToSocketAddrs,
@@ -366,24 +363,23 @@ impl Gateway {
         latest: Arc<LatestSink>,
     ) -> Result<Self, GatewayError> {
         let listener = TcpListener::bind(addr).map_err(GatewayError::Bind)?;
-        listener.set_nonblocking(true).map_err(GatewayError::Bind)?;
         let addr = listener.local_addr().map_err(GatewayError::Bind)?;
         let stop = Arc::new(AtomicBool::new(false));
         let ctx = ServiceCtx {
             rt: backend.service_arc(),
             latest: Arc::clone(&latest),
         };
-        let reactor = {
+        let acceptor = {
             let stop = Arc::clone(&stop);
             std::thread::Builder::new()
-                .name("tn-gateway-reactor".into())
-                .spawn(move || reactor::run(listener, &ctx, &gw_cfg, &stop))
-                .expect("spawn gateway reactor")
+                .name("tn-gateway-accept".into())
+                .spawn(move || server::run(listener, ctx, gw_cfg, stop))
+                .expect("spawn gateway accept thread")
         };
         Ok(Self {
             addr,
             stop,
-            reactor: Some(reactor),
+            acceptor: Some(acceptor),
             backend: Some(backend),
             latest,
         })
@@ -411,19 +407,21 @@ impl Gateway {
     }
 
     /// Graceful drain: stop accepting connections, complete and flush
-    /// every admitted request, join the reactor, then — for gateways
+    /// every admitted request (bounded by [`GatewayConfig::drain_timeout`]),
+    /// join every gateway thread, then — for gateways
     /// that own their runtime (`bind*`) — shut the runtime down (its
     /// observer emits one final telemetry snapshot) and return the final
     /// metrics. A [`Gateway::bind_backend`] gateway returns the
     /// backend's current metrics and leaves shutting the backend down to
     /// its owner.
     pub fn shutdown(mut self) -> MetricsSnapshot {
-        self.stop_reactor();
+        self.stop_serving();
         match self.backend.take().expect("backend present until shutdown") {
             Backend::Owned(runtime) => match Arc::try_unwrap(runtime) {
                 Ok(rt) => rt.shutdown(),
-                // Unreachable in practice: the reactor held the only
-                // other strong reference and has been joined.
+                // Unreachable in practice: the accept and connection
+                // threads held the only other strong references and have
+                // all been joined.
                 Err(rt) => rt.metrics(),
             },
             Backend::Shared(backend) => backend.metrics(),
@@ -437,19 +435,31 @@ impl Gateway {
             .as_backend()
     }
 
-    fn stop_reactor(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.reactor.take() {
-            if let Err(payload) = handle.join() {
-                std::panic::resume_unwind(payload);
-            }
+    /// Raise the stop flag, wake the accept thread out of its blocking
+    /// `accept` by connecting once to our own port, and join it (it drains
+    /// and joins every connection thread before it returns).
+    fn stop_serving(&mut self) {
+        let Some(acceptor) = self.acceptor.take() else {
+            return;
+        };
+        self.stop.store(true, Ordering::Release);
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake.ip() {
+                IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+            });
+        }
+        let _ = TcpStream::connect(wake);
+        if let Err(payload) = acceptor.join() {
+            std::panic::resume_unwind(payload);
         }
     }
 }
 
 impl Drop for Gateway {
     fn drop(&mut self) {
-        self.stop_reactor();
+        self.stop_serving();
         // Dropping the runtime Arc (if shutdown didn't consume it) drains
         // the worker pool via ServeRuntime's own Drop.
     }
@@ -469,14 +479,6 @@ mod tests {
         assert!(matches!(
             bad.validate(),
             Err(GatewayError::BadConfig(msg)) if msg.contains("max_connections")
-        ));
-        let bad = GatewayConfig {
-            poll_interval: Duration::ZERO,
-            ..GatewayConfig::default()
-        };
-        assert!(matches!(
-            bad.validate(),
-            Err(GatewayError::BadConfig(msg)) if msg.contains("poll_interval")
         ));
     }
 }

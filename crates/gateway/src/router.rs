@@ -6,7 +6,7 @@
 //! (config, snapshot, health, errors) renders immediately. Load shedding
 //! happens here: the runtime is always configured with
 //! [`tn_serve::Backpressure::Reject`], so a full queue surfaces as
-//! `503` + `Retry-After` instead of stalling the reactor thread.
+//! `503` + `Retry-After` instead of stalling the connection's reader.
 
 use std::sync::Arc;
 

@@ -5,6 +5,8 @@
 //!   same (seed, seq);
 //! * pipelined responses come back in request order;
 //! * saturation sheds load as `503` + `Retry-After`, never silently;
+//! * the connection cap refuses excess sockets until a slot frees, and
+//!   the per-connection in-flight cap holds under a pipelined burst;
 //! * graceful drain completes every admitted request and emits a final
 //!   telemetry snapshot;
 //! * both wire modes (HTTP/1.1 and line-JSON) serve the same payloads.
@@ -751,4 +753,138 @@ fn http_errors_keep_the_connection_serving() {
     drop(client);
     let snap = gw.shutdown();
     assert_eq!(snap.completed, 1);
+}
+
+/// One keep-alive classify round trip on a fresh connection; any I/O
+/// failure (a refused socket may be reset under our request) is `Err`.
+fn classify_once(addr: std::net::SocketAddr, i: usize) -> std::io::Result<WireResponse> {
+    let mut client = TcpStream::connect(addr)?;
+    client.write_all(&classify_request(&request_inputs(i)))?;
+    let mut buf = Vec::new();
+    let mut chunk = [0u8; 4096];
+    loop {
+        if let Some(resp) = take_response(&mut buf) {
+            return Ok(resp);
+        }
+        let got = client.read(&mut chunk)?;
+        if got == 0 {
+            return Err(std::io::ErrorKind::UnexpectedEof.into());
+        }
+        buf.extend_from_slice(&chunk[..got]);
+    }
+}
+
+#[test]
+fn connection_cap_refuses_excess_sockets_until_a_slot_frees() {
+    let spec = fractional_spec();
+    let gw_cfg = GatewayConfig {
+        max_connections: 2,
+        ..GatewayConfig::default()
+    };
+    let gw = Gateway::bind("127.0.0.1:0", &spec, ServeConfig::new(3), gw_cfg).expect("bind");
+    let addr = gw.local_addr();
+
+    // Two open connections are both served.
+    let mut first = TcpStream::connect(addr).expect("connect");
+    let mut second = TcpStream::connect(addr).expect("connect");
+    for (i, client) in [&mut first, &mut second].into_iter().enumerate() {
+        client
+            .write_all(&classify_request(&request_inputs(i)))
+            .expect("send");
+        assert_eq!(read_responses(client, 1)[0].status, 200, "connection {i}");
+    }
+
+    // A third is over the cap: refused up front, then closed.
+    let mut third = TcpStream::connect(addr).expect("connect");
+    let mut raw = Vec::new();
+    third.read_to_end(&mut raw).expect("read the refusal");
+    let refusal = take_response(&mut raw).expect("one framed response");
+    assert_eq!(refusal.status, 503);
+    assert_eq!(refusal.header("Retry-After"), Some("1"));
+    assert_eq!(refusal.header("Connection"), Some("close"));
+    assert_eq!(
+        refusal
+            .json()
+            .get("error")
+            .and_then(|e| e.get("code"))
+            .and_then(JsonValue::as_str),
+        Some("overloaded")
+    );
+    assert!(raw.is_empty(), "nothing follows the refusal");
+
+    // Closing one of the first two releases its slot (once the gateway
+    // has seen the EOF), so a new connection is served again.
+    drop(first);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        match classify_once(addr, 2) {
+            Ok(resp) if resp.status == 200 => break,
+            Ok(resp) => assert_eq!(resp.status, 503, "{}", resp.body),
+            Err(_) => {}
+        }
+        assert!(Instant::now() < deadline, "the closed connection's slot was never released");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    second
+        .write_all(&classify_request(&request_inputs(3)))
+        .expect("send");
+    assert_eq!(read_responses(&mut second, 1)[0].status, 200);
+    drop(second);
+    gw.shutdown();
+}
+
+#[test]
+fn in_flight_cap_bounds_a_pipelined_burst_without_reordering() {
+    // A slow runtime and a cap of 2: the gateway must stop admitting from
+    // a 64-deep pipelined burst at 2 unanswered requests, yet answer all
+    // 64 in order, bit-identical to an in-process runtime.
+    let spec = fractional_spec();
+    let cfg = || {
+        ServeConfig::builder(31)
+            .workers(2)
+            .spf(64)
+            .build()
+            .expect("cfg")
+    };
+    let gw_cfg = GatewayConfig {
+        max_in_flight_per_conn: 2,
+        ..GatewayConfig::default()
+    };
+    let gw = Gateway::bind("127.0.0.1:0", &spec, cfg(), gw_cfg).expect("bind");
+    let addr = gw.local_addr();
+
+    let n = 64usize;
+    let client = std::thread::spawn(move || {
+        let mut client = TcpStream::connect(addr).expect("connect");
+        let burst: Vec<u8> = (0..n)
+            .flat_map(|i| classify_request(&request_inputs(i)))
+            .collect();
+        client.write_all(&burst).expect("send");
+        read_responses(&mut client, n)
+    });
+    let mut peak = 0;
+    while !client.is_finished() {
+        peak = peak.max(gw.queue_stats().in_flight);
+        std::thread::yield_now();
+    }
+    let wire = client.join().expect("client");
+    assert!(peak <= 2, "{peak} requests in flight on a cap-2 connection");
+    let snap = gw.shutdown();
+    assert_eq!(snap.completed, n as u64);
+
+    let rt = ServeRuntime::new(&spec, cfg()).expect("runtime");
+    for (i, resp) in wire.iter().enumerate() {
+        assert_eq!(resp.status, 200, "request {i}: {}", resp.body);
+        let v = resp.json();
+        let local = rt.classify(request_inputs(i)).expect("classify");
+        assert_eq!(v.get("seq").unwrap().as_u64(), Some(i as u64));
+        assert_eq!(local.seq, i as u64);
+        assert_eq!(votes_of(&v), local.votes, "request {i}");
+        assert_eq!(
+            v.get("predicted").unwrap().as_u64(),
+            Some(local.predicted as u64),
+            "request {i}"
+        );
+    }
+    rt.shutdown();
 }
