@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;
-use tn_chip::nscs::Deployment;
+use tn_chip::nscs::{Deployment, FrameInput};
 use tn_chip::prng::splitmix64;
 use truenorth::arch::ArchSpec;
 use truenorth::deploy::extract_spec;
@@ -48,6 +48,49 @@ fn bench_frame(c: &mut Criterion) {
     group.finish();
 }
 
+/// `fig3_spec` with every bias fractional. The untrained spec's biases
+/// are all 0, so its neurons never draw; a trained model's neurons each
+/// make a fractional-leak draw every tick, as these do.
+fn fractional_bias_spec() -> tn_chip::nscs::NetworkDeploySpec {
+    let mut spec = fig3_spec();
+    for core in &mut spec.cores {
+        for (n, b) in core.biases.iter_mut().enumerate() {
+            *b = -0.9 + 0.4 * ((n * 7) % 10) as f32 / 10.0;
+        }
+    }
+    spec
+}
+
+/// Served-model frames: `run_frames` on the fractional-bias spec at the
+/// two serving shapes — one frame at r1 spf2 (the solo tick) and eight
+/// frames at r4 spf8 (the lane engine) — plus one frame at r4 spf8, the
+/// solo cost a lane-8 frame should not exceed. Each cell's time is per
+/// call.
+fn bench_frames(c: &mut Criterion) {
+    let mut group = c.benchmark_group("run_frames_fractional_bias");
+    group
+        .sample_size(10)
+        .measurement_time(Duration::from_secs(3));
+    let spec = fractional_bias_spec();
+    let inputs: Vec<f32> = (0..784).map(|i| ((i * 13) % 90) as f32 / 100.0).collect();
+    for (copies, spf, batch) in [(1usize, 2usize, 1usize), (4, 8, 1), (4, 8, 8)] {
+        let mut dep = Deployment::build(&spec, copies, 7).expect("deploy");
+        let mut seed = 0u64;
+        group.bench_function(format!("r{copies}_spf{spf}_batch{batch}"), |b| {
+            b.iter(|| {
+                let frames: Vec<FrameInput> = (0..batch)
+                    .map(|_| {
+                        seed = splitmix64(seed);
+                        FrameInput::new(&inputs, spf, seed)
+                    })
+                    .collect();
+                dep.run_frames(&frames)
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_deviation(c: &mut Criterion) {
     let mut group = c.benchmark_group("deviation_map");
     group
@@ -61,5 +104,5 @@ fn bench_deviation(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_build, bench_frame, bench_deviation);
+criterion_group!(benches, bench_build, bench_frame, bench_frames, bench_deviation);
 criterion_main!(benches);

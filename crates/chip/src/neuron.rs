@@ -169,9 +169,10 @@ impl LifNeuron {
 /// PRNG-gated fractional part), threshold comparison (with optional mask
 /// dither), reset, floor clamp. Returns `true` when the neuron fires.
 ///
-/// This is the single source of truth for the firing decision — both the
-/// reference interpreter ([`LifNeuron::end_tick`]) and the compiled kernel
-/// ([`crate::kernel::CompiledChip`]) call it, so the two paths cannot drift.
+/// This is the reference for the firing decision: the interpreter
+/// ([`LifNeuron::end_tick`]) calls it, and the compiled kernel
+/// ([`crate::kernel::CompiledChip`]) precompiles it into a branchless
+/// per-neuron pass that the equivalence suites hold bit-identical to it.
 /// PRNG draw order: one optional leak draw, then one optional threshold
 /// draw, per neuron per tick.
 pub fn step_membrane(config: &NeuronConfig, potential: &mut i32, prng: &mut LfsrPrng) -> bool {

@@ -327,8 +327,11 @@ fn adaptive_spf_cell(
         .kernel_batch(8);
     if adaptive {
         builder = builder.controller(ControllerConfig {
-            sample_interval: Duration::from_millis(5),
-            cooldown: Duration::from_millis(20),
+            // The cadence must let `scale_streak` samples land well inside
+            // the stream: the compiled kernel serves a 200-request smoke
+            // stream in about ten milliseconds.
+            sample_interval: Duration::from_millis(1),
+            cooldown: Duration::from_millis(4),
             // Only the spf actuator: replicas stay pinned at 1.
             min_replicas: 1,
             max_replicas: 1,

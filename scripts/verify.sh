@@ -28,6 +28,12 @@ echo "== training bit-identity: golden digests under release codegen =="
 # vectorized differently, and trained bits must not depend on that.
 cargo test --release -q -p truenorth --test integration_golden_bits
 
+echo "== kernel equivalence under release codegen =="
+# Tier 1 runs the kernel suite in the debug profile; the bit-plane and
+# membrane-pass loops vectorize only under release codegen, and the
+# compiled kernel must stay bit-identical to the interpreter there too.
+cargo test --release -q -p truenorth --test integration_kernel
+
 echo "== kernel equivalence: compiled fast path vs reference interpreter =="
 cargo test -q -p truenorth --test integration_kernel
 
