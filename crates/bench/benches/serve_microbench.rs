@@ -1,15 +1,18 @@
 //! Criterion microbenchmarks of the serving runtime: end-to-end request
 //! throughput at 1/2/4 replicas on fractional (Tea-like) vs polarized
 //! (biased-like) synthetic specs, the batch-first chip-level `run_frames`
-//! fast path at several lockstep batch sizes, bare queue round-trips, and
-//! the full over-the-wire HTTP round trip through tn-gateway.
+//! fast path at several lockstep batch sizes, bare queue round-trips, the
+//! fleet's request codec and the gateway's classify-body parse on a
+//! 784-input (bench-1-sized) frame, and the full over-the-wire HTTP round
+//! trip through tn-gateway.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::io::{Read, Write};
 use std::time::Duration;
 use tn_chip::nscs::{CoreDeploySpec, Deployment, FrameInput, InputSource, NetworkDeploySpec};
+use tn_fleet::msg::{encode_req, parse_req};
 use tn_gateway::{Gateway, GatewayConfig};
-use tn_serve::{BoundedQueue, ServeConfig, ServeRuntime};
+use tn_serve::{BoundedQueue, ServeConfig, ServeRuntime, SubmitRequest};
 
 /// A 16-input / 4-class single-core spec. `polarized` drives every
 /// weight magnitude to 1 (what probability-biased training produces);
@@ -123,11 +126,37 @@ fn bench_queue_roundtrip(c: &mut Criterion) {
     group.finish();
 }
 
+/// A 784-input frame of pixel-like intensities `k / 255`: the shape and
+/// the float text (up to 9 significant digits) of a bench-1 request.
+fn bench1_frame() -> Vec<f32> {
+    (0..784).map(|i| ((i * 37) % 256) as f32 / 255.0).collect()
+}
+
+fn bench_fleet_codec(c: &mut Criterion) {
+    let mut group = c.benchmark_group("fleet_codec");
+    group
+        .sample_size(30)
+        .measurement_time(Duration::from_secs(1));
+    let request = SubmitRequest::new(bench1_frame()).quality("fast");
+    group.bench_function("encode_req", |b| b.iter(|| encode_req(41, &request)));
+    let payload = encode_req(41, &request);
+    group.bench_function("parse_req", |b| {
+        b.iter(|| parse_req(&payload).expect("well-formed req"))
+    });
+    group.finish();
+}
+
 fn bench_gateway_roundtrip(c: &mut Criterion) {
     let mut group = c.benchmark_group("gateway_http");
     group
         .sample_size(20)
         .measurement_time(Duration::from_secs(3));
+    // The gateway's JSON parse of a bench-1-sized classify body, alone.
+    let nums: Vec<String> = bench1_frame().iter().map(|v| v.to_string()).collect();
+    let body = format!("{{\"frame\":[{}],\"quality\":\"fast\"}}", nums.join(","));
+    group.bench_function("classify_body_parse", |b| {
+        b.iter(|| tn_telemetry::json::parse(&body).expect("valid body"))
+    });
     let spec = synthetic_spec(true);
     let inputs = frame(spec.n_inputs);
     let nums: Vec<String> = inputs.iter().map(|v| v.to_string()).collect();
@@ -194,6 +223,7 @@ criterion_group!(
     bench_serve_requests,
     bench_run_frames,
     bench_queue_roundtrip,
+    bench_fleet_codec,
     bench_gateway_roundtrip
 );
 criterion_main!(benches);

@@ -1,6 +1,6 @@
 //! The fleet wire framing: `[kind u8][len u32 LE][payload]`.
 //!
-//! Deliberately minimal — the interesting structure lives in the JSON
+//! Deliberately minimal — the interesting structure lives in the
 //! payloads ([`crate::msg`]) and the telemetry lines riding
 //! [`FrameKind::Snap`] frames, which are verbatim `tn-telemetry/1`
 //! snapshot lines (the fleet reuses the existing snapshot schema as its
@@ -19,7 +19,7 @@ pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
 #[repr(u8)]
 pub enum FrameKind {
     /// Shard → router, once at connection start: the shard's identity
-    /// and serving shape (`tn-fleet/1` handshake).
+    /// and serving shape (`tn-fleet/2` handshake).
     Hello = 1,
     /// Router → shard: one classify request.
     Req = 2,
@@ -52,9 +52,11 @@ impl FrameKind {
     }
 }
 
-/// Write one frame. The 5-byte header and payload go out as a single
-/// `write_all` each; callers serialize whole-frame writes (the fleet
-/// holds a per-connection write lock) so frames never interleave.
+/// Write one frame. The 5-byte header and the payload go out together
+/// in one `write_all`, so a blocked reader wakes once per frame rather
+/// than once for the header and again for the payload; callers serialize
+/// whole-frame writes (the fleet holds a per-connection write lock) so
+/// frames never interleave.
 pub fn write_frame(
     w: &mut (impl Write + ?Sized),
     kind: FrameKind,
@@ -66,11 +68,11 @@ pub fn write_frame(
             format!("frame payload {} exceeds {MAX_FRAME_LEN}", payload.len()),
         ));
     }
-    let mut header = [0u8; 5];
-    header[0] = kind as u8;
-    header[1..5].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    w.write_all(&header)?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(5 + payload.len());
+    frame.push(kind as u8);
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 

@@ -27,9 +27,12 @@
 //!                  └──────────┘ └──────────┘ └──────────┘
 //! ```
 //!
-//! * **No new wire formats**: request/response payloads are JSON
-//!   (parsed by `tn-telemetry`'s strict reader), and shard health rides
-//!   the *existing* `tn-telemetry/1` snapshot schema — every snapshot a
+//! * **No new wire formats but one**: response, error, control and
+//!   handshake payloads are JSON (parsed by `tn-telemetry`'s strict
+//!   reader); the request payload is a small JSON head followed by the
+//!   input frame as raw little-endian `f32`s ([`msg::encode_req`]), so
+//!   the hottest frame never round-trips through decimal text. Shard
+//!   health rides the *existing* `tn-telemetry/1` snapshot schema — every snapshot a
 //!   shard's runtime exports is framed to the router verbatim
 //!   ([`crate::frame::FrameKind::Snap`]) and doubles as the heartbeat.
 //!   The aggregated trail still passes `snapshot_check`.

@@ -1,12 +1,17 @@
-//! JSON payloads for the fleet frames.
+//! Payloads for the fleet frames.
 //!
-//! Everything on the wire is JSON text (parsed with the same strict
+//! Every payload but one is JSON text (parsed with the same strict
 //! reader `tn-telemetry` uses for snapshot lines — the workspace builds
-//! offline, so there is no serde_json). Floats are encoded with `{:?}`,
-//! which prints the shortest decimal that round-trips, so a frame's
-//! spike rates and a response's confidence survive the wire bit-exactly
-//! — a requirement, since the fleet's contract is that its answer
-//! stream is *bit-identical* to a solo runtime's.
+//! offline, so there is no serde_json). The exception is the request
+//! frame: a [`FrameKind::Req`](crate::frame::FrameKind::Req) payload is
+//! `[head_len u32 LE][JSON head][n × f32 LE]`, a small JSON head followed
+//! by the input frame as raw little-endian `f32`s, so the hottest frame
+//! on the wire is never formatted as or parsed from decimal text. The
+//! few floats in JSON payloads (a response's agreement and confidence)
+//! are encoded with `{:?}`, which prints the shortest decimal that
+//! round-trips. Both ways, floats survive the wire bit-exactly — a
+//! requirement, since the fleet's contract is that its answer stream is
+//! *bit-identical* to a solo runtime's.
 
 use std::time::Duration;
 
@@ -15,7 +20,7 @@ use tn_telemetry::json::{escape, parse, JsonValue};
 
 /// The handshake schema tag; a router refuses a shard that does not
 /// announce exactly this.
-pub const SCHEMA: &str = "tn-fleet/1";
+pub const SCHEMA: &str = "tn-fleet/2";
 
 // ---------------------------------------------------------------------
 // decode helpers
@@ -74,17 +79,6 @@ fn usize_array(v: &JsonValue, key: &str) -> Result<Vec<usize>, String> {
     Ok(u64_array(v, key)?.into_iter().map(|x| x as usize).collect())
 }
 
-fn f32_array(v: &JsonValue, key: &str) -> Result<Vec<f32>, String> {
-    get_arr(v, key)?
-        .iter()
-        .map(|x| {
-            x.as_f64()
-                .map(|f| f as f32)
-                .ok_or_else(|| format!("{key:?} holds a non-number"))
-        })
-        .collect()
-}
-
 fn string_array(v: &JsonValue, key: &str) -> Result<Vec<String>, String> {
     get_arr(v, key)?
         .iter()
@@ -107,11 +101,6 @@ fn json_usizes(xs: &[usize]) -> String {
 
 fn json_u64s(xs: &[u64]) -> String {
     let items: Vec<String> = xs.iter().map(|x| x.to_string()).collect();
-    format!("[{}]", items.join(","))
-}
-
-fn json_f32s(xs: &[f32]) -> String {
-    let items: Vec<String> = xs.iter().map(|x| format!("{:?}", f64::from(*x))).collect();
     format!("[{}]", items.join(","))
 }
 
@@ -212,32 +201,73 @@ impl Hello {
 // Req
 // ---------------------------------------------------------------------
 
-/// Encode one dispatched request. `seq` is the *router's* global
-/// sequence number — the determinism key the shard pins via
-/// [`SubmitRequest::at_seq`].
-pub fn encode_req(seq: u64, request: &SubmitRequest) -> String {
+/// The JSON head of a Req payload: everything but the input frame,
+/// whose length it announces as `"n"`.
+fn req_head(seq: u64, request: &SubmitRequest) -> String {
     let quality = match &request.quality {
         Some(q) => format!("\"{}\"", escape(q)),
         None => "null".to_string(),
     };
     format!(
-        "{{\"seq\":{seq},\"frame\":{},\"model\":{},\"class\":{},\"quality\":{quality}}}",
-        json_f32s(&request.frame),
+        "{{\"seq\":{seq},\"n\":{},\"model\":{},\"class\":{},\"quality\":{quality}}}",
+        request.frame.len(),
         request.model,
         request.class,
     )
 }
 
-/// Parse a Req frame payload into `(seq, request)`; the returned
-/// request already carries `at_seq(seq)`.
+/// Encode one dispatched request as a Req payload:
+/// `[head_len u32 LE][JSON head][n × f32 LE]`. `seq` is the *router's*
+/// global sequence number — the determinism key the shard pins via
+/// [`SubmitRequest::at_seq`].
+pub fn encode_req(seq: u64, request: &SubmitRequest) -> Vec<u8> {
+    let head = req_head(seq, request);
+    let mut out = Vec::with_capacity(4 + head.len() + 4 * request.frame.len());
+    out.extend_from_slice(&(head.len() as u32).to_le_bytes());
+    out.extend_from_slice(head.as_bytes());
+    for x in &request.frame {
+        out.extend_from_slice(&x.to_le_bytes());
+    }
+    out
+}
+
+/// Parse a Req payload into `(seq, request)`; the returned request
+/// already carries `at_seq(seq)`.
+///
+/// Strict: the head must be UTF-8 and exactly what [`encode_req`] writes
+/// for the request it describes, and the tail must hold exactly `4·n`
+/// bytes. A payload this accepts therefore re-encodes to itself.
 ///
 /// # Errors
 ///
-/// A human-readable description of the first malformed field.
-pub fn parse_req(text: &str) -> Result<(u64, SubmitRequest), String> {
-    let v = parse(text).map_err(|e| e.to_string())?;
+/// A human-readable description of the first malformed part.
+pub fn parse_req(payload: &[u8]) -> Result<(u64, SubmitRequest), String> {
+    let (len, rest) = payload
+        .split_first_chunk::<4>()
+        .ok_or_else(|| "Req payload is shorter than its 4-byte head length".to_string())?;
+    let head_len = u32::from_le_bytes(*len) as usize;
+    if rest.len() < head_len {
+        return Err(format!(
+            "Req head length {head_len} exceeds the {} payload bytes left",
+            rest.len()
+        ));
+    }
+    let (head, tail) = rest.split_at(head_len);
+    let head = std::str::from_utf8(head).map_err(|_| "Req head is not valid UTF-8".to_string())?;
+    let v = parse(head).map_err(|e| e.to_string())?;
     let seq = get_u64(&v, "seq")?;
-    let mut request = SubmitRequest::new(f32_array(&v, "frame")?)
+    let n = get_usize(&v, "n")?;
+    if n.checked_mul(4) != Some(tail.len()) {
+        return Err(format!(
+            "Req announces {n} inputs but carries {} frame bytes",
+            tail.len()
+        ));
+    }
+    let frame = tail
+        .chunks_exact(4)
+        .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        .collect();
+    let mut request = SubmitRequest::new(frame)
         .model(get_usize(&v, "model")?)
         .class(get_usize(&v, "class")?)
         .at_seq(seq);
@@ -249,6 +279,9 @@ pub fn parse_req(text: &str) -> Result<(u64, SubmitRequest), String> {
                     .ok_or_else(|| "\"quality\" is not a string or null".to_string())?,
             );
         }
+    }
+    if req_head(seq, &request) != head {
+        return Err("Req head is not in canonical form".to_string());
     }
     Ok((seq, request))
 }
@@ -539,22 +572,131 @@ mod tests {
 
     #[test]
     fn req_round_trips_with_exact_floats() {
-        // 0.1 is not representable; the shortest-repr encoding must
-        // bring back the identical f32 bits.
-        let req = SubmitRequest::new(vec![0.1, 1.0, 0.0, 0.333_333_34])
+        // Raw f32s on the wire: every bit pattern comes back, including
+        // the sign of zero, subnormals and the last float below 1.0.
+        let subnormal = f32::from_bits(1);
+        let below_one = 1.0 - f32::EPSILON / 2.0;
+        let req = SubmitRequest::new(vec![0.1, 1.0, 0.0, 0.333_333_34, -0.0, subnormal, below_one])
             .model(1)
             .class(2)
             .quality("fast");
         let (seq, parsed) = parse_req(&encode_req(17, &req)).expect("parse");
         assert_eq!(seq, 17);
         assert_eq!(parsed.seq, Some(17), "wire seq pins the request seq");
-        assert_eq!(parsed.frame, req.frame, "f32s must round-trip bit-exactly");
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&parsed.frame), bits(&req.frame), "f32s must round-trip bit-exactly");
         assert_eq!((parsed.model, parsed.class), (1, 2));
         assert_eq!(parsed.quality.as_deref(), Some("fast"));
 
         let bare = SubmitRequest::new(vec![0.5]);
         let (_, parsed) = parse_req(&encode_req(0, &bare)).expect("parse");
         assert_eq!(parsed.quality, None);
+    }
+
+    /// Build a Req payload around a hand-written head and tail.
+    fn raw_req(head: &[u8], tail: &[u8]) -> Vec<u8> {
+        let mut out = (head.len() as u32).to_le_bytes().to_vec();
+        out.extend_from_slice(head);
+        out.extend_from_slice(tail);
+        out
+    }
+
+    #[test]
+    fn req_rejects_bad_heads_and_tails() {
+        let head = br#"{"seq":3,"n":1,"model":0,"class":0,"quality":null}"#;
+        assert!(parse_req(&raw_req(head, &0.5f32.to_le_bytes())).is_ok());
+        // Tail length must be exactly 4·n.
+        assert!(parse_req(&raw_req(head, &[0; 3])).is_err());
+        assert!(parse_req(&raw_req(head, &[0; 8])).is_err());
+        // A head that is not UTF-8 is refused, not lossily rewritten.
+        let bad_utf8 = b"{\"seq\":3,\"n\":0,\"model\":0,\"class\":0,\"quality\":\"f\xFFst\"}";
+        let err = parse_req(&raw_req(bad_utf8, &[])).expect_err("non-UTF-8 head");
+        assert!(err.contains("UTF-8"), "{err}");
+        // Valid JSON that encode_req would not write is refused too.
+        let spaced = br#"{"seq":3, "n":0,"model":0,"class":0,"quality":null}"#;
+        assert!(parse_req(&raw_req(spaced, &[])).is_err());
+        let leading_zero = br#"{"seq":03,"n":0,"model":0,"class":0,"quality":null}"#;
+        assert!(parse_req(&raw_req(leading_zero, &[])).is_err());
+        // Short payloads and overlong head lengths.
+        assert!(parse_req(&[1, 0]).is_err());
+        assert!(parse_req(&[0xFF, 0xFF, 0xFF, 0xFF, b'{']).is_err());
+    }
+
+    /// `parse_req`'s fault contract: no panic, and either an error or a
+    /// request that re-encodes to exactly the bytes it was parsed from.
+    fn assert_req_fault_contract(payload: &[u8], what: impl Fn() -> String) {
+        if let Ok((seq, request)) = parse_req(payload) {
+            let back = encode_req(seq, &request);
+            assert!(back == payload, "{}: accepted a non-canonical Req", what());
+        }
+    }
+
+    /// A framed stream's fault contract: `read_frame` never panics, and
+    /// whatever Req frame it yields satisfies `parse_req`'s contract.
+    fn assert_stream_fault_contract(stream: &[u8], what: impl Fn() -> String) {
+        let mut r = stream;
+        while let Ok(Some((kind, payload))) = crate::frame::read_frame(&mut r) {
+            if kind == crate::frame::FrameKind::Req {
+                assert_req_fault_contract(&payload, &what);
+            }
+        }
+    }
+
+    #[test]
+    fn truncated_or_corrupt_reqs_fail_closed() {
+        use crate::frame::{write_frame, FrameKind};
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let inputs: Vec<f32> = (0..784).map(|i| ((i * 37) % 256) as f32 / 255.0).collect();
+        let requests = [
+            (0, SubmitRequest::new(Vec::new())),
+            (5, SubmitRequest::new(vec![0.25, -0.0, 1.0]).model(1).class(2).quality("fast")),
+            (1 << 40, SubmitRequest::new(inputs).quality("qu\"o\u{e9}")),
+        ];
+        let mut rng = StdRng::seed_from_u64(15);
+        for (seq, request) in &requests {
+            let payload = encode_req(*seq, request);
+            let mut stream = Vec::new();
+            write_frame(&mut stream, FrameKind::Req, &payload).expect("frame");
+            write_frame(&mut stream, FrameKind::Req, &payload).expect("frame");
+            // Stream offsets to probe: every byte of both frame headers,
+            // Req heads and the first and last floats; every 61st byte
+            // inside long float tails (each probe there decodes and
+            // re-encodes a whole frame).
+            let frame_len = 5 + payload.len();
+            let head_end = 9 + u32::from_le_bytes(payload[..4].try_into().expect("4")) as usize;
+            let probe = |pos: usize| {
+                let at = pos % frame_len;
+                at < head_end + 16 || at + 16 >= frame_len || pos.is_multiple_of(61)
+            };
+            // Every truncation of the payload; probed truncations of the
+            // stream.
+            for cut in 0..payload.len() {
+                assert!(parse_req(&payload[..cut]).is_err(), "accepted a Req cut at {cut}");
+            }
+            for cut in (0..stream.len()).filter(|&c| probe(c)) {
+                assert_stream_fault_contract(&stream[..cut], || format!("stream cut at {cut}"));
+            }
+            // Every single-byte corruption of the length prefix and JSON
+            // head; random ones in the float tail.
+            for p in 0..head_end - 5 {
+                for flip in 1..=255u8 {
+                    let mut bad = payload.clone();
+                    bad[p] ^= flip;
+                    assert_req_fault_contract(&bad, || format!("payload byte {p} ^ {flip:#04x}"));
+                }
+            }
+            // Random single-byte corruptions of the stream, several at
+            // every probe.
+            for pos in (0..stream.len()).filter(|&p| probe(p)) {
+                for _ in 0..4 {
+                    let flip = rng.gen_range(1..256u32) as u8;
+                    stream[pos] ^= flip;
+                    let what = || format!("stream byte {pos} ^ {flip:#04x}");
+                    assert_stream_fault_contract(&stream, what);
+                    stream[pos] ^= flip;
+                }
+            }
+        }
     }
 
     #[test]

@@ -361,7 +361,9 @@ impl FleetRouter {
                     "shard {i} opened with {kind:?}, expected Hello"
                 )));
             }
-            let h = Hello::parse(&String::from_utf8_lossy(&payload))
+            let h = std::str::from_utf8(&payload)
+                .map_err(|_| "not valid UTF-8".to_string())
+                .and_then(Hello::parse)
                 .map_err(|e| ServeError::BadConfig(format!("shard {i} hello: {e}")))?;
             // A packed runtime keys each tenant's answers by its own
             // per-model submission counter, not the pinned seq — which
@@ -541,26 +543,25 @@ impl FleetRouter {
 impl Inner {
     fn reader_loop<T: Transport>(&self, idx: usize, mut conn: T) {
         // Clean EOF, torn frame, or I/O error all end the read the
-        // same way: fall through to the disconnect handling below.
-        while let Ok(Some(frame)) = read_frame(&mut conn) {
-            match frame {
-                (FrameKind::Resp, payload) => {
-                    match parse_resp(&String::from_utf8_lossy(&payload)) {
-                        Ok(resp) => self.complete_ok(idx, resp),
-                        Err(_) => break,
-                    }
-                }
-                (FrameKind::Err, payload) => {
-                    match parse_err(&String::from_utf8_lossy(&payload)) {
-                        Ok((seq, err)) => self.complete_err(idx, seq, err),
-                        Err(_) => break,
-                    }
-                }
-                (FrameKind::Snap, payload) => {
-                    self.on_snapshot(idx, &String::from_utf8_lossy(&payload));
-                }
-                (FrameKind::Ack, payload) => {
-                    if let Ok(ack) = Ack::parse(&String::from_utf8_lossy(&payload)) {
+        // same way: fall through to the disconnect handling below. Every
+        // shard → router payload is JSON text; one that is not UTF-8
+        // poisons the stream like any other malformed payload.
+        while let Ok(Some((kind, payload))) = read_frame(&mut conn) {
+            let Ok(text) = std::str::from_utf8(&payload) else {
+                break;
+            };
+            match kind {
+                FrameKind::Resp => match parse_resp(text) {
+                    Ok(resp) => self.complete_ok(idx, resp),
+                    Err(_) => break,
+                },
+                FrameKind::Err => match parse_err(text) {
+                    Ok((seq, err)) => self.complete_err(idx, seq, err),
+                    Err(_) => break,
+                },
+                FrameKind::Snap => self.on_snapshot(idx, text),
+                FrameKind::Ack => {
+                    if let Ok(ack) = Ack::parse(text) {
                         let shard = &self.shards[idx];
                         *shard.ack.lock().expect("ack lock") = Some(ack);
                         shard.ack_cv.notify_all();
@@ -839,9 +840,10 @@ impl Inner {
                 },
             );
             shard.in_flight.fetch_add(1, Ordering::Relaxed);
+            let payload = encode_req(seq, request);
             let wrote = {
                 let mut w = shard.writer.lock().expect("writer lock");
-                write_frame(&mut **w, FrameKind::Req, encode_req(seq, request).as_bytes()).is_ok()
+                write_frame(&mut **w, FrameKind::Req, &payload).is_ok()
             };
             drop(roll);
             if wrote {
@@ -1425,6 +1427,41 @@ mod tests {
     }
 
     #[test]
+    fn non_utf8_payload_poisons_the_stream_instead_of_being_rewritten() {
+        let cfg = tiny_cfg();
+        let oracle = ServeRuntime::new(&tiny_spec(), cfg.clone()).expect("oracle deploy");
+        let hello = mirror_hello(&oracle);
+        oracle.shutdown();
+
+        let (mut shard_end, router_end) = duplex(64 * 1024);
+        write_frame(&mut shard_end, FrameKind::Hello, hello.encode().as_bytes())
+            .expect("handshake write");
+        let router =
+            FleetRouter::connect(vec![router_end], FleetConfig::new(cfg)).expect("connect");
+        let handle = router
+            .submit_request(SubmitRequest::new(vec![0.0, 1.0]))
+            .expect("admitted");
+        let (kind, payload) = read_frame(&mut shard_end).expect("read").expect("req frame");
+        assert_eq!(kind, FrameKind::Req);
+        let (seq, _) = parse_req(&payload).expect("well-formed req");
+
+        // A well-formed answer but for one byte: the tier name's 'a' is
+        // 0xFF. Lossy decoding used to deliver it as tier "f\u{FFFD}st".
+        let mut resp = canned_resp(seq);
+        resp.served = resp.served.with_tier("fast");
+        let mut bytes = encode_resp(&resp).into_bytes();
+        let at = bytes.windows(6).position(|w| w == b"\"fast\"").expect("tier") + 2;
+        bytes[at] = 0xFF;
+        write_frame(&mut shard_end, FrameKind::Resp, &bytes).expect("send resp");
+
+        let err = handle
+            .wait_timeout(Duration::from_secs(20))
+            .expect_err("a poisoned stream must not answer");
+        assert!(matches!(err, ServeError::Unavailable(_)), "got {err:?}");
+        wait_until(10, || !router.shard_healthy(0), "poisoned shard marked down");
+    }
+
+    #[test]
     fn retryable_error_reroutes_away_from_the_erroring_shard() {
         let spec = tiny_spec();
         let cfg = tiny_cfg();
@@ -1455,8 +1492,7 @@ mod tests {
             while let Ok(Some((kind, payload))) = read_frame(&mut fake_end) {
                 match kind {
                     FrameKind::Req => {
-                        let (seq, _) = parse_req(&String::from_utf8_lossy(&payload))
-                            .expect("well-formed req");
+                        let (seq, _) = parse_req(&payload).expect("well-formed req");
                         refused_in_fake.fetch_add(1, Ordering::Relaxed);
                         let _ = write_frame(
                             &mut fake_end,
@@ -1465,8 +1501,8 @@ mod tests {
                         );
                     }
                     FrameKind::Ctrl => {
-                        let ctrl =
-                            Ctrl::parse(&String::from_utf8_lossy(&payload)).expect("ctrl");
+                        let text = std::str::from_utf8(&payload).expect("utf-8");
+                        let ctrl = Ctrl::parse(text).expect("ctrl");
                         let op = match ctrl {
                             Ctrl::SetReplicas(_) => "set_replicas",
                             Ctrl::Shutdown => "shutdown",
@@ -1579,8 +1615,7 @@ mod tests {
                     .expect("read req")
                     .expect("req frame");
                 assert_eq!(kind, FrameKind::Req);
-                let (seq, _) =
-                    parse_req(&String::from_utf8_lossy(&payload)).expect("well-formed req");
+                let (seq, _) = parse_req(&payload).expect("well-formed req");
                 assert_eq!(seq, expect, "requests arrive in submission order");
             }
             release_rx.recv().expect("release signal");
@@ -1603,8 +1638,7 @@ mod tests {
             loop {
                 match read_frame(&mut fake_end).expect("read") {
                     Some((FrameKind::Req, payload)) => {
-                        let (seq, _) = parse_req(&String::from_utf8_lossy(&payload))
-                            .expect("well-formed req");
+                        let (seq, _) = parse_req(&payload).expect("well-formed req");
                         assert_eq!(seq, s1, "only s1 can come back");
                         write_frame(
                             &mut fake_end,
@@ -1614,8 +1648,8 @@ mod tests {
                         .expect("serve retried s1");
                     }
                     Some((FrameKind::Ctrl, payload)) => {
-                        let ctrl =
-                            Ctrl::parse(&String::from_utf8_lossy(&payload)).expect("ctrl");
+                        let text = std::str::from_utf8(&payload).expect("utf-8");
+                        let ctrl = Ctrl::parse(text).expect("ctrl");
                         let op = match ctrl {
                             Ctrl::SetReplicas(_) => "set_replicas",
                             Ctrl::Shutdown => "shutdown",

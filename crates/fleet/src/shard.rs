@@ -157,8 +157,7 @@ impl ShardServer {
                 while let Ok(Some(frame)) = read_frame(&mut conn) {
                     match frame {
                         (FrameKind::Req, payload) => {
-                            let text = String::from_utf8_lossy(&payload);
-                            let (seq, request) = match parse_req(&text) {
+                            let (seq, request) = match parse_req(&payload) {
                                 Ok(r) => r,
                                 Err(_) => break, // poisoned stream
                             };
@@ -174,8 +173,8 @@ impl ShardServer {
                             }
                         }
                         (FrameKind::Ctrl, payload) => {
-                            let text = String::from_utf8_lossy(&payload);
-                            match Ctrl::parse(&text) {
+                            let text = std::str::from_utf8(&payload).map_err(|e| e.to_string());
+                            match text.and_then(Ctrl::parse) {
                                 Ok(Ctrl::SetReplicas(r)) => {
                                     let result =
                                         reader_rt.apply_control(&ControlAction::SetReplicas(r));

@@ -238,7 +238,10 @@ fn next_request(
             });
         };
         let raw: Vec<u8> = buf.drain(..=nl).collect();
-        let text = String::from_utf8_lossy(&raw);
+        let Ok(text) = std::str::from_utf8(&raw) else {
+            let body = proto::error_json("bad_request", "line is not valid UTF-8");
+            return Some(Pending::ready(400, body, true));
+        };
         let line = text.trim();
         if !line.is_empty() {
             return Some(router::route_line(line, ctx));

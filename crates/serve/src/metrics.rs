@@ -151,26 +151,26 @@ impl Metrics {
             pair[1].fetch_add(micros, Ordering::Relaxed);
         }
         if let Some(row) = self.per_model.get(model) {
-            row[1].fetch_add(1, Ordering::Relaxed);
-            row[2].fetch_add(ticks, Ordering::Relaxed);
-            row[3].fetch_add(micros, Ordering::Relaxed);
+            row[3].fetch_add(micros, Ordering::Release);
+            row[2].fetch_add(ticks, Ordering::Release);
+            row[1].fetch_add(1, Ordering::Release);
         }
         let ns = u64::try_from(latency.as_nanos()).unwrap_or(u64::MAX);
         self.latency[bucket_index(ns)].fetch_add(1, Ordering::Relaxed);
         self.latency_sum_ns.fetch_add(ns, Ordering::Relaxed);
     }
 
-    /// Count one accepted submission against tenant `model`.
-    pub(crate) fn record_model_submit(&self, model: usize) {
+    /// Count one accepted submission: globally, against tenant `model`
+    /// and against quality tier `tier`, in that order. The runtime calls
+    /// this before a worker can pop the request, so its completion is
+    /// always counted after its submission.
+    pub(crate) fn record_submit(&self, model: usize, tier: Option<usize>) {
+        self.submitted.fetch_add(1, Ordering::Relaxed);
         if let Some(row) = self.per_model.get(model) {
-            row[0].fetch_add(1, Ordering::Relaxed);
+            row[0].fetch_add(1, Ordering::Release);
         }
-    }
-
-    /// Count one accepted submission against quality tier `tier`.
-    pub(crate) fn record_tier_submit(&self, tier: usize) {
-        if let Some(row) = self.per_tier.get(tier) {
-            row[0].fetch_add(1, Ordering::Relaxed);
+        if let Some(row) = tier.and_then(|t| self.per_tier.get(t)) {
+            row[0].fetch_add(1, Ordering::Release);
         }
     }
 
@@ -183,11 +183,11 @@ impl Metrics {
         confidence: f32,
     ) {
         if let Some(row) = self.per_tier.get(tier) {
-            row[1].fetch_add(1, Ordering::Relaxed);
-            row[2].fetch_add(u64::from(escalated), Ordering::Relaxed);
-            row[3].fetch_add(ticks, Ordering::Relaxed);
             let micros = (f64::from(confidence.clamp(0.0, 1.0)) * AGREEMENT_SCALE) as u64;
-            row[4].fetch_add(micros, Ordering::Relaxed);
+            row[4].fetch_add(micros, Ordering::Release);
+            row[3].fetch_add(ticks, Ordering::Release);
+            row[1].fetch_add(1, Ordering::Release);
+            row[2].fetch_add(u64::from(escalated), Ordering::Release);
         }
     }
 
@@ -198,15 +198,18 @@ impl Metrics {
 
     /// Lifetime `(submitted, completed, escalated, ticks,
     /// confidence_sum×SCALE)` for one quality tier.
+    ///
+    /// Fields are read in the reverse of the order they are written, with
+    /// acquire loads pairing the release increments, so the values read
+    /// keep `escalated <= completed <= submitted`.
     pub(crate) fn tier_progress(&self, tier: usize) -> (u64, u64, u64, u64, u64) {
         self.per_tier.get(tier).map_or((0, 0, 0, 0, 0), |row| {
-            (
-                row[0].load(Ordering::Relaxed),
-                row[1].load(Ordering::Relaxed),
-                row[2].load(Ordering::Relaxed),
-                row[3].load(Ordering::Relaxed),
-                row[4].load(Ordering::Relaxed),
-            )
+            let escalated = row[2].load(Ordering::Acquire);
+            let completed = row[1].load(Ordering::Acquire);
+            let ticks = row[3].load(Ordering::Acquire);
+            let confidence = row[4].load(Ordering::Acquire);
+            let submitted = row[0].load(Ordering::Acquire);
+            (submitted, completed, escalated, ticks, confidence)
         })
     }
 
@@ -216,15 +219,15 @@ impl Metrics {
     }
 
     /// Lifetime `(submitted, completed, ticks, agreement_sum×SCALE)` for
-    /// one tenant model.
+    /// one tenant model, read like [`Metrics::tier_progress`] so that
+    /// `completed <= submitted`.
     pub(crate) fn model_progress(&self, model: usize) -> (u64, u64, u64, u64) {
         self.per_model.get(model).map_or((0, 0, 0, 0), |row| {
-            (
-                row[0].load(Ordering::Relaxed),
-                row[1].load(Ordering::Relaxed),
-                row[2].load(Ordering::Relaxed),
-                row[3].load(Ordering::Relaxed),
-            )
+            let completed = row[1].load(Ordering::Acquire);
+            let ticks = row[2].load(Ordering::Acquire);
+            let agreement = row[3].load(Ordering::Acquire);
+            let submitted = row[0].load(Ordering::Acquire);
+            (submitted, completed, ticks, agreement)
         })
     }
 
@@ -633,9 +636,9 @@ mod tests {
     fn per_model_rows_split_completions() {
         let m = Metrics::new(1, 1, 2, 0);
         assert_eq!(m.n_models(), 2);
-        m.record_model_submit(0);
-        m.record_model_submit(1);
-        m.record_model_submit(1);
+        m.record_submit(0, None);
+        m.record_submit(1, None);
+        m.record_submit(1, None);
         m.record_completion(0, 0, 0, 8, Duration::from_micros(10), 1.0);
         m.record_completion(0, 0, 1, 16, Duration::from_micros(10), 0.5);
         m.record_completion(0, 0, 1, 16, Duration::from_micros(10), 0.5);

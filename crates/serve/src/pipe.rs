@@ -57,9 +57,11 @@ impl Channel {
         loop {
             if !state.buf.is_empty() {
                 let n = out.len().min(state.buf.len());
-                for slot in out.iter_mut().take(n) {
-                    *slot = state.buf.pop_front().expect("non-empty");
-                }
+                let (front, back) = state.buf.as_slices();
+                let split = n.min(front.len());
+                out[..split].copy_from_slice(&front[..split]);
+                out[split..n].copy_from_slice(&back[..n - split]);
+                state.buf.drain(..n);
                 self.cond.notify_all();
                 return Ok(n);
             }

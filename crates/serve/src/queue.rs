@@ -76,17 +76,7 @@ impl<T> BoundedQueue<T> {
     ///
     /// Returns the item back if the queue is (or becomes) closed.
     pub fn push(&self, item: T) -> Result<(), PushError<T>> {
-        let mut st = self.state.lock().expect("queue lock");
-        while st.items.len() >= self.capacity && !st.closed {
-            st = self.not_full.wait(st).expect("queue lock");
-        }
-        if st.closed {
-            return Err(PushError::Closed(item));
-        }
-        st.items.push_back(item);
-        drop(st);
-        self.not_empty.notify_one();
-        Ok(())
+        self.push_admitted(item, true, || {})
     }
 
     /// Push without blocking.
@@ -96,13 +86,30 @@ impl<T> BoundedQueue<T> {
     /// [`PushError::Full`] when at capacity, [`PushError::Closed`] after
     /// [`BoundedQueue::close`]; both hand the item back.
     pub fn try_push(&self, item: T) -> Result<(), PushError<T>> {
+        self.push_admitted(item, false, || {})
+    }
+
+    /// Push, blocking while full if `block` (else failing with
+    /// [`PushError::Full`]), and run `admit` under the queue lock once the
+    /// item is accepted, before any consumer can pop it: whatever `admit`
+    /// records happens before anything a consumer does with the item.
+    pub(crate) fn push_admitted(
+        &self,
+        item: T,
+        block: bool,
+        admit: impl FnOnce(),
+    ) -> Result<(), PushError<T>> {
         let mut st = self.state.lock().expect("queue lock");
+        while block && st.items.len() >= self.capacity && !st.closed {
+            st = self.not_full.wait(st).expect("queue lock");
+        }
         if st.closed {
             return Err(PushError::Closed(item));
         }
         if st.items.len() >= self.capacity {
             return Err(PushError::Full(item));
         }
+        admit();
         st.items.push_back(item);
         drop(st);
         self.not_empty.notify_one();
@@ -183,6 +190,18 @@ mod tests {
         assert!(q.pop_batch(4, &mut buf), "queued item survives close");
         assert_eq!(buf, vec![7]);
         assert!(!q.pop_batch(4, &mut buf), "then the queue reports closed");
+    }
+
+    #[test]
+    fn admit_runs_only_for_accepted_items() {
+        let q = BoundedQueue::new(1);
+        let admitted = std::cell::Cell::new(0);
+        let admit = || admitted.set(admitted.get() + 1);
+        assert_eq!(q.push_admitted(1, false, admit), Ok(()));
+        assert_eq!(q.push_admitted(2, false, admit), Err(PushError::Full(2)));
+        q.close();
+        assert_eq!(q.push_admitted(3, true, admit), Err(PushError::Closed(3)));
+        assert_eq!(admitted.get(), 1);
     }
 
     #[test]

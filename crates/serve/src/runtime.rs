@@ -795,19 +795,14 @@ impl ServeRuntime {
             submitted: Instant::now(),
             completer,
         };
-        let outcome = match self.cfg.backpressure {
-            Backpressure::Block => self.queue.push(job),
-            Backpressure::Reject => self.queue.try_push(job),
-        };
+        // Count the submission under the queue lock, before a worker can
+        // pop the job and count its completion.
+        let block = self.cfg.backpressure == Backpressure::Block;
+        let outcome = self.queue.push_admitted(job, block, || {
+            self.metrics.record_submit(model, tier);
+        });
         match outcome {
-            Ok(()) => {
-                self.metrics.submitted.fetch_add(1, Ordering::Relaxed);
-                self.metrics.record_model_submit(model);
-                if let Some(t) = tier {
-                    self.metrics.record_tier_submit(t);
-                }
-                Ok(handle)
-            }
+            Ok(()) => Ok(handle),
             Err(PushError::Full(_)) => {
                 self.metrics.rejected.fetch_add(1, Ordering::Relaxed);
                 Err(ServeError::QueueFull)
@@ -1267,15 +1262,32 @@ fn observer_loop(ctx: &ObserverCtx) {
 }
 
 /// Assemble one telemetry [`Snapshot`] from the live runtime state.
+///
+/// `serve.submitted`, `serve.completed` and `serve.ticks` are exported as
+/// the sums of the `serve.model.*` rows read for this snapshot, so the
+/// per-model families tile the totals by construction even while
+/// requests complete mid-read. The tier rows are read before the model
+/// rows: a request bumps its model row before its tier row (with release
+/// increments and acquire reads, see [`Metrics::tier_progress`]), so no
+/// tier sum can run ahead of the totals read after it.
 fn assemble_snapshot(ctx: &ObserverCtx, seq: u64, now_ns: u64) -> Snapshot {
+    let tiers: Vec<_> = (0..ctx.metrics.n_tiers())
+        .map(|t| ctx.metrics.tier_progress(t))
+        .collect();
+    let models: Vec<_> = (0..ctx.metrics.n_models())
+        .map(|m| ctx.metrics.model_progress(m))
+        .collect();
+    let (submitted, completed, ticks) = models
+        .iter()
+        .fold((0, 0, 0), |(s, c, t), row| (s + row.0, c + row.1, t + row.2));
     let mut snap = Snapshot::new(seq, now_ns);
     let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-    snap.counter("serve.submitted", load(&ctx.metrics.submitted))
-        .counter("serve.completed", load(&ctx.metrics.completed))
+    snap.counter("serve.submitted", submitted)
+        .counter("serve.completed", completed)
         .counter("serve.rejected", load(&ctx.metrics.rejected))
         .counter("serve.batches", load(&ctx.metrics.batches))
         .counter("serve.kernel_batches", load(&ctx.metrics.kernel_batches))
-        .counter("serve.ticks", load(&ctx.metrics.ticks))
+        .counter("serve.ticks", ticks)
         .counter("serve.rebuild_failures", load(&ctx.control.rebuild_failures));
     let chip = ctx.metrics.chip_export();
     chip.for_each(|name, value| {
@@ -1287,9 +1299,8 @@ fn assemble_snapshot(ctx: &ObserverCtx, seq: u64, now_ns: u64) -> Snapshot {
         .counter("serve.cores_skipped", chip.cores_skipped)
         .gauge("serve.spike_density", chip.spike_density());
     let depth = ctx.queue.len();
-    let (completed, agreement_micros) = ctx.metrics.agreement_progress();
-    let submitted = ctx.metrics.submitted.load(Ordering::Relaxed);
-    let mean_agreement = Metrics::window_agreement((0, 0), (completed, agreement_micros));
+    let mean_agreement =
+        Metrics::window_agreement((0, 0), ctx.metrics.agreement_progress());
     snap.gauge("serve.queue_depth", depth as f64)
         .gauge(
             "serve.in_flight",
@@ -1320,8 +1331,7 @@ fn assemble_snapshot(ctx: &ObserverCtx, seq: u64, now_ns: u64) -> Snapshot {
     // whose counters mirror the global ones, so consumers can treat the
     // per-model dimension as always present; on packed runtimes the
     // model completion counters sum to `serve.completed`.
-    for m in 0..ctx.metrics.n_models() {
-        let (submitted, completed, ticks, agreement_micros) = ctx.metrics.model_progress(m);
+    for (m, &(submitted, completed, ticks, agreement_micros)) in models.iter().enumerate() {
         let mean = Metrics::window_agreement((0, 0), (completed, agreement_micros));
         snap.counter(&format!("serve.model.{m}.submitted"), submitted)
             .counter(&format!("serve.model.{m}.completed"), completed)
@@ -1335,9 +1345,9 @@ fn assemble_snapshot(ctx: &ObserverCtx, seq: u64, now_ns: u64) -> Snapshot {
     // completions counted against the *requested* tier, how many answers
     // took the escalate hop, ticks spent (escalation passes included),
     // and the mean calibrated confidence of the delivered answers.
-    for t in 0..ctx.metrics.n_tiers() {
-        let (submitted, completed, escalated, ticks, confidence_micros) =
-            ctx.metrics.tier_progress(t);
+    for (t, &(submitted, completed, escalated, ticks, confidence_micros)) in
+        tiers.iter().enumerate()
+    {
         let mean_confidence = if completed == 0 {
             0.0
         } else {
@@ -2492,6 +2502,49 @@ mod tests {
         // The wire line round-trips through the strict parser.
         let line = last.to_json_line();
         assert_eq!(Snapshot::parse_json_line(&line).expect("valid line"), last);
+    }
+
+    #[test]
+    fn snapshot_totals_tile_model_rows_even_mid_update() {
+        let rt = runtime(tier_cfg(13).build().expect("cfg"));
+        for i in 0..6 {
+            let quality = ["fast", "certain"][i % 2];
+            rt.classify(SubmitRequest::new(vec![1.0, 0.0]).quality(quality))
+                .expect("serve");
+        }
+        rt.classify(vec![0.0, 1.0]).expect("tier-less serve");
+        // Freeze the counters half-way through recording one more
+        // submission and completion: the global counters are bumped, the
+        // model and tier rows are not yet — what the observer may read
+        // while a worker records a completion.
+        rt.metrics.submitted.fetch_add(1, Ordering::Relaxed);
+        rt.metrics.completed.fetch_add(1, Ordering::Relaxed);
+        rt.metrics.ticks.fetch_add(8, Ordering::Relaxed);
+        let ctx = ObserverCtx {
+            queue: Arc::clone(&rt.queue),
+            metrics: Arc::clone(&rt.metrics),
+            control: Arc::clone(&rt.control),
+            cfg: rt.cfg.clone(),
+            sink: Arc::new(NullSink),
+            clock: Arc::new(MonotonicClock::new()),
+            spans: None,
+            stop: Arc::clone(&rt.stop),
+        };
+        let snap = assemble_snapshot(&ctx, 0, 0);
+        let counter = |key: &str| snap.counters.get(key).copied().expect(key);
+        for field in ["submitted", "completed", "ticks"] {
+            assert_eq!(
+                counter(&format!("serve.{field}")),
+                counter(&format!("serve.model.0.{field}")),
+                "serve.{field} must be the model rows' sum"
+            );
+        }
+        assert_eq!(counter("serve.completed"), 7);
+        let tier_completed: u64 =
+            (0..2).map(|t| counter(&format!("serve.tier.{t}.completed"))).sum();
+        assert_eq!(tier_completed, 6);
+        assert!(tier_completed <= counter("serve.completed"));
+        rt.shutdown();
     }
 
     /// A two-tier table: a 1-replica fast tier and a 4-replica certain

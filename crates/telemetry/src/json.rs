@@ -290,31 +290,86 @@ impl Parser<'_> {
 
     fn number(&mut self) -> Result<JsonValue, JsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
+        let mut mantissa = Mantissa::default();
+        let int_digits = self.digits(&mut mantissa);
+        let mut frac_digits = None;
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            frac_digits = Some(self.digits(&mut mantissa));
         }
+        let mut exponent = false;
         if matches!(self.peek(), Some(b'e' | b'E')) {
+            exponent = true;
             self.pos += 1;
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.digits(&mut Mantissa::default());
+        }
+        // Exact fast path for plain decimals `int[.frac]` with at least
+        // one integer digit, at most 15 significant digits and at most 22
+        // fraction digits: the digits form an integer below 2^53 (exact
+        // as an f64), `10^frac` is exact too, and one IEEE division
+        // rounds their exact quotient once — bit-identical to
+        // `str::parse::<f64>`, which rounds correctly. Anything else (an
+        // exponent, a trailing '.', a missing integer part, long tokens)
+        // goes to that parser.
+        let frac = frac_digits.unwrap_or(0);
+        if !exponent
+            && int_digits > 0
+            && frac_digits != Some(0)
+            && frac < EXACT_POW10.len()
+            && mantissa.significant <= 15
+        {
+            let v = mantissa.value as f64 / EXACT_POW10[frac];
+            return Ok(JsonValue::Number(if negative { -v } else { v }));
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
         text.parse::<f64>()
             .map(JsonValue::Number)
             .map_err(|_| self.err("invalid number"))
+    }
+
+    /// Skip a run of ASCII digits, folding each into `mantissa`; returns
+    /// the run's length.
+    fn digits(&mut self, mantissa: &mut Mantissa) -> usize {
+        let start = self.pos;
+        while let Some(d @ b'0'..=b'9') = self.peek() {
+            mantissa.push(d - b'0');
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+}
+
+/// `10^k` for `k <= 22`: every one is exactly representable in an f64.
+const EXACT_POW10: [f64; 23] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
+    1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+];
+
+/// A number token's digits (integer and fraction part, no sign or dot)
+/// read as one integer, kept only while it has at most 15 significant
+/// digits — and so stays below 2^53, exact as an f64.
+#[derive(Default)]
+struct Mantissa {
+    value: u64,
+    /// Digits from the first nonzero one on.
+    significant: u32,
+}
+
+impl Mantissa {
+    fn push(&mut self, digit: u8) {
+        if self.value != 0 || digit != 0 {
+            self.significant = self.significant.saturating_add(1);
+        }
+        if self.significant <= 15 {
+            self.value = self.value * 10 + u64::from(digit);
+        }
     }
 }
 
@@ -371,6 +426,72 @@ mod tests {
             r#"{"k": nul}"#,
         ] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    /// `parse` on one number token must match `str::parse::<f64>` bit for
+    /// bit, and accept or reject exactly when it does.
+    fn assert_number_matches_std(token: &str) {
+        match (parse(token), token.parse::<f64>()) {
+            (Ok(JsonValue::Number(got)), Ok(want)) => {
+                assert_eq!(got.to_bits(), want.to_bits(), "{token:?}: {got:?} vs {want:?}");
+            }
+            (Err(_), Err(_)) => {}
+            (got, want) => panic!("{token:?}: parse gave {got:?}, str::parse gave {want:?}"),
+        }
+    }
+
+    #[test]
+    fn number_edge_cases_match_str_parse() {
+        for token in [
+            "0", "-0", "-0.0", "0.0", "007", "-007.50", "00.000",
+            // 15 vs 16 significant digits (the fast path's limit).
+            "123456789012345", "1234567890123456", "0.000123456789012345",
+            "0.0001234567890123456", "9007199254740993", "-999999999999999.9",
+            // 22 vs 23 fraction digits.
+            "0.0000000000000000000001", "0.00000000000000000000001",
+            "1.2345678901234567890123", "0.1000000000000000000000",
+            // Typical frame values.
+            "0.1", "0.003921569", "0.99999994", "1.0000001", "0.333333343267",
+            // Fallback forms: trailing '.', exponents, a bare sign.
+            "1.", "-0.", "1e5", "1E-3", "-2.5e+2", "1e400", "4.9e-324",
+            // Malformed: the fallback's rejection is the answer.
+            "-", "-.", "-.5", "1e", "1e+", "1.e", "-e5", "01e",
+        ] {
+            assert_number_matches_std(token);
+        }
+    }
+
+    proptest::proptest! {
+        /// Tokens in the number scanner's grammar,
+        /// `-?[0-9]*(.[0-9]*)?([eE][+-]?[0-9]*)?`, built from random
+        /// digits at every integer length up to 17 and fraction length up
+        /// to 24 (across the fast path's 15-digit and 22-digit limits),
+        /// with and without a sign, a dot and an exponent.
+        #[test]
+        fn number_tokens_parse_exactly_like_str_parse(
+            digits in proptest::collection::vec(0u32..10, 41),
+            negative in 0u32..2,
+            exponent in 0usize..6,
+        ) {
+            let digits: String = digits.iter().filter_map(|&d| char::from_digit(d, 10)).collect();
+            let sign = if negative == 1 { "-" } else { "" };
+            let exponent = ["", "", "e7", "E-12", "e+", "e"][exponent];
+            for int_len in 0..=17 {
+                for frac_len in 0..=24 {
+                    let int = &digits[..int_len];
+                    let frac = &digits[int_len..int_len + frac_len];
+                    for dot in ["", "."] {
+                        if dot.is_empty() && frac_len > 0 {
+                            continue;
+                        }
+                        let token = format!("{sign}{int}{dot}{frac}{exponent}");
+                        if token.starts_with(|c: char| c == '-' || c.is_ascii_digit()) {
+                            assert_number_matches_std(&token);
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -289,6 +289,37 @@ fn line_json_mode_serves_the_same_payloads() {
 }
 
 #[test]
+fn line_mode_refuses_invalid_utf8_and_keeps_serving() {
+    // A line that is not UTF-8 gets the same 400 the HTTP path gives a
+    // non-UTF-8 body, rather than being lossily rewritten into a request
+    // the client never sent; the connection then serves the next line.
+    let spec = fractional_spec();
+    let cfg = ServeConfig::builder(31).workers(1).build().expect("cfg");
+    let gw = Gateway::bind("127.0.0.1:0", &spec, cfg, GatewayConfig::default()).expect("bind");
+
+    let client = TcpStream::connect(gw.local_addr()).expect("connect");
+    let mut reader = BufReader::new(client.try_clone().expect("clone"));
+    let mut writer = client;
+    writer
+        .write_all(b"{\"op\":\"health\",\"x\":\"\xFF\"}\n{\"op\":\"health\"}\n")
+        .expect("lines");
+    let mut lines = Vec::new();
+    for _ in 0..2 {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read line");
+        lines.push(json::parse(line.trim()).expect("line JSON"));
+    }
+    drop(writer);
+    gw.shutdown();
+
+    let error = lines[0].get("error").expect("an error object");
+    assert_eq!(error.get("code").and_then(JsonValue::as_str), Some("bad_request"));
+    let message = error.get("message").and_then(JsonValue::as_str).expect("message");
+    assert!(message.contains("not valid UTF-8"), "{message}");
+    assert_eq!(lines[1].get("status").and_then(JsonValue::as_str), Some("ok"));
+}
+
+#[test]
 fn saturation_sheds_load_with_503_and_retry_after() {
     // One slow worker, a capacity-1 queue, and a 24-deep pipelined burst:
     // some requests must be served, the rest must come back 503 with a
