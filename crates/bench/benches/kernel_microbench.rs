@@ -1,7 +1,6 @@
 //! Criterion microbenchmarks of the compiled tick kernel vs the reference
 //! interpreter: single-core det/stochastic ticks and a routed multi-core
-//! chip at 1 and 4 threads. `cargo bench -p tn-bench --bench
-//! kernel_microbench`.
+//! chip. `cargo bench -p tn-bench --bench kernel_microbench`.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::time::Duration;
@@ -124,21 +123,18 @@ fn bench_routed_chip(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
-    for threads in [1usize, 4] {
-        group.bench_function(format!("compiled_{threads}t"), |b| {
-            b.iter_batched_ref(
-                || {
-                    let chip = ring_chip(16);
-                    let mut fast = CompiledChip::compile(&chip).expect("compile");
-                    fast.set_threads(threads);
-                    inject_half_fast(&mut fast);
-                    fast
-                },
-                |fast| fast.tick(),
-                BatchSize::SmallInput,
-            )
-        });
-    }
+    group.bench_function("compiled", |b| {
+        b.iter_batched_ref(
+            || {
+                let chip = ring_chip(16);
+                let mut fast = CompiledChip::compile(&chip).expect("compile");
+                inject_half_fast(&mut fast);
+                fast
+            },
+            |fast| fast.tick(),
+            BatchSize::SmallInput,
+        )
+    });
     group.finish();
 }
 

@@ -4,14 +4,15 @@
 //! deterministic core, one dense core with stochastic synapses (PRNG
 //! draws on the hot path), and a 64-core chip with cross-core routing —
 //! under the reference `TrueNorthChip::tick` and the compiled
-//! `CompiledChip` at 1 and N threads. Both paths are bit-identical (see
+//! `CompiledChip`, all on one thread. Both paths are bit-identical (see
 //! `tests/integration_kernel.rs`); this bin quantifies what the
 //! compilation buys.
 //!
-//! The `compiled_batchB_*` cells tick B independent frames in lockstep
-//! lanes (`CompiledChip::begin_lanes`): one crossbar walk per tick serves
-//! all B lanes, and the reported ticks/s counts *frame* ticks (lockstep
-//! rate × B) so rows compare directly against the single-frame backends.
+//! The `compiled_batchB` cells tick B independent frames in lockstep lanes
+//! of one lane group spanning the chip (`CompiledChip::begin_lane_groups`):
+//! one crossbar walk per tick serves all B lanes, and the reported ticks/s
+//! counts *frame* ticks (lockstep rate × B) so rows compare directly
+//! against the single-frame backends.
 //!
 //! Every cell times `TRIALS` repetitions and reports their median rate
 //! with the min and max beside it; the JSON summary also records
@@ -32,7 +33,7 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tn_chip::chip::{SpikeTarget, TrueNorthChip};
-use tn_chip::kernel::CompiledChip;
+use tn_chip::kernel::{CompiledChip, LaneGroupSpec};
 use tn_chip::neuro_core::NeuroSynapticCore;
 use tn_chip::neuron::{NeuronConfig, ResetMode};
 use tn_chip::nscs::{CoreDeploySpec, Deployment, FrameInput, InputSource, NetworkDeploySpec};
@@ -209,12 +210,10 @@ fn bench_reference(
 fn bench_compiled(
     workload: &'static str,
     chip: &TrueNorthChip,
-    threads: usize,
     ticks: usize,
     density: f64,
 ) -> Cell {
     let mut fast = CompiledChip::compile(chip).expect("compile");
-    fast.set_threads(threads);
     let inj = injections(fast.core_count(), density);
     let rate = measure(ticks, || {
         for &(c, a) in &inj {
@@ -226,7 +225,7 @@ fn bench_compiled(
     let synops_per_tick = stats.synaptic_ops as f64 / fast.stats().ticks.max(1) as f64;
     Cell {
         workload,
-        backend: format!("compiled_{threads}t"),
+        backend: "compiled".to_string(),
         batch: 1,
         sparsity: density,
         ticks,
@@ -241,21 +240,26 @@ fn bench_compiled(
 fn bench_lanes(
     workload: &'static str,
     chip: &TrueNorthChip,
-    threads: usize,
     lanes: usize,
     ticks: usize,
     density: f64,
 ) -> Cell {
     let mut fast = CompiledChip::compile(chip).expect("compile");
-    fast.set_threads(threads);
     assert!(fast.supports_lanes(), "bench chips are history-free");
     let inj = injections(fast.core_count(), density);
     let lane_seeds: Vec<u64> = (0..lanes as u64).map(|l| SEED ^ (l << 8)).collect();
-    let mut batch = fast.begin_lanes(&lane_seeds);
+    let group = LaneGroupSpec {
+        cores: 0..fast.core_count(),
+        channels: 0..fast.output_counts().len(),
+        lane_seeds: &lane_seeds,
+        // Warm-up plus every timed repetition (see `measure`).
+        ticks: ticks / 10 + TRIALS * ticks,
+    };
+    let mut batch = fast.begin_lane_groups(&[group]);
     let rate = measure(ticks, || {
         for lane in 0..lanes {
             for &(c, a) in &inj {
-                batch.inject(lane, c, a);
+                batch.inject(0, lane, c, a);
             }
         }
         batch.tick();
@@ -268,7 +272,7 @@ fn bench_lanes(
     let frame_rate = rate.scaled(lanes as f64);
     Cell {
         workload,
-        backend: format!("compiled_batch{lanes}_{threads}t"),
+        backend: format!("compiled_batch{lanes}"),
         batch: lanes,
         sparsity: density,
         ticks,
@@ -308,14 +312,12 @@ fn pack_spec(n_inputs: usize, n_classes: usize) -> NetworkDeploySpec {
 /// once through two solo deployments run back to back, and once through
 /// one [`PackedDeployment`] mixing both tenants' lanes into the same
 /// lockstep pass. Reported ticks/s are frame ticks (frames × spf per
-/// call), directly comparable across the two backends. At this scale —
-/// one tiny core per tenant, a single thread — the packed cell runs
-/// slightly *behind* solo: per-tick group bookkeeping (ring delivery,
-/// routing isolation checks) is pure overhead with no shared fan-out
-/// cost to amortize. The cell pins that overhead down; the consolidation
-/// *win* shows up at serving scale, where packed tenants share worker
-/// threads and per-pass scheduling — see `consolidation_cells` in
-/// `serve_throughput --packed`.
+/// call), directly comparable across the two backends. Both run the same
+/// lane-group engine, so at this scale — one tiny core per tenant, a
+/// single thread — the cell pins down what the shared pass itself costs or
+/// saves; the consolidation *win* shows up at serving scale, where packed
+/// tenants share worker threads and per-pass scheduling — see
+/// `consolidation_cells` in `serve_throughput --packed`.
 fn bench_pack(ticks: usize) -> Vec<Cell> {
     const LANES: usize = 8; // frames per model per call
     const SPF: usize = 8;
@@ -348,7 +350,7 @@ fn bench_pack(ticks: usize) -> Vec<Cell> {
     let frame_rate = rate.scaled(frame_ticks_per_call);
     cells.push(Cell {
         workload: "two_model_pack",
-        backend: "solo_sequential_1t".to_string(),
+        backend: "solo_sequential".to_string(),
         batch: LANES,
         sparsity: 0.5,
         ticks: iterations,
@@ -383,7 +385,7 @@ fn bench_pack(ticks: usize) -> Vec<Cell> {
     let frame_rate = rate.scaled(frame_ticks_per_call);
     cells.push(Cell {
         workload: "two_model_pack",
-        backend: "packed_1t".to_string(),
+        backend: "packed".to_string(),
         batch: LANES,
         sparsity: 0.5,
         ticks: iterations,
@@ -396,7 +398,6 @@ fn bench_pack(ticks: usize) -> Vec<Cell> {
 fn main() {
     let ticks = env_usize("TN_BENCH_TICKS", 2000);
     let nproc = std::thread::available_parallelism().map_or(1, usize::from);
-    let threads = nproc.min(8);
     let args: Vec<String> = std::env::args().collect();
     let batches: Vec<usize> = match args
         .iter()
@@ -441,7 +442,6 @@ fn main() {
             cells.push(bench_compiled(
                 workload,
                 &single_core_chip(stochastic),
-                1,
                 cell_ticks,
                 density,
             ));
@@ -452,7 +452,6 @@ fn main() {
                 cells.push(bench_lanes(
                     workload,
                     &single_core_chip(stochastic),
-                    1,
                     b,
                     lane_ticks,
                     density,
@@ -467,15 +466,11 @@ fn main() {
     let density0 = densities[0];
     let ring = ring_chip(64, false);
     cells.push(bench_reference("chip_64_cores", ring.clone(), chip_ticks, density0));
-    cells.push(bench_compiled("chip_64_cores", &ring, 1, chip_ticks, density0));
-    if threads > 1 {
-        cells.push(bench_compiled("chip_64_cores", &ring, threads, chip_ticks, density0));
-    }
+    cells.push(bench_compiled("chip_64_cores", &ring, chip_ticks, density0));
     for &b in &batches {
         cells.push(bench_lanes(
             "chip_64_cores",
             &ring,
-            1,
             b,
             (chip_ticks / b).max(25),
             density0,
@@ -505,18 +500,18 @@ fn main() {
     let speedup = |w: &str| {
         let r = find(w, "reference", density0);
         if r > 0.0 {
-            find(w, "compiled_1t", density0) / r
+            find(w, "compiled", density0) / r
         } else {
             0.0
         }
     };
     println!();
     for w in ["single_core_det", "single_core_stoch", "chip_64_cores"] {
-        println!("{w}: compiled/reference = {:.2}x (single-threaded)", speedup(w));
+        println!("{w}: compiled/reference = {:.2}x", speedup(w));
     }
     let batch_speedup = |w: &str, b: usize| {
-        let base = find(w, "compiled_1t", density0);
-        let lane = find(w, &format!("compiled_batch{b}_1t"), density0);
+        let base = find(w, "compiled", density0);
+        let lane = find(w, &format!("compiled_batch{b}"), density0);
         if base > 0.0 {
             lane / base
         } else {
@@ -526,7 +521,7 @@ fn main() {
     for &b in &batches {
         for w in ["single_core_det", "single_core_stoch", "chip_64_cores"] {
             println!(
-                "{w}: batch{b}/single-frame = {:.2}x (frame ticks, single-threaded)",
+                "{w}: batch{b}/single-frame = {:.2}x (frame ticks)",
                 batch_speedup(w, b)
             );
         }
@@ -538,17 +533,14 @@ fn main() {
             .map_or(0.0, |c| c.rate.median)
     };
     let packed_over_solo = {
-        let solo = pack_find("solo_sequential_1t");
+        let solo = pack_find("solo_sequential");
         if solo > 0.0 {
-            pack_find("packed_1t") / solo
+            pack_find("packed") / solo
         } else {
             0.0
         }
     };
-    println!(
-        "two_model_pack: packed/solo_sequential = {packed_over_solo:.2}x \
-         (frame ticks, single-threaded)"
-    );
+    println!("two_model_pack: packed/solo_sequential = {packed_over_solo:.2}x (frame ticks)");
     // ISSUE 7 acceptance: on near-silent workloads the sparse walk must
     // carry the stochastic path to within 2× of the deterministic one.
     let mut stoch_over_det_near_silent = 0.0f64;
@@ -556,8 +548,8 @@ fn main() {
         if d > 0.1 {
             continue;
         }
-        let det = find("single_core_det", "compiled_1t", d);
-        let stoch = find("single_core_stoch", "compiled_1t", d);
+        let det = find("single_core_det", "compiled", d);
+        let stoch = find("single_core_stoch", "compiled", d);
         if det > 0.0 && stoch > 0.0 {
             stoch_over_det_near_silent = stoch / det;
             println!(
@@ -587,7 +579,7 @@ fn main() {
             ));
         }
         let json = format!(
-            "{{\n  \"seed\": {SEED},\n  \"nproc\": {nproc},\n  \"trials\": {TRIALS},\n  \"threads\": {threads},\n  \"speedup_single_threaded\": {{\"single_core_det\": {:.2}, \"single_core_stoch\": {:.2}, \"chip_64_cores\": {:.2}}},\n  \"stoch_over_det_near_silent\": {:.2},\n  \"packed_over_solo_two_model\": {packed_over_solo:.2},\n  \"cells\": [\n{rows}\n  ]\n}}\n",
+            "{{\n  \"seed\": {SEED},\n  \"nproc\": {nproc},\n  \"trials\": {TRIALS},\n  \"speedup\": {{\"single_core_det\": {:.2}, \"single_core_stoch\": {:.2}, \"chip_64_cores\": {:.2}}},\n  \"stoch_over_det_near_silent\": {:.2},\n  \"packed_over_solo_two_model\": {packed_over_solo:.2},\n  \"cells\": [\n{rows}\n  ]\n}}\n",
             speedup("single_core_det"),
             speedup("single_core_stoch"),
             speedup("chip_64_cores"),

@@ -1,13 +1,12 @@
 //! Scoped-thread fan-out helpers built on `std::thread::scope`.
 //!
-//! Two shapes cover every parallel consumer in the workspace:
+//! Two shapes:
 //!
 //! * [`parallel_chunks`] — split an index range across workers that each
 //!   produce a result (the offline evaluator / experiment-harness shape;
 //!   re-exported as `truenorth::cross_thread::parallel_chunks`);
 //! * [`parallel_slices`] — split a mutable slice into disjoint chunks and
-//!   mutate them in place (the compiled chip's per-core state shape, where
-//!   cores are independent within a tick).
+//!   mutate them in place.
 //!
 //! Both run inline when a single thread suffices, keeping single-threaded
 //! determinism trivially identical to the parallel path.

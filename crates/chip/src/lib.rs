@@ -15,11 +15,11 @@
 //!   signs (the per-connection `c_i` of Eq. 6);
 //! * [`chip`] — the 64×64 core mesh with one-tick spike routing and
 //!   external I/O;
-//! * [`kernel`] — the compiled fast path: precompiled synapse rows,
-//!   allocation-free ticking, and parallel core execution, bit-identical to
+//! * [`kernel`] — the compiled fast path: bit-plane crossbars,
+//!   allocation-free ticking, and lockstep lane groups, bit-identical to
 //!   the reference interpreter;
-//! * [`exec`] — scoped-thread fan-out helpers shared by the kernel and the
-//!   workspace's offline evaluators;
+//! * [`exec`] — scoped-thread fan-out helpers for the workspace's offline
+//!   evaluators;
 //! * [`placement`] — core-site allocation (the resource §4.3 economizes):
 //!   linear handle allocation plus shelf rectangle packing for multi-tenant
 //!   chips;

@@ -2,10 +2,8 @@
 //!
 //! The evaluator and the experiment harness both split a sample range
 //! across workers that each own a cloned chip; [`parallel_chunks`]
-//! centralizes the chunking and error plumbing. The helpers moved down into
-//! `tn-chip` when the compiled kernel ([`tn_chip::kernel`]) started fanning
-//! cores across threads inside a tick — the chip crate cannot depend on
-//! this one — and are re-exported here so existing call sites keep working.
+//! centralizes the chunking and error plumbing. The helpers live in
+//! `tn-chip` and are re-exported here so existing call sites keep working.
 //! (The serving runtime in `tn-serve` owns its own long-lived worker pool
 //! instead — these stay the right tool for one-shot offline fan-outs.)
 

@@ -9,9 +9,7 @@
 //! Runtimes built here tick replicas on the compiled fast path
 //! ([`tn_chip::kernel::CompiledChip`]) — the deployment compiles its chip
 //! at build time and the interpreter remains only as the reference
-//! implementation the kernel is proven bit-identical to. Raise
-//! [`ServeConfig::core_threads`] to additionally fan cores across threads
-//! inside each tick; neither knob changes any prediction.
+//! implementation the kernel is proven bit-identical to.
 //!
 //! The `gateway_*` functions put the same runtimes on the network via
 //! `tn-gateway`, the std-only HTTP/TCP front-end: [`gateway_network`] is
@@ -139,7 +137,7 @@ pub fn serve_network(net: &Network, cfg: ServeConfig) -> Result<ServeRuntime, Se
 /// Start one *packed multi-tenant* runtime over several already-extracted
 /// hardware specs: each spec becomes a tenant with a disjoint core
 /// rectangle on one chip, addressed by
-/// [`ServeRuntime::submit_model`] with its index in `specs`. Every
+/// [`tn_serve::SubmitRequest::model`] with its index in `specs`. Every
 /// tenant's responses are bit-identical to a solo runtime serving that
 /// spec alone under the same config.
 ///
@@ -404,26 +402,6 @@ mod tests {
         assert_eq!(from_disk.votes, in_memory.votes);
 
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn core_threads_do_not_change_predictions() {
-        // Intra-tick core parallelism is a pure throughput knob: the same
-        // (seed, seq) must yield the same votes at any thread count.
-        let (net, data) = tiny_trained();
-        let mut responses = Vec::new();
-        for core_threads in [1usize, 3] {
-            let cfg = ServeConfig::builder(5)
-                .replicas(2)
-                .core_threads(core_threads)
-                .build()
-                .expect("cfg");
-            let rt = serve_network(&net, cfg).expect("serve");
-            responses.push(rt.classify(data.test_x.row(1).to_vec()).expect("classify"));
-            rt.shutdown();
-        }
-        assert_eq!(responses[0].predicted, responses[1].predicted);
-        assert_eq!(responses[0].votes, responses[1].votes);
     }
 
     #[test]

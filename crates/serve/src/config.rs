@@ -105,7 +105,7 @@ pub struct ServeConfig {
     /// Max requests a worker drains per queue lock (micro-batch size).
     pub batch_max: usize,
     /// Frames fused per compiled-kernel lockstep run
-    /// ([`tn_chip::kernel::LaneBatch`]): a worker slices each drained
+    /// ([`tn_chip::kernel::GroupedLaneBatch`]): a worker slices each drained
     /// micro-batch into groups of up to this many frames and ticks each
     /// group through one crossbar walk per tick. Results are bit-identical
     /// for any value (1 = frame-at-a-time); larger values amortize row
@@ -115,11 +115,6 @@ pub struct ServeConfig {
     pub backpressure: Backpressure,
     /// How replica crossbars realize fractional weights.
     pub connectivity: ConnectivityMode,
-    /// Threads each worker's compiled chip fans cores across per tick
-    /// (1 = inline, the default — worker-level parallelism usually
-    /// saturates the machine first; raise this for few-worker,
-    /// many-replica setups). Never affects results.
-    pub core_threads: usize,
     /// Adaptive control loop (`None` = static knobs, the default). When
     /// set, an observer thread runs a [`crate::Controller`] that adapts
     /// the live fusion width within `1 ..= kernel_batch` from queue depth
@@ -150,7 +145,6 @@ impl Default for ServeConfig {
             kernel_batch: 8,
             backpressure: Backpressure::Block,
             connectivity: ConnectivityMode::IndependentPerCopy,
-            core_threads: 1,
             controller: None,
             telemetry: None,
             tiers: Vec::new(),
@@ -172,74 +166,6 @@ impl ServeConfig {
         ServeConfigBuilder::new(seed)
     }
 
-    /// Set the replica (spatial copy) count per worker.
-    #[deprecated(since = "0.4.0", note = "use ServeConfig::builder(..).replicas(..)")]
-    pub fn with_replicas(mut self, replicas: usize) -> Self {
-        self.replicas = replicas;
-        self
-    }
-
-    /// Set the worker-thread count.
-    #[deprecated(since = "0.4.0", note = "use ServeConfig::builder(..).workers(..)")]
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
-    }
-
-    /// Set spikes per frame.
-    #[deprecated(since = "0.4.0", note = "use ServeConfig::builder(..).spf(..)")]
-    pub fn with_spf(mut self, spf: usize) -> Self {
-        self.spf = spf;
-        self
-    }
-
-    /// Set the submission-queue capacity.
-    #[deprecated(
-        since = "0.4.0",
-        note = "use ServeConfig::builder(..).queue_capacity(..)"
-    )]
-    pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
-        self.queue_capacity = capacity;
-        self
-    }
-
-    /// Set the per-worker micro-batch size.
-    #[deprecated(since = "0.4.0", note = "use ServeConfig::builder(..).batch_max(..)")]
-    pub fn with_batch_max(mut self, batch_max: usize) -> Self {
-        self.batch_max = batch_max;
-        self
-    }
-
-    /// Set the full-queue behaviour.
-    #[deprecated(
-        since = "0.4.0",
-        note = "use ServeConfig::builder(..).backpressure(..)"
-    )]
-    pub fn with_backpressure(mut self, backpressure: Backpressure) -> Self {
-        self.backpressure = backpressure;
-        self
-    }
-
-    /// Set the connectivity mode for replica sampling.
-    #[deprecated(
-        since = "0.4.0",
-        note = "use ServeConfig::builder(..).connectivity(..)"
-    )]
-    pub fn with_connectivity(mut self, connectivity: ConnectivityMode) -> Self {
-        self.connectivity = connectivity;
-        self
-    }
-
-    /// Set the per-worker intra-tick core parallelism.
-    #[deprecated(
-        since = "0.4.0",
-        note = "use ServeConfig::builder(..).core_threads(..)"
-    )]
-    pub fn with_core_threads(mut self, core_threads: usize) -> Self {
-        self.core_threads = core_threads;
-        self
-    }
-
     /// Check internal consistency.
     ///
     /// # Errors
@@ -253,7 +179,6 @@ impl ServeConfig {
             ("queue_capacity", self.queue_capacity),
             ("batch_max", self.batch_max),
             ("kernel_batch", self.kernel_batch),
-            ("core_threads", self.core_threads),
         ] {
             if v == 0 {
                 return Err(ServeError::BadConfig(format!("{name} must be >= 1")));
@@ -353,12 +278,6 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Per-worker intra-tick core parallelism.
-    pub fn core_threads(mut self, core_threads: usize) -> Self {
-        self.cfg.core_threads = core_threads;
-        self
-    }
-
     /// Enable the adaptive control loop (see [`ServeConfig::controller`]).
     pub fn controller(mut self, controller: ControllerConfig) -> Self {
         self.cfg.controller = Some(controller);
@@ -410,7 +329,6 @@ mod tests {
             .batch_max(2)
             .kernel_batch(4)
             .backpressure(Backpressure::Reject)
-            .core_threads(2)
             .build()
             .expect("valid");
         assert_eq!(cfg.seed, 42);
@@ -421,7 +339,6 @@ mod tests {
         assert_eq!(cfg.batch_max, 2);
         assert_eq!(cfg.kernel_batch, 4);
         assert_eq!(cfg.backpressure, Backpressure::Reject);
-        assert_eq!(cfg.core_threads, 2);
     }
 
     #[test]
@@ -436,7 +353,6 @@ mod tests {
             ),
             ("batch_max", ServeConfig::builder(1).batch_max(0)),
             ("kernel_batch", ServeConfig::builder(1).kernel_batch(0)),
-            ("core_threads", ServeConfig::builder(1).core_threads(0)),
         ] {
             match builder.build() {
                 Err(ServeError::BadConfig(msg)) => {
@@ -530,32 +446,5 @@ mod tests {
                 .build(),
             Err(ServeError::BadConfig(msg)) if msg.contains("missing")
         ));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_setters_still_compile_and_agree_with_builder() {
-        let legacy = ServeConfig::new(42)
-            .with_replicas(4)
-            .with_workers(3)
-            .with_spf(16)
-            .with_queue_capacity(32)
-            .with_batch_max(2)
-            .with_backpressure(Backpressure::Reject)
-            .with_connectivity(ConnectivityMode::RuntimeStochastic)
-            .with_core_threads(2);
-        legacy.validate().expect("valid");
-        let built = ServeConfig::builder(42)
-            .replicas(4)
-            .workers(3)
-            .spf(16)
-            .queue_capacity(32)
-            .batch_max(2)
-            .backpressure(Backpressure::Reject)
-            .connectivity(ConnectivityMode::RuntimeStochastic)
-            .core_threads(2)
-            .build()
-            .expect("valid");
-        assert_eq!(legacy, built);
     }
 }

@@ -53,7 +53,7 @@ use crate::error::ServeError;
 /// Per-request-class bounds for the spf (ticks-per-frame) actuator.
 ///
 /// A *request class* is a caller-chosen service tier: class `c` of a
-/// submission ([`crate::ServeRuntime::submit_class`]) selects
+/// submission ([`crate::SubmitRequest::class`]) selects
 /// `spf_classes[c]`. The controller moves the class's live spf
 /// multiplicatively inside `[spf_min, spf_max]`; frames always run at the
 /// spf their class held at serve time.

@@ -55,7 +55,7 @@ pub enum ServeError {
         classes: usize,
     },
     /// The request named a tenant model the runtime does not serve (see
-    /// [`crate::ServeRuntime::submit_model`]).
+    /// [`crate::SubmitRequest::model`]).
     UnknownModel {
         /// The model the request asked for.
         model: usize,

@@ -33,6 +33,10 @@ echo "== kernel equivalence under release codegen =="
 # membrane-pass loops vectorize only under release codegen, and the
 # compiled kernel must stay bit-identical to the interpreter there too.
 cargo test --release -q -p truenorth --test integration_kernel
+# The engine's own unit tests (membrane pass vs `step_membrane`, leap-forward
+# draws vs the serial LFSR, draw-free silent rows) and the no-allocation
+# tick test pin loops that vectorize only in release builds.
+cargo test --release -q -p tn-chip
 
 echo "== kernel equivalence: compiled fast path vs reference interpreter =="
 cargo test -q -p truenorth --test integration_kernel
