@@ -1,14 +1,8 @@
-//! Scoped-thread fan-out helpers built on `std::thread::scope`.
-//!
-//! Two shapes:
-//!
-//! * [`parallel_chunks`] — split an index range across workers that each
-//!   produce a result (the offline evaluator / experiment-harness shape;
-//!   re-exported as `truenorth::cross_thread::parallel_chunks`);
-//! * [`parallel_slices`] — split a mutable slice into disjoint chunks and
-//!   mutate them in place.
-//!
-//! Both run inline when a single thread suffices, keeping single-threaded
+//! Scoped-thread fan-out built on `std::thread::scope`:
+//! [`parallel_chunks`] splits an index range across workers that each
+//! produce a result (the offline evaluator / experiment-harness shape;
+//! re-exported as `truenorth::cross_thread::parallel_chunks`). It runs
+//! inline when a single thread suffices, keeping single-threaded
 //! determinism trivially identical to the parallel path.
 
 /// Split `0..n` into up to `threads` contiguous chunks and run `worker` on
@@ -62,55 +56,6 @@ where
             .collect::<Vec<Result<T, E>>>()
     });
     results.into_iter().collect()
-}
-
-/// Split `items` into up to `threads` contiguous disjoint chunks and run
-/// `f(offset, chunk)` on each in parallel, where `offset` is the index of
-/// the chunk's first element in `items`.
-///
-/// With `threads <= 1` (or a short slice) `f` runs inline on the whole
-/// slice. Chunk boundaries are a deterministic function of `items.len()`
-/// and `threads`, and chunks are disjoint, so any `f` that only touches its
-/// own chunk produces a result independent of the thread count.
-///
-/// # Panics
-///
-/// Panics if a worker thread panics; the re-raised panic text includes the
-/// worker's own panic message.
-pub fn parallel_slices<T, F>(items: &mut [T], threads: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    let n = items.len();
-    let threads = threads.max(1).min(n.max(1));
-    if threads == 1 {
-        f(0, items);
-        return;
-    }
-    let chunk = n.div_ceil(threads);
-    std::thread::scope(|s| {
-        let mut rest = items;
-        let mut offset = 0usize;
-        let mut handles = Vec::with_capacity(threads);
-        while !rest.is_empty() {
-            let take = chunk.min(rest.len());
-            let (head, tail) = rest.split_at_mut(take);
-            rest = tail;
-            let f = &f;
-            let off = offset;
-            handles.push(s.spawn(move || f(off, head)));
-            offset += take;
-        }
-        for h in handles {
-            if let Err(payload) = h.join() {
-                panic!(
-                    "parallel_slices worker panicked: {}",
-                    panic_payload_message(payload.as_ref())
-                );
-            }
-        }
-    });
 }
 
 /// Best-effort extraction of the human-readable message from a panic
@@ -196,69 +141,5 @@ mod tests {
         assert_eq!(panic_payload_message(&"static"), "static");
         assert_eq!(panic_payload_message(&"owned".to_string()), "owned");
         assert_eq!(panic_payload_message(&42usize), "<non-string panic payload>");
-    }
-
-    #[test]
-    fn slices_touch_every_element_once() {
-        let mut items = vec![0u64; 37];
-        parallel_slices(&mut items, 4, |offset, chunk| {
-            for (i, x) in chunk.iter_mut().enumerate() {
-                *x += (offset + i) as u64 + 1;
-            }
-        });
-        let expected: Vec<u64> = (1..=37).collect();
-        assert_eq!(items, expected);
-    }
-
-    #[test]
-    fn slices_inline_when_single_threaded() {
-        let mut items = vec![1u32, 2, 3];
-        parallel_slices(&mut items, 1, |offset, chunk| {
-            assert_eq!(offset, 0);
-            assert_eq!(chunk.len(), 3);
-            chunk.iter_mut().for_each(|x| *x *= 2);
-        });
-        assert_eq!(items, vec![2, 4, 6]);
-    }
-
-    #[test]
-    fn slices_result_independent_of_thread_count() {
-        let run = |threads: usize| {
-            let mut items: Vec<u64> = (0..100).collect();
-            parallel_slices(&mut items, threads, |offset, chunk| {
-                for (i, x) in chunk.iter_mut().enumerate() {
-                    *x = x.wrapping_mul(31).wrapping_add((offset + i) as u64);
-                }
-            });
-            items
-        };
-        assert_eq!(run(1), run(3));
-        assert_eq!(run(1), run(8));
-    }
-
-    #[test]
-    fn slices_empty_is_a_noop() {
-        let mut items: Vec<u8> = Vec::new();
-        parallel_slices(&mut items, 4, |_, chunk| {
-            assert!(chunk.is_empty());
-        });
-    }
-
-    #[test]
-    fn slices_panic_message_is_surfaced() {
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut items = vec![0u8; 8];
-            parallel_slices(&mut items, 2, |offset, _| {
-                if offset == 0 {
-                    panic!("slice worker died at offset {offset}");
-                }
-            });
-        }));
-        let payload = result.expect_err("worker panic must propagate");
-        let msg = panic_payload_message(payload.as_ref());
-        assert!(
-            msg.contains("parallel_slices worker panicked") && msg.contains("offset 0"),
-            "got: {msg}"
-        );
     }
 }

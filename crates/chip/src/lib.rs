@@ -68,7 +68,7 @@ pub mod prelude {
     pub use crate::chip::{ChipError, ChipStats, SpikeTarget, TrueNorthChip};
     pub use crate::crossbar::Crossbar;
     pub use crate::energy::EnergyReport;
-    pub use crate::exec::{parallel_chunks, parallel_slices};
+    pub use crate::exec::parallel_chunks;
     pub use crate::kernel::{CompileError, CompiledChip, GroupedLaneBatch, LaneGroupSpec};
     pub use crate::neuro_core::{CoreStats, NeuroSynapticCore};
     pub use crate::neuron::{LifNeuron, NeuronConfig, ResetMode};

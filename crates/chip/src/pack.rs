@@ -44,7 +44,9 @@ use crate::chip::{ChipError, ChipStats, SpikeTarget, TrueNorthChip};
 use crate::energy::EnergyReport;
 use crate::kernel::{ActivityStats, CompileError, CompiledChip, MAX_LANES};
 use crate::neuro_core::CoreStats;
-use crate::nscs::{drive_lockstep, ChipCounterExport, Deployment, FrameGroup, FrameInput, Votes};
+use crate::nscs::{
+    drive_frame_votes, drive_lockstep, ChipCounterExport, Deployment, FrameGroup, FrameInput, Votes,
+};
 use crate::placement::{CoreRect, PlacementError, ShelfAllocator};
 
 /// Why a set of deployments could not be packed onto one chip.
@@ -382,8 +384,10 @@ impl PackedDeployment {
     /// [`MAX_LANES`], and executed as *passes*: each pass takes the next
     /// pending chunk of every tenant and ticks them together as one
     /// grouped lane batch, so cross-tenant frames share every per-tick
-    /// pass. Votes come back in input order and are
-    /// bit-identical to each tenant's solo [`Deployment::run_frames`].
+    /// pass. On a one-tenant pack this is exactly the chunking rule of
+    /// [`Deployment::run_frames`], including its frame-at-a-time path for
+    /// a lone frame. Votes come back in input order and are bit-identical
+    /// to each tenant's solo [`Deployment::run_frames`].
     ///
     /// # Panics
     ///
@@ -456,6 +460,28 @@ impl PackedDeployment {
         pass: &[(usize, Vec<usize>)],
         out: &mut [Option<Votes>],
     ) {
+        if let [(_, idxs)] = pass {
+            if let ([fi], [t]) = (idxs.as_slice(), self.tenants.as_mut_slice()) {
+                // A lone frame on a one-tenant pack: the tenant spans the
+                // chip, so the frame-at-a-time driver serves it exactly as
+                // `Deployment::run_frames` does, without lane-group set-up,
+                // and the tenant's attributed stats are the chip's.
+                let f = &frames[*fi].frame;
+                let mut counts = vec![0u64; t.channels.len()];
+                let ticks = drive_frame_votes(
+                    &mut self.fast,
+                    &t.input_routes,
+                    f.inputs,
+                    f.spf,
+                    f.seed,
+                    t.depth,
+                    &mut counts,
+                );
+                t.stats = self.fast.stats();
+                out[*fi] = Some(Votes { counts, ticks });
+                return;
+            }
+        }
         let groups: Vec<FrameGroup<'_>> = pass
             .iter()
             .map(|(m, idxs)| {

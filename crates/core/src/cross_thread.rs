@@ -1,13 +1,13 @@
-//! Scoped-thread fan-out helpers, re-exported from [`tn_chip::exec`].
+//! Scoped-thread fan-out, re-exported from [`tn_chip::exec`].
 //!
 //! The evaluator and the experiment harness both split a sample range
 //! across workers that each own a cloned chip; [`parallel_chunks`]
-//! centralizes the chunking and error plumbing. The helpers live in
-//! `tn-chip` and are re-exported here so existing call sites keep working.
+//! centralizes the chunking and error plumbing. It lives in `tn-chip`
+//! and is re-exported here so existing call sites keep working.
 //! (The serving runtime in `tn-serve` owns its own long-lived worker pool
-//! instead — these stay the right tool for one-shot offline fan-outs.)
+//! instead — this stays the right tool for one-shot offline fan-outs.)
 
-pub use tn_chip::exec::{parallel_chunks, parallel_slices};
+pub use tn_chip::exec::parallel_chunks;
 
 #[cfg(test)]
 mod tests {
@@ -20,16 +20,5 @@ mod tests {
         let mut all: Vec<usize> = results.into_iter().flatten().collect();
         all.sort_unstable();
         assert_eq!(all, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn reexported_slices_mutate_in_place() {
-        let mut items = vec![1u32; 9];
-        parallel_slices(&mut items, 3, |offset, chunk| {
-            for (i, x) in chunk.iter_mut().enumerate() {
-                *x += (offset + i) as u32;
-            }
-        });
-        assert_eq!(items, (1..=9).collect::<Vec<u32>>());
     }
 }

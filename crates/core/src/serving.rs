@@ -480,7 +480,8 @@ mod tests {
     #[test]
     fn packed_networks_serve_each_tenant_like_solo() {
         // Two different benchmarks consolidated onto one chip: each
-        // tenant's responses must match a solo runtime serving it alone.
+        // tenant's answer for seq `s` must match a solo runtime serving it
+        // alone at the same seq.
         let (net_a, data_a) = tiny_trained();
         let scale = RunScale {
             n_train: 80,
@@ -517,10 +518,14 @@ mod tests {
         assert_eq!(rb.model(), 1);
 
         let solo_a = serve_network(&net_a, cfg()).expect("serve");
-        let la = solo_a.classify(xa).expect("classify");
+        let la = solo_a
+            .classify(tn_serve::SubmitRequest::new(xa).at_seq(ra.seq))
+            .expect("classify");
         solo_a.shutdown();
         let solo_b = serve_network(&net_b, cfg()).expect("serve");
-        let lb = solo_b.classify(xb).expect("classify");
+        let lb = solo_b
+            .classify(tn_serve::SubmitRequest::new(xb).at_seq(rb.seq))
+            .expect("classify");
         solo_b.shutdown();
         assert_eq!((ra.predicted, ra.votes), (la.predicted, la.votes));
         assert_eq!((rb.predicted, rb.votes), (lb.predicted, lb.votes));

@@ -58,7 +58,9 @@ use tn_serve::{
     Completer, MetricsSnapshot, QueueStats, RequestHandle, ServeBackend, ServeConfig, ServeError,
     SubmitRequest,
 };
-use tn_telemetry::{Clock, FreshnessTracker, MetricsSink, MonotonicClock, NullSink, Snapshot};
+use tn_telemetry::{
+    Clock, FreshnessTracker, LatencyHistogram, MetricsSink, MonotonicClock, NullSink, Snapshot,
+};
 
 use crate::frame::{read_frame, write_frame, FrameKind};
 use crate::msg::{encode_req, parse_err, parse_resp, Ack, Ctrl, Hello};
@@ -236,57 +238,7 @@ struct Inner {
     rejected: AtomicU64,
     retried: AtomicU64,
     agreement_micros: AtomicU64,
-    latency: Histogram,
-}
-
-/// Log2-bucketed latency histogram: enough for p50/p90/p99 at ≤ 2×
-/// resolution without unbounded memory.
-struct Histogram {
-    buckets: Vec<AtomicU64>,
-    total_ns: AtomicU64,
-    count: AtomicU64,
-}
-
-impl Histogram {
-    fn new() -> Self {
-        Self {
-            buckets: (0..64).map(|_| AtomicU64::new(0)).collect(),
-            total_ns: AtomicU64::new(0),
-            count: AtomicU64::new(0),
-        }
-    }
-
-    fn record(&self, ns: u64) {
-        let k = 63 - ns.max(1).leading_zeros() as usize;
-        self.buckets[k].fetch_add(1, Ordering::Relaxed);
-        self.total_ns.fetch_add(ns, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn quantile(&self, q: f64) -> Duration {
-        let count = self.count.load(Ordering::Relaxed);
-        if count == 0 {
-            return Duration::ZERO;
-        }
-        let target = ((q * count as f64).ceil() as u64).clamp(1, count);
-        let mut seen = 0u64;
-        for (k, b) in self.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
-            if seen >= target {
-                // Bucket k holds [2^k, 2^(k+1)); report the midpoint.
-                return Duration::from_nanos((1u64 << k) + (1u64 << k) / 2);
-            }
-        }
-        Duration::ZERO
-    }
-
-    fn mean(&self) -> Duration {
-        let count = self.count.load(Ordering::Relaxed);
-        if count == 0 {
-            return Duration::ZERO;
-        }
-        Duration::from_nanos(self.total_ns.load(Ordering::Relaxed) / count)
-    }
+    latency: LatencyHistogram,
 }
 
 /// A fleet of shard connections behind one [`ServeBackend`] face.
@@ -328,11 +280,8 @@ impl FleetRouter {
     /// # Errors
     ///
     /// [`ServeError::BadConfig`] on an empty fleet, a handshake/read
-    /// failure, a foreign schema, shards that disagree about their
-    /// shape, or a shard hosting a **packed** multi-tenant runtime —
-    /// packed runtimes key answers by shard-local per-model counters,
-    /// so fleet dispatch over them would silently break the bit-
-    /// identity contract.
+    /// failure, a foreign schema, or shards that disagree about their
+    /// shape.
     pub fn connect_with_sink<T: Transport>(
         conns: Vec<T>,
         cfg: FleetConfig,
@@ -365,20 +314,6 @@ impl FleetRouter {
                 .map_err(|_| "not valid UTF-8".to_string())
                 .and_then(Hello::parse)
                 .map_err(|e| ServeError::BadConfig(format!("shard {i} hello: {e}")))?;
-            // A packed runtime keys each tenant's answers by its own
-            // per-model submission counter, not the pinned seq — which
-            // shard a request lands on would change the answer. Refuse
-            // up front instead of silently voiding the bit-identity
-            // contract; packed tenants are served by a solo runtime
-            // (possibly behind a gateway), not a fleet.
-            if h.packed {
-                return Err(ServeError::BadConfig(format!(
-                    "shard {i} hosts a packed multi-tenant runtime; packed runtimes key \
-                     answers by shard-local per-model counters, so a fleet over them \
-                     cannot keep the answer stream bit-identical — serve packed tenants \
-                     from a solo runtime instead"
-                )));
-            }
             let shard_cores = h.cores as u64;
             match &hello {
                 None => hello = Some(h),
@@ -431,7 +366,7 @@ impl FleetRouter {
             rejected: AtomicU64::new(0),
             retried: AtomicU64::new(0),
             agreement_micros: AtomicU64::new(0),
-            latency: Histogram::new(),
+            latency: LatencyHistogram::new(),
             cfg,
         });
         let readers = read_halves
@@ -601,7 +536,7 @@ impl Inner {
         // The caller's latency is end-to-end through the fleet, not the
         // shard's local measurement.
         resp.latency = Duration::from_nanos(lat_ns);
-        self.latency.record(lat_ns);
+        self.latency.record(resp.latency);
         self.completed.fetch_add(1, Ordering::Relaxed);
         self.agreement_micros.fetch_add(
             (f64::from(resp.agreement) * 1e6) as u64,
@@ -1061,6 +996,7 @@ impl Inner {
             .filter(|s| !s.failed.load(Ordering::Relaxed))
             .map(|s| s.cores.load(Ordering::Relaxed) as usize)
             .sum();
+        let [p50_latency, p90_latency, p99_latency] = self.latency.quantiles([0.50, 0.90, 0.99]);
         MetricsSnapshot {
             submitted: self.submitted.load(Ordering::Relaxed),
             completed,
@@ -1073,9 +1009,9 @@ impl Inner {
             // aggregate meaningfully across a fleet.
             per_worker_frames: Vec::new(),
             per_worker_ticks: Vec::new(),
-            p50_latency: self.latency.quantile(0.50),
-            p90_latency: self.latency.quantile(0.90),
-            p99_latency: self.latency.quantile(0.99),
+            p50_latency,
+            p90_latency,
+            p99_latency,
             mean_latency: self.latency.mean(),
             elapsed,
             throughput_rps: completed as f64 / elapsed.as_secs_f64(),
@@ -1230,25 +1166,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn histogram_quantiles_bracket_recorded_values() {
-        let h = Histogram::new();
-        for _ in 0..90 {
-            h.record(1_000); // bucket [512, 1024)... 1000 -> k=9
-        }
-        for _ in 0..10 {
-            h.record(1_000_000);
-        }
-        let p50 = h.quantile(0.50).as_nanos() as u64;
-        assert!((512..2048).contains(&p50), "p50 midpoint near 1us, got {p50}");
-        let p99 = h.quantile(0.99).as_nanos() as u64;
-        assert!(
-            (524_288..2_097_152).contains(&p99),
-            "p99 in the 1ms bucket, got {p99}"
-        );
-        assert_eq!(h.mean().as_nanos() as u64, (90 * 1_000 + 10 * 1_000_000) / 100);
-    }
-
-    #[test]
     fn rendezvous_hash_is_stable_and_spreads() {
         // Same seq → same winner regardless of when asked; different
         // seqs spread across salts.
@@ -1372,30 +1289,52 @@ mod tests {
     }
 
     #[test]
-    fn packed_shards_are_refused_at_connect() {
+    fn histogram_quantiles_bracket_recorded_values() {
+        // Two latency populations inside one octave, 1.1 ms and 2.0 ms,
+        // timed on a scripted clock: the router's p50 must land in the
+        // fast population and its p99 in the slow one, each within the
+        // histogram's 1/16 resolution. Power-of-two buckets collapsed
+        // both onto one midpoint.
+        let cfg = tiny_cfg();
+        let oracle = ServeRuntime::new(&tiny_spec(), cfg.clone()).expect("oracle deploy");
+        let hello = mirror_hello(&oracle);
+        oracle.shutdown();
+
+        let clock = Arc::new(tn_telemetry::ManualClock::new());
         let (mut shard_end, router_end) = duplex(64 * 1024);
-        let hello = Hello {
-            n_inputs: 2,
-            n_classes: 2,
-            models: vec![(2, 2), (2, 2)],
-            replicas: 1,
-            packed: true,
-            kernel_batch: 1,
-            spf: vec![8],
-            tiers: vec![],
-            queue_capacity: 16,
-            cores: 2,
-        };
         write_frame(&mut shard_end, FrameKind::Hello, hello.encode().as_bytes())
             .expect("handshake write");
-        let err = FleetRouter::connect(vec![router_end], FleetConfig::new(ServeConfig::new(1)))
-            .expect_err("a packed shard must be refused");
-        match err {
-            ServeError::BadConfig(msg) => {
-                assert!(msg.contains("packed"), "refusal must say why: {msg}");
-            }
-            other => panic!("expected BadConfig, got {other:?}"),
+        let router = FleetRouter::connect(
+            vec![router_end],
+            FleetConfig::new(cfg).clock(Arc::clone(&clock) as Arc<dyn Clock>),
+        )
+        .expect("connect");
+        let (fast, slow) = (Duration::from_micros(1_100), Duration::from_micros(2_000));
+        for i in 0..20 {
+            let handle = router
+                .submit_request(SubmitRequest::new(request_inputs(i)))
+                .expect("admitted");
+            let (kind, payload) = read_frame(&mut shard_end).expect("read").expect("req frame");
+            assert_eq!(kind, FrameKind::Req);
+            let (seq, _) = parse_req(&payload).expect("well-formed req");
+            clock.advance(if i < 18 { fast } else { slow });
+            write_frame(
+                &mut shard_end,
+                FrameKind::Resp,
+                encode_resp(&canned_resp(seq)).as_bytes(),
+            )
+            .expect("send resp");
+            let resp = handle.wait_timeout(Duration::from_secs(20)).expect("answered");
+            assert_eq!(resp.latency, if i < 18 { fast } else { slow });
         }
+        let m = router.metrics();
+        assert!(m.p50_latency < m.p99_latency, "{m:?}");
+        let near = |got: Duration, want: Duration| got.abs_diff(want) <= want / 16;
+        assert!(near(m.p50_latency, fast), "p50 {:?}", m.p50_latency);
+        assert!(near(m.p99_latency, slow), "p99 {:?}", m.p99_latency);
+        assert_eq!(m.mean_latency, (fast * 18 + slow * 2) / 20);
+        shard_end.shutdown();
+        router.finish();
     }
 
     #[test]

@@ -87,6 +87,22 @@ impl ShardServer {
         cfg: ServeConfig,
         conn: T,
     ) -> Result<Self, ServeError> {
+        Self::host_packed(std::slice::from_ref(spec), cfg, conn)
+    }
+
+    /// Like [`ShardServer::host`], over a packed multi-tenant runtime
+    /// ([`ServeRuntime::new_packed_with_sink`]). Tenants answer by the
+    /// router's pinned seq like any shard, so packed shards compose into
+    /// a fleet unchanged.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`ShardServer::host`], plus packing errors.
+    pub fn host_packed<T: Transport>(
+        specs: &[NetworkDeploySpec],
+        cfg: ServeConfig,
+        conn: T,
+    ) -> Result<Self, ServeError> {
         let write_half = conn
             .try_clone()
             .map_err(|e| ServeError::BadConfig(format!("shard transport clone failed: {e}")))?;
@@ -96,7 +112,7 @@ impl ShardServer {
             writer: Arc::clone(&writer),
             mute: Arc::clone(&mute),
         });
-        let runtime = Arc::new(ServeRuntime::new_with_sink(spec, cfg, sink)?);
+        let runtime = Arc::new(ServeRuntime::new_packed_with_sink(specs, cfg, sink)?);
 
         let hello = Hello {
             n_inputs: runtime.n_inputs(),

@@ -1,69 +1,18 @@
 //! Lock-free runtime statistics.
 //!
 //! Counters are plain relaxed atomics (they feed monitoring, not control
-//! flow). Latency quantiles come from a fixed log-linear histogram: exact
-//! 1 ns buckets below 16 ns, then 16 sub-buckets per power of two, giving
-//! ≤ 1/16 (6.25%) quantile error over 1 ns .. ~18 s with zero allocation
-//! and no locks on the hot path. (The previous power-of-two buckets had
-//! ≤ 2× error, which collapsed p50 and p99 onto the same value whenever a
-//! workload's latencies fit inside one octave — exactly what steady-state
-//! serving produces.)
+//! flow). Latency quantiles come from [`LatencyHistogram`] (≤ 1/16
+//! quantile error, zero allocation and no locks on the hot path).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use tn_chip::energy::EnergyReport;
 use tn_chip::nscs::ChipCounterExport;
+use tn_telemetry::LatencyHistogram;
 
 /// Fixed-point scale for accumulating agreement fractions in an atomic.
 const AGREEMENT_SCALE: f64 = 1e6;
-
-/// Latencies below this many ns get exact single-ns buckets.
-const LINEAR_CUTOFF: u64 = 16;
-/// log2 of the sub-buckets per power of two.
-const SUB_BITS: u32 = 4;
-/// Sub-buckets per power of two (relative error ≤ 1/SUB_BUCKETS).
-const SUB_BUCKETS: usize = 1 << SUB_BITS;
-/// Total bucket count: 16 linear + 16 per octave for exponents 4..=63.
-const BUCKETS: usize = LINEAR_CUTOFF as usize + (64 - SUB_BITS as usize) * SUB_BUCKETS;
-
-/// Histogram bucket holding latency `ns`.
-fn bucket_index(ns: u64) -> usize {
-    if ns < LINEAR_CUTOFF {
-        ns as usize
-    } else {
-        // ns >= 16 so the exponent e = floor(log2 ns) >= SUB_BITS; the
-        // mantissa's top SUB_BITS bits (below the leading 1) pick the
-        // sub-bucket within the octave.
-        let e = 63 - ns.leading_zeros();
-        let shift = e - SUB_BITS;
-        let m = ((ns >> shift) & (SUB_BUCKETS as u64 - 1)) as usize;
-        LINEAR_CUTOFF as usize + (shift as usize) * SUB_BUCKETS + m
-    }
-}
-
-/// Exclusive upper bound (ns) of bucket `i`.
-fn bucket_upper_ns(i: usize) -> u64 {
-    if i < LINEAR_CUTOFF as usize {
-        i as u64 + 1
-    } else {
-        let shift = ((i - LINEAR_CUTOFF as usize) / SUB_BUCKETS) as u32;
-        let m = ((i - LINEAR_CUTOFF as usize) % SUB_BUCKETS) as u64;
-        let base = (SUB_BUCKETS as u64 + m) << shift;
-        base.saturating_add(1u64 << shift)
-    }
-}
-
-/// Inclusive lower bound (ns) of bucket `i`.
-fn bucket_lower_ns(i: usize) -> u64 {
-    if i < LINEAR_CUTOFF as usize {
-        i as u64
-    } else {
-        let shift = ((i - LINEAR_CUTOFF as usize) / SUB_BUCKETS) as u32;
-        let m = ((i - LINEAR_CUTOFF as usize) % SUB_BUCKETS) as u64;
-        (SUB_BUCKETS as u64 + m) << shift
-    }
-}
 
 /// Shared mutable counters updated by workers and submitters.
 #[derive(Debug)]
@@ -95,9 +44,8 @@ pub(crate) struct Metrics {
     /// completed` per row and tier completions sum to at most the global
     /// total (tier-less traffic makes up the difference).
     per_tier: Vec<[AtomicU64; 5]>,
-    /// Log-linear latency histogram (see [`bucket_index`]).
-    latency: [AtomicU64; BUCKETS],
-    latency_sum_ns: AtomicU64,
+    /// Request latencies.
+    latency: LatencyHistogram,
     /// Frames served per worker thread.
     per_worker_frames: Vec<AtomicU64>,
     /// Chip ticks executed per worker thread.
@@ -124,8 +72,7 @@ impl Metrics {
             per_tier: (0..tiers)
                 .map(|_| std::array::from_fn(|_| AtomicU64::new(0)))
                 .collect(),
-            latency: std::array::from_fn(|_| AtomicU64::new(0)),
-            latency_sum_ns: AtomicU64::new(0),
+            latency: LatencyHistogram::new(),
             per_worker_frames: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             per_worker_ticks: (0..workers).map(|_| AtomicU64::new(0)).collect(),
         }
@@ -155,9 +102,7 @@ impl Metrics {
             row[2].fetch_add(ticks, Ordering::Release);
             row[1].fetch_add(1, Ordering::Release);
         }
-        let ns = u64::try_from(latency.as_nanos()).unwrap_or(u64::MAX);
-        self.latency[bucket_index(ns)].fetch_add(1, Ordering::Relaxed);
-        self.latency_sum_ns.fetch_add(ns, Ordering::Relaxed);
+        self.latency.record(latency);
     }
 
     /// Count one accepted submission: globally, against tenant `model`
@@ -311,14 +256,10 @@ impl Metrics {
         elapsed: Duration,
         cores: usize,
     ) -> MetricsSnapshot {
-        let counts: Vec<u64> = self
-            .latency
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect();
         let completed = self.completed.load(Ordering::Relaxed);
         let ticks = self.ticks.load(Ordering::Relaxed);
         let chip = self.chip_export();
+        let [p50_latency, p90_latency, p99_latency] = self.latency.quantiles([0.50, 0.90, 0.99]);
         let agreement_sum =
             self.agreement_micros.load(Ordering::Relaxed) as f64 / AGREEMENT_SCALE;
         MetricsSnapshot {
@@ -339,14 +280,10 @@ impl Metrics {
                 .iter()
                 .map(|c| c.load(Ordering::Relaxed))
                 .collect(),
-            p50_latency: quantile(&counts, 0.50),
-            p90_latency: quantile(&counts, 0.90),
-            p99_latency: quantile(&counts, 0.99),
-            mean_latency: self
-                .latency_sum_ns
-                .load(Ordering::Relaxed)
-                .checked_div(completed)
-                .map_or(Duration::ZERO, Duration::from_nanos),
+            p50_latency,
+            p90_latency,
+            p99_latency,
+            mean_latency: self.latency.mean(),
             elapsed,
             throughput_rps: if elapsed.as_secs_f64() > 0.0 {
                 completed as f64 / elapsed.as_secs_f64()
@@ -362,39 +299,6 @@ impl Metrics {
             chip,
         }
     }
-}
-
-/// Histogram quantile with sub-bucket linear interpolation.
-///
-/// The rank's position among the bucket's own samples interpolates
-/// between the bucket's bounds, so reported quantiles are no longer
-/// quantized to bucket edges (raw edges like 167 772 ns leaked straight
-/// into benchmark tables as fake p50s). A rank landing on a bucket's
-/// *last* sample still reports the bucket's upper bound, preserving the
-/// invariant that p99 over {99 fast, 1 slow} reports the slow outlier.
-fn quantile(counts: &[u64], q: f64) -> Duration {
-    let total: u64 = counts.iter().sum();
-    if total == 0 {
-        return Duration::ZERO;
-    }
-    // floor(q·n) + 1: the smallest value with at most (1-q)·n samples
-    // above it, so p99 over {99 fast, 1 slow} reports the slow outlier.
-    let rank = ((total as f64 * q).floor() as u64 + 1).clamp(1, total);
-    let mut seen = 0u64;
-    for (i, &c) in counts.iter().enumerate() {
-        if c == 0 {
-            continue;
-        }
-        if seen + c >= rank {
-            let lower = bucket_lower_ns(i);
-            let width = bucket_upper_ns(i).saturating_sub(lower);
-            let frac = (rank - seen) as f64 / c as f64;
-            let ns = lower as f64 + frac * width as f64;
-            return Duration::from_nanos(ns.round() as u64);
-        }
-        seen += c;
-    }
-    Duration::from_nanos(u64::MAX)
 }
 
 /// A live admission-control gauge: how loaded the runtime is *right now*.
@@ -573,40 +477,6 @@ mod tests {
         assert!(snap.p50_latency <= Duration::from_micros(1067));
         assert!(snap.p99_latency > Duration::from_micros(1900));
         assert!(snap.p99_latency <= Duration::from_micros(2027));
-    }
-
-    #[test]
-    fn bucket_math_bounds_relative_error() {
-        // Every latency lands in a bucket whose upper bound exceeds it by
-        // at most 1/16 (plus 1 ns of rounding).
-        for ns in [
-            0u64,
-            1,
-            15,
-            16,
-            17,
-            100,
-            1_000,
-            99_999,
-            100_000,
-            1_000_000,
-            123_456_789,
-            u64::MAX / 2,
-            u64::MAX,
-        ] {
-            let i = bucket_index(ns);
-            assert!(i < BUCKETS, "index {i} for {ns}");
-            let ub = bucket_upper_ns(i);
-            assert!(ub > ns || ub == u64::MAX, "ub {ub} for {ns}");
-            assert!(
-                ub.saturating_sub(ns) <= ns / 16 + 1,
-                "bucket too coarse: {ns} -> {ub}"
-            );
-            if i + 1 < BUCKETS {
-                // Buckets tile: the next bucket starts where this one ends.
-                assert_eq!(bucket_index(ub), i + 1, "gap after {ns}");
-            }
-        }
     }
 
     #[test]

@@ -86,9 +86,10 @@ impl SubmitRequest {
     /// The runtime's own counter is advanced past an explicit seq, so
     /// occasional mixing cannot hand out a duplicate; but interleaving
     /// explicit and automatic submissions makes the *automatic* seqs
-    /// depend on arrival order, so pick one scheme per runtime. On
-    /// packed runtimes the per-model determinism key is still the
-    /// per-model submission counter, not this global seq.
+    /// depend on arrival order, so pick one scheme per runtime. Packed
+    /// runtimes key by this same seq: tenant `m` of a packed runtime
+    /// answers seq `s` exactly as a solo runtime serving `m` alone
+    /// answers `at_seq(s)`.
     #[must_use]
     pub fn at_seq(mut self, seq: u64) -> Self {
         self.seq = Some(seq);

@@ -1,48 +1,51 @@
 //! The serving runtime: worker pool, submission path, voting, adaptive
 //! control, telemetry, shutdown.
 //!
+//! # Deployment sets
+//!
+//! Every runtime serves from **deployment sets**, each one
+//! [`PackedDeployment`] holding every tenant model at one operating
+//! point. A solo runtime is a pack with one tenant. Set 0 is the default
+//! operating point (the live replica count and ensemble sample); sets
+//! `1..` are the quality tiers, each packing every tenant at the tier's
+//! `replicas` and `sample`. Every worker owns a *clone* of each set's
+//! prototype and serves all of them from one loop: it buckets a drained
+//! micro-batch by set, chunks each set per tenant at the live (or tier)
+//! fusion width, tallies votes, and on tier sets applies calibration and
+//! escalation.
+//!
 //! # Determinism contract
 //!
-//! Every worker owns a *clone* of one prototype [`Deployment`], built
-//! (and Bernoulli-sampled) exactly once from `(spec, cfg.seed)`. A
-//! request's spike trains are seeded purely by `(cfg.seed, seq)` — the
-//! same derivation the offline evaluator uses per frame — so the result
-//! of serving request `seq` is a pure function of the config and the
-//! submission order, never of worker count, queue timing, or OS
-//! scheduling.
+//! Each tenant of each set is built (and Bernoulli-sampled) exactly as a
+//! solo runtime configured at that operating point builds it, from
+//! `(spec, replicas, cfg.seed, sample)`. A request's spike trains are
+//! seeded purely by `(cfg.seed, seq)` — the same derivation the offline
+//! evaluator uses per frame — so the result of serving request `seq` is a
+//! pure function of the config and the seq, never of worker count, queue
+//! timing, OS scheduling, or which other tenants share the chip. Tenant
+//! `m` of a packed runtime answers seq `s` exactly as a solo runtime
+//! serving `m` alone answers [`SubmitRequest::at_seq`]`(s)`: packing
+//! keeps every tenant bit-identical to its solo deployment.
 //!
-//! The adaptive layer preserves this along both control axes:
+//! The adaptive layer preserves this along every control axis:
 //!
 //! * `kernel_batch` changes are invisible in results by the batch-first
 //!   contract (lane fusion never changes any vote), so the queue-depth
 //!   controller only moves throughput and latency.
-//! * Replica rescaling rebuilds the prototype with
-//!   `Deployment::build_with_mode(spec, r, cfg.seed, cfg.connectivity)` —
-//!   the *same* call a fresh runtime configured at `r` replicas makes —
-//!   so once a scale lands, responses are bit-identical to that fresh
-//!   runtime's (see `apply_control_set_replicas_matches_fresh_runtime`).
-//!   What autoscaling does make time-dependent is *when* the replica
-//!   count changes relative to an in-flight request stream; runtimes
-//!   without a controller never rescale and stay bit-identical end to end.
+//! * Replica rescaling and resampling rebuild every tenant with the
+//!   *same* build a fresh runtime configured at the new point makes and
+//!   repack them, so once the swap lands, responses are bit-identical to
+//!   that fresh runtime's (see
+//!   `apply_control_set_replicas_matches_fresh_runtime`). Seq keying makes
+//!   the repack invisible in answers. What autoscaling does make
+//!   time-dependent is *when* the replica count changes relative to an
+//!   in-flight request stream; runtimes without a controller never
+//!   rescale and stay bit-identical end to end.
 //! * Per-class spf changes ride [`FrameInput::spf`] at serve time — a
 //!   request's result is still a pure function of `(seed, seq, spf)` and
-//!   no deployment is rebuilt or re-sampled, so the epoch-swap rescale
-//!   path above is untouched by the third actuator. What the spf actuator
-//!   makes time-dependent is *which* spf an in-flight request is served
-//!   at; the served value is reported back in `Response::spf`.
-//!
-//! # Packed multi-tenant runtimes
-//!
-//! [`ServeRuntime::new_packed`] serves several models from **one**
-//! [`PackedDeployment`]: each worker clones the whole packed chip, and a
-//! kernel batch mixes frames for different models into the same lockstep
-//! pass (per-model lane groups touch only their tenant's cores). The
-//! determinism key becomes per model: the k-th request submitted to model
-//! `m` is seeded exactly as the k-th request of a solo runtime serving
-//! `m` alone at the same config, and the packing layer guarantees the
-//! votes are then bit-identical to that solo runtime's. Replica rescaling
-//! is rejected on packed runtimes (repacking mid-flight would move other
-//! tenants' cores); the kernel-batch and spf actuators work unchanged.
+//!   no deployment is rebuilt or re-sampled. What the spf actuator makes
+//!   time-dependent is *which* spf an in-flight request is served at; the
+//!   served value is reported back in `Response::spf`.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -77,36 +80,64 @@ struct Job {
     class: usize,
     /// Tenant model the job is addressed to (always 0 on solo runtimes).
     model: usize,
-    /// Per-model submission index — the packed determinism key. On solo
-    /// runtimes this equals `seq` (one global stream), so the solo seed
-    /// derivation is unchanged.
-    model_seq: u64,
-    /// Quality tier the request asked for (index into
-    /// `ControlState::tiers`); `None` rides the default replica set.
-    tier: Option<usize>,
+    /// Deployment set the request asked for: 0 is the default operating
+    /// point, `t + 1` is quality tier `t`.
+    set: usize,
     inputs: Vec<f32>,
     submitted: Instant,
     completer: Completer,
 }
 
-/// Live per-tier serving state: the configured operating point plus the
-/// tier's own prototype deployment, resample epoch, and calibration.
+/// One deployment set: every tenant packed at one operating point, plus
+/// the prototype epoch and the tier's calibration.
 #[derive(Debug)]
-struct TierState {
-    /// The tier's configured operating point (name, replicas, spf, …).
-    tier: QualityTier,
-    /// Resolved [`QualityTier::escalate_to`] (index into the tier table;
-    /// validated at build time).
+struct DeploySet {
+    /// The quality tier this set serves (`None` for the default set 0).
+    tier: Option<QualityTier>,
+    /// Resolved [`QualityTier::escalate_to`] as a set index (validated at
+    /// build time).
     escalate_to: Option<usize>,
-    /// Prototype deployment workers clone for this tier (swapped by
-    /// [`ServeRuntime::resample_tier`]).
-    proto: Mutex<Arc<Deployment>>,
-    /// Bumped on every tier prototype swap; workers re-clone when it
-    /// moves (same Release/Acquire pairing as the base `epoch`).
+    /// Prototype workers clone (swapped on rescale and resample).
+    proto: Mutex<Arc<PackedDeployment>>,
+    /// Bumped on every prototype swap; workers re-clone when it moves.
+    /// Release on the swap pairs with the workers' Acquire read, so a
+    /// worker that sees the new epoch also sees the swapped prototype.
     epoch: AtomicU64,
     /// Margin → confidence map (identity until
-    /// [`ServeRuntime::calibrate_tiers`] runs).
+    /// [`ServeRuntime::calibrate_tiers`] runs; unused on set 0).
     calibration: Mutex<Arc<CalibrationMap>>,
+}
+
+impl DeploySet {
+    fn new(tier: Option<QualityTier>, escalate_to: Option<usize>, proto: PackedDeployment) -> Self {
+        Self {
+            tier,
+            escalate_to,
+            proto: Mutex::new(Arc::new(proto)),
+            epoch: AtomicU64::new(0),
+            calibration: Mutex::new(Arc::new(CalibrationMap::identity())),
+        }
+    }
+
+    /// The live prototype.
+    fn proto(&self) -> Arc<PackedDeployment> {
+        Arc::clone(&self.proto.lock().expect("proto lock"))
+    }
+
+    /// Swap in a rebuilt prototype; workers re-clone at their next
+    /// micro-batch.
+    fn swap(&self, proto: PackedDeployment) {
+        *self.proto.lock().expect("proto lock") = Arc::new(proto);
+        self.epoch.fetch_add(1, Ordering::Release);
+    }
+
+    /// The current epoch and a clone of the prototype. The epoch is read
+    /// first, so a swap racing the clone costs one extra re-clone instead
+    /// of leaving the worker on a stale prototype.
+    fn checkout(&self) -> (u64, PackedDeployment) {
+        let epoch = self.epoch.load(Ordering::Acquire);
+        (epoch, (*self.proto()).clone())
+    }
 }
 
 /// Live actuator state shared by the workers, the observer thread, and
@@ -115,9 +146,9 @@ struct TierState {
 struct ControlState {
     /// Kernel fusion width currently in force (workers read per chunk).
     kernel_batch: AtomicUsize,
-    /// Replica count of the current prototype.
+    /// Replica count of the default set.
     replicas: AtomicUsize,
-    /// Cores occupied by the current prototype (energy-model input).
+    /// Cores occupied by the default set (energy-model input).
     cores: AtomicUsize,
     /// Live ticks-per-frame per request class (workers read per frame).
     /// Always at least one entry; class 0 is the default class.
@@ -126,27 +157,35 @@ struct ControlState {
     /// or a single degenerate `[cfg.spf, cfg.spf]` class when the spf
     /// actuator is off — then no action can ever move the knob).
     spf_bounds: Vec<SpfClass>,
-    /// Bumped on every prototype swap; workers re-clone when it moves.
-    epoch: AtomicU64,
-    /// Prototype deployment workers clone from (swapped on rescale).
-    /// `None` on packed multi-tenant runtimes, which never swap.
-    proto: Mutex<Option<Arc<Deployment>>>,
-    /// Packed multi-tenant prototype: when set, workers serve every
-    /// tenant from a clone of this instead of `proto`, and replica
-    /// rescaling is rejected.
-    packed: Option<Arc<PackedDeployment>>,
     /// Replica rebuilds that failed (the action was skipped).
     rebuild_failures: AtomicU64,
-    /// Deploy spec, kept so rescaling can rebuild at a new replica count
-    /// (`None` on packed runtimes — nothing ever rebuilds).
-    spec: Option<NetworkDeploySpec>,
-    /// Ensemble sample index of the current base prototype (0 = the
-    /// default build; moved by [`ControlAction::Resample`], and replica
-    /// rescales rebuild at this sample so the two actuators compose).
+    /// Deploy spec per tenant, kept so rescaling and resampling can
+    /// rebuild every set.
+    specs: Vec<NetworkDeploySpec>,
+    /// Ensemble sample index of the default set (0 = the default build;
+    /// moved by [`ControlAction::Resample`], and replica rescales rebuild
+    /// at this sample so the two actuators compose).
     sample: AtomicU64,
-    /// Quality-tier table (empty unless [`ServeConfig::tiers`] was set;
-    /// always empty on packed runtimes).
-    tiers: Vec<TierState>,
+    /// Set 0 is the default operating point; set `t + 1` is quality tier
+    /// `t` of [`ServeConfig::tiers`].
+    sets: Vec<DeploySet>,
+}
+
+/// Build every tenant at `(replicas, sample)` — the build a solo runtime
+/// configured at that point makes — and pack them onto one chip.
+fn build_set(
+    specs: &[NetworkDeploySpec],
+    cfg: &ServeConfig,
+    replicas: usize,
+    sample: u64,
+) -> Result<PackedDeployment, ServeError> {
+    let deps = specs
+        .iter()
+        .map(|spec| {
+            Deployment::build_with_sample(spec, replicas, cfg.seed, cfg.connectivity, sample)
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    PackedDeployment::pack(&deps).map_err(|e| ServeError::Pack(e.to_string()))
 }
 
 /// Shutdown signal for the observer thread.
@@ -163,7 +202,7 @@ struct WorkerTelemetry {
 /// replicas.
 ///
 /// See the crate docs for the architecture; in short: bounded MPMC
-/// queue → worker pool (one cloned deployment each) → per-request
+/// queue → worker pool (one cloned deployment set each) → per-request
 /// replica voting → completion handles, with an optional observer thread
 /// that exports telemetry snapshots and runs the adaptive
 /// [`Controller`].
@@ -176,16 +215,11 @@ pub struct ServeRuntime {
     stop: StopFlag,
     control: Arc<ControlState>,
     next_seq: AtomicU64,
-    /// Per-model submission counters — the packed determinism key (one
-    /// entry, unused in favour of `next_seq`, on solo runtimes).
-    model_seqs: Vec<AtomicU64>,
     /// `(n_inputs, n_classes)` per tenant model (one entry on solo
     /// runtimes).
     model_dims: Vec<(usize, usize)>,
     started: Instant,
     cfg: ServeConfig,
-    n_inputs: usize,
-    n_classes: usize,
 }
 
 impl ServeRuntime {
@@ -217,52 +251,7 @@ impl ServeRuntime {
         cfg: ServeConfig,
         sink: Arc<dyn MetricsSink>,
     ) -> Result<Self, ServeError> {
-        cfg.validate()?;
-        let proto =
-            Deployment::build_with_mode(spec, cfg.replicas, cfg.seed, cfg.connectivity)?;
-        let n_inputs = proto.n_inputs();
-        let n_classes = proto.n_classes();
-        // Each tier owns its own deployment, seeded exactly as a runtime
-        // *configured* at (tier.replicas, tier.sample) would be — the
-        // escalate path's bit-identity contract rests on this.
-        let mut tiers = Vec::with_capacity(cfg.tiers.len());
-        for t in &cfg.tiers {
-            let dep = Deployment::build_with_sample(
-                spec,
-                t.replicas,
-                cfg.seed,
-                cfg.connectivity,
-                t.sample,
-            )?;
-            tiers.push(TierState {
-                escalate_to: t.escalate_to.as_ref().map(|name| {
-                    cfg.tiers
-                        .iter()
-                        .position(|o| o.name == *name)
-                        .expect("escalate_to validated by ServeConfig::validate")
-                }),
-                proto: Mutex::new(Arc::new(dep)),
-                epoch: AtomicU64::new(0),
-                calibration: Mutex::new(Arc::new(CalibrationMap::identity())),
-                tier: t.clone(),
-            });
-        }
-        let (spf_bounds, spf) = spf_setup(&cfg);
-        let control = Arc::new(ControlState {
-            kernel_batch: AtomicUsize::new(cfg.kernel_batch),
-            replicas: AtomicUsize::new(cfg.replicas),
-            cores: AtomicUsize::new(proto.core_count()),
-            spf,
-            spf_bounds,
-            epoch: AtomicU64::new(0),
-            proto: Mutex::new(Some(Arc::new(proto))),
-            packed: None,
-            rebuild_failures: AtomicU64::new(0),
-            spec: Some(spec.clone()),
-            sample: AtomicU64::new(0),
-            tiers,
-        });
-        Ok(Self::boot(cfg, control, sink, vec![(n_inputs, n_classes)]))
+        Self::new_packed_with_sink(std::slice::from_ref(spec), cfg, sink)
     }
 
     /// Deploy several specs as tenants of **one** packed chip and start
@@ -280,22 +269,25 @@ impl ServeRuntime {
     }
 
     /// Like [`ServeRuntime::new_packed`], with a [`MetricsSink`] for the
-    /// observer's [`Snapshot`] exports.
+    /// observer's [`Snapshot`] exports. The one constructor every other
+    /// delegates to.
     ///
     /// Each spec is built into its own deployment with the *same*
     /// `(cfg.replicas, cfg.seed, cfg.connectivity)` a solo runtime would
     /// use, then all of them are packed onto disjoint core rectangles of
     /// one 64×64 chip. Tenant `m` of the runtime is `specs[m]`; address
-    /// it with [`SubmitRequest::model`]. Every tenant's responses
-    /// are bit-identical to a solo runtime serving that spec alone at
-    /// this config, keyed by per-model submission order.
+    /// it with [`SubmitRequest::model`]. Tenant `m`'s answer for seq `s`
+    /// is bit-identical to a solo runtime serving that spec alone at this
+    /// config answering [`SubmitRequest::at_seq`]`(s)`.
     ///
     /// # Errors
     ///
-    /// [`ServeError::BadConfig`] for inconsistent configs or an empty
-    /// spec list, [`ServeError::Deploy`] if a spec cannot be placed on
-    /// its own chip, [`ServeError::Pack`] if the tenants do not fit one
-    /// chip together (structured occupancy detail inside).
+    /// [`ServeError::BadConfig`] for inconsistent configs, an empty spec
+    /// list, or quality tiers on several tenants (tier calibration is
+    /// fitted from model 0's frames), [`ServeError::Deploy`] if a spec
+    /// cannot be placed on its own chip, [`ServeError::Pack`] if the
+    /// tenants do not fit one chip together (structured occupancy detail
+    /// inside).
     pub fn new_packed_with_sink(
         specs: &[NetworkDeploySpec],
         cfg: ServeConfig,
@@ -304,60 +296,48 @@ impl ServeRuntime {
         cfg.validate()?;
         if specs.is_empty() {
             return Err(ServeError::BadConfig(
-                "new_packed requires at least one spec".into(),
+                "a runtime needs at least one spec".into(),
             ));
         }
-        if !cfg.tiers.is_empty() {
+        if specs.len() > 1 && !cfg.tiers.is_empty() {
             return Err(ServeError::BadConfig(
                 "quality tiers are unavailable on a packed multi-tenant runtime"
                     .into(),
             ));
         }
-        let mut deps = Vec::with_capacity(specs.len());
-        for spec in specs {
-            deps.push(Deployment::build_with_mode(
-                spec,
-                cfg.replicas,
-                cfg.seed,
-                cfg.connectivity,
-            )?);
-        }
-        let packed =
-            PackedDeployment::pack(&deps).map_err(|e| ServeError::Pack(e.to_string()))?;
-        let model_dims: Vec<(usize, usize)> = (0..packed.models())
-            .map(|m| {
-                let t = packed.model(m);
-                (t.n_inputs(), t.n_classes())
-            })
+        let default = build_set(specs, &cfg, cfg.replicas, 0)?;
+        let model_dims: Vec<(usize, usize)> = (0..default.models())
+            .map(|m| (default.model(m).n_inputs(), default.model(m).n_classes()))
             .collect();
+        let cores = default.core_count();
+        let mut sets = vec![DeploySet::new(None, None, default)];
+        // Each tier set is seeded exactly as a runtime *configured* at
+        // (tier.replicas, tier.sample) would be — the escalate path's
+        // bit-identity contract rests on this.
+        for t in &cfg.tiers {
+            let escalate_to = t.escalate_to.as_ref().map(|name| {
+                1 + cfg
+                    .tiers
+                    .iter()
+                    .position(|o| o.name == *name)
+                    .expect("escalate_to validated by ServeConfig::validate")
+            });
+            let proto = build_set(specs, &cfg, t.replicas, t.sample)?;
+            sets.push(DeploySet::new(Some(t.clone()), escalate_to, proto));
+        }
         let (spf_bounds, spf) = spf_setup(&cfg);
         let control = Arc::new(ControlState {
             kernel_batch: AtomicUsize::new(cfg.kernel_batch),
             replicas: AtomicUsize::new(cfg.replicas),
-            cores: AtomicUsize::new(packed.core_count()),
+            cores: AtomicUsize::new(cores),
             spf,
             spf_bounds,
-            epoch: AtomicU64::new(0),
-            proto: Mutex::new(None),
-            packed: Some(Arc::new(packed)),
             rebuild_failures: AtomicU64::new(0),
-            spec: None,
+            specs: specs.to_vec(),
             sample: AtomicU64::new(0),
-            tiers: Vec::new(),
+            sets,
         });
-        Ok(Self::boot(cfg, control, sink, model_dims))
-    }
 
-    /// Spawn the worker pool and observer around an assembled
-    /// [`ControlState`] — everything [`ServeRuntime::new_with_sink`] and
-    /// [`ServeRuntime::new_packed_with_sink`] share.
-    fn boot(
-        cfg: ServeConfig,
-        control: Arc<ControlState>,
-        sink: Arc<dyn MetricsSink>,
-        model_dims: Vec<(usize, usize)>,
-    ) -> Self {
-        let (n_inputs, n_classes) = model_dims[0];
         let clock: Arc<dyn Clock> = Arc::new(MonotonicClock::new());
         let spans = cfg
             .telemetry
@@ -368,7 +348,7 @@ impl ServeRuntime {
             cfg.workers,
             control.spf.len(),
             model_dims.len(),
-            control.tiers.len(),
+            cfg.tiers.len(),
         ));
         let mut workers = Vec::with_capacity(cfg.workers);
         for w in 0..cfg.workers {
@@ -382,7 +362,7 @@ impl ServeRuntime {
             });
             let handle = std::thread::Builder::new()
                 .name(format!("tn-serve-worker-{w}"))
-                .spawn(move || worker_loop(w, &cfg, &queue, &metrics, &control, telemetry))
+                .spawn(move || worker_loop(w, &cfg, &queue, &metrics, &control, telemetry.as_ref()))
                 .expect("spawn serve worker");
             workers.push(handle);
         }
@@ -403,7 +383,7 @@ impl ServeRuntime {
                 .spawn(move || observer_loop(&ctx))
                 .expect("spawn serve observer")
         });
-        Self {
+        Ok(Self {
             queue,
             metrics,
             workers,
@@ -411,37 +391,33 @@ impl ServeRuntime {
             stop,
             control,
             next_seq: AtomicU64::new(0),
-            model_seqs: model_dims.iter().map(|_| AtomicU64::new(0)).collect(),
             model_dims,
             started: Instant::now(),
             cfg,
-            n_inputs,
-            n_classes,
-        }
+        })
     }
 
     /// Input channels each request must provide (tenant model 0 on
     /// packed runtimes; see [`ServeRuntime::model_n_inputs`]).
     pub fn n_inputs(&self) -> usize {
-        self.n_inputs
+        self.model_dims[0].0
     }
 
     /// Classes voted on per request (tenant model 0 on packed runtimes).
     pub fn n_classes(&self) -> usize {
-        self.n_classes
+        self.model_dims[0].1
     }
 
     /// Number of tenant models this runtime serves (1 unless built with
-    /// [`ServeRuntime::new_packed`]).
+    /// [`ServeRuntime::new_packed`] over several specs).
     pub fn models(&self) -> usize {
         self.model_dims.len()
     }
 
     /// Whether this runtime serves several tenants from one packed chip.
     pub fn is_packed(&self) -> bool {
-        self.control.packed.is_some()
+        self.models() > 1
     }
-
     /// Input channels tenant `model` expects, `None` if out of range.
     pub fn model_n_inputs(&self, model: usize) -> Option<usize> {
         self.model_dims.get(model).map(|&(n, _)| n)
@@ -505,17 +481,18 @@ impl ServeRuntime {
     /// tests) can drive the actuators without a live controller.
     ///
     /// `SetKernelBatch` takes effect on the next kernel chunk and never
-    /// changes results. `SetReplicas` rebuilds the prototype deployment
-    /// at the new count — deterministically seeded by `(cfg.seed, count)`
-    /// — and workers pick it up at their next micro-batch; requests
-    /// served after the swap are bit-identical to a fresh runtime
-    /// configured at that count.
+    /// changes results. `SetReplicas` and `Resample` rebuild every tenant
+    /// of the default set at the new point — deterministically seeded by
+    /// `(cfg.seed, count, sample)` — and repack them; workers pick the new
+    /// set up at their next micro-batch, and requests served after the
+    /// swap are bit-identical to a fresh runtime configured at that point.
     ///
     /// # Errors
     ///
     /// [`ServeError::BadConfig`] for a zero knob value,
-    /// [`ServeError::Deploy`] if the rescaled deployment cannot be built
-    /// (the old deployment keeps serving).
+    /// [`ServeError::Deploy`] if a rebuilt tenant cannot be placed,
+    /// [`ServeError::Pack`] if the rebuilt tenants no longer fit one chip
+    /// together (the old set keeps serving either way).
     pub fn apply_control(&self, action: &ControlAction) -> Result<(), ServeError> {
         apply_action(&self.control, &self.cfg, action)
     }
@@ -571,12 +548,6 @@ impl ServeRuntime {
 
     /// The one real submission path: validate routing and inputs, claim
     /// a sequence number, enqueue.
-    ///
-    /// The packed determinism key is per model: the k-th request
-    /// submitted to model `m` is served bit-identically to the k-th
-    /// request of a solo runtime deploying only `m` at the same config.
-    /// With several submitter threads racing on one model, "k-th" is the
-    /// order submissions win the model's counter.
     fn submit_inner(&self, request: SubmitRequest) -> Result<RequestHandle, ServeError> {
         let SubmitRequest {
             frame: inputs,
@@ -598,21 +569,21 @@ impl ServeRuntime {
                 classes: self.control.spf.len(),
             });
         }
-        let tier = match &quality {
-            None => None,
+        let set = match &quality {
+            None => 0,
             Some(name) => {
-                let Some(idx) = self
+                let Some(set) = self
                     .control
-                    .tiers
+                    .sets
                     .iter()
-                    .position(|t| t.tier.name == *name)
+                    .position(|s| s.tier.as_ref().is_some_and(|t| t.name == *name))
                 else {
                     return Err(ServeError::UnknownQuality {
                         quality: name.clone(),
                         tiers: self.tier_names(),
                     });
                 };
-                Some(idx)
+                set
             }
         };
         if inputs.len() != n_inputs {
@@ -639,21 +610,12 @@ impl ServeRuntime {
             }
             None => self.next_seq.fetch_add(1, Ordering::Relaxed),
         };
-        // Solo runtimes key frames by the global sequence number (the
-        // original contract); packed runtimes key by the per-model
-        // counter so tenant streams match their solo equivalents.
-        let model_seq = if self.control.packed.is_some() {
-            self.model_seqs[model].fetch_add(1, Ordering::Relaxed)
-        } else {
-            seq
-        };
         let (handle, completer) = pair(seq);
         let job = Job {
             seq,
             class,
             model,
-            model_seq,
-            tier,
+            set,
             inputs,
             submitted: Instant::now(),
             completer,
@@ -662,7 +624,7 @@ impl ServeRuntime {
         // pop the job and count its completion.
         let block = self.cfg.backpressure == Backpressure::Block;
         let outcome = self.queue.push_admitted(job, block, || {
-            self.metrics.record_submit(model, tier);
+            self.metrics.record_submit(model, set.checked_sub(1));
         });
         match outcome {
             Ok(()) => Ok(handle),
@@ -700,9 +662,9 @@ impl ServeRuntime {
     /// without [`ServeConfig::tiers`]).
     pub fn tier_names(&self) -> Vec<String> {
         self.control
-            .tiers
+            .sets
             .iter()
-            .map(|t| t.tier.name.clone())
+            .filter_map(|s| s.tier.as_ref().map(|t| t.name.clone()))
             .collect()
     }
 
@@ -710,7 +672,7 @@ impl ServeRuntime {
     /// held-out labelled set, on the calling thread.
     ///
     /// Every `(frame, label)` pair is served once per tier on a clone of
-    /// that tier's deployment at the tier's spf, seeded from a
+    /// that tier's deployment set (as model 0) at the tier's spf, seeded from a
     /// calibration-only stream (disjoint from the serving seeds), and the
     /// observed (vote margin, was-correct) pairs are fitted with binned
     /// isotonic regression ([`CalibrationMap::fit`]). Until this runs,
@@ -729,13 +691,13 @@ impl ServeRuntime {
         &self,
         frames: &[(Vec<f32>, usize)],
     ) -> Result<(), ServeError> {
-        if self.control.tiers.is_empty() || frames.is_empty() {
+        if self.cfg.tiers.is_empty() || frames.is_empty() {
             return Ok(());
         }
         for (x, _) in frames {
-            if x.len() != self.n_inputs {
+            if x.len() != self.n_inputs() {
                 return Err(ServeError::BadInput {
-                    expected: self.n_inputs,
+                    expected: self.n_inputs(),
                     got: x.len(),
                 });
             }
@@ -746,12 +708,12 @@ impl ServeRuntime {
                 });
             }
         }
-        for state in &self.control.tiers {
-            let mut dep = (**state.proto.lock().expect("tier proto lock")).clone();
-            let spf = state.tier.spf;
+        for set in &self.control.sets[1..] {
+            let mut dep = (*set.proto()).clone();
+            let spf = set.tier.as_ref().expect("sets 1.. are tiers").spf;
             let mut samples = Vec::with_capacity(frames.len());
             for (ci, chunk) in frames.chunks(16).enumerate() {
-                let inputs: Vec<FrameInput> = chunk
+                let inputs: Vec<PackedFrame> = chunk
                     .iter()
                     .enumerate()
                     .map(|(k, (x, _))| {
@@ -761,7 +723,10 @@ impl ServeRuntime {
                                 ^ i.wrapping_mul(0x9E37_79B9)
                                 ^ CALIBRATION_SALT,
                         );
-                        FrameInput::new(x, spf, frame_seed)
+                        PackedFrame {
+                            model: 0,
+                            frame: FrameInput::new(x, spf, frame_seed),
+                        }
                     })
                     .collect();
                 let results = dep.run_frames(&inputs);
@@ -773,7 +738,7 @@ impl ServeRuntime {
                         spf,
                         0,
                         votes.ticks,
-                        self.n_classes,
+                        self.n_classes(),
                         &votes.counts,
                         Instant::now(),
                     );
@@ -781,27 +746,26 @@ impl ServeRuntime {
                 }
             }
             let map = CalibrationMap::fit(&samples, 8);
-            *state.calibration.lock().expect("calibration lock") = Arc::new(map);
+            *set.calibration.lock().expect("calibration lock") = Arc::new(map);
         }
         Ok(())
     }
 
-    /// Swap the *base* (tier-less) serving deployment for a fresh
-    /// Bernoulli ensemble draw — sample `0` reproduces the original
+    /// Swap the *base* (tier-less) deployment set for a fresh Bernoulli
+    /// ensemble draw of every tenant — sample `0` reproduces the original
     /// build; see `tn_chip::nscs::Deployment::build_with_sample`.
     /// Shorthand for [`ControlAction::Resample`] via
     /// [`ServeRuntime::apply_control`].
     ///
     /// # Errors
     ///
-    /// Same as [`ServeRuntime::apply_control`] on that action (rejected
-    /// on packed runtimes; the old deployment keeps serving on a failed
-    /// rebuild).
+    /// Same as [`ServeRuntime::apply_control`] on that action (the old
+    /// set keeps serving on a failed rebuild).
     pub fn resample(&self, sample: u64) -> Result<(), ServeError> {
         self.apply_control(&ControlAction::Resample { sample })
     }
 
-    /// Swap the named tier's deployment for a fresh Bernoulli ensemble
+    /// Swap the named tier's deployment set for a fresh Bernoulli ensemble
     /// draw. Workers re-clone at their next micro-batch; the tier's
     /// previously fitted calibration is kept (re-run
     /// [`ServeRuntime::calibrate_tiers`] if the draw should be
@@ -811,33 +775,20 @@ impl ServeRuntime {
     ///
     /// [`ServeError::UnknownQuality`] for an unknown tier name,
     /// [`ServeError::Deploy`] if the redraw cannot be built (the old
-    /// deployment keeps serving).
+    /// set keeps serving).
     pub fn resample_tier(&self, quality: &str, sample: u64) -> Result<(), ServeError> {
-        let Some(state) = self
+        let Some((set, tier)) = self
             .control
-            .tiers
+            .sets
             .iter()
-            .find(|t| t.tier.name == quality)
+            .find_map(|s| s.tier.as_ref().filter(|t| t.name == quality).map(|t| (s, t)))
         else {
             return Err(ServeError::UnknownQuality {
                 quality: quality.to_string(),
                 tiers: self.tier_names(),
             });
         };
-        let spec = self
-            .control
-            .spec
-            .as_ref()
-            .expect("tiered runtimes are solo and keep their spec");
-        let dep = Deployment::build_with_sample(
-            spec,
-            state.tier.replicas,
-            self.cfg.seed,
-            self.cfg.connectivity,
-            sample,
-        )?;
-        *state.proto.lock().expect("tier proto lock") = Arc::new(dep);
-        state.epoch.fetch_add(1, Ordering::Release);
+        set.swap(build_set(&self.control.specs, &self.cfg, tier.replicas, sample)?);
         Ok(())
     }
 
@@ -927,53 +878,26 @@ fn apply_action(
                     "control action replicas must be >= 1".into(),
                 ));
             }
-            if control.packed.is_some() {
-                return Err(ServeError::BadConfig(
-                    "replica rescaling is unavailable on a packed multi-tenant runtime"
-                        .into(),
-                ));
-            }
             if r == control.replicas.load(Ordering::Relaxed) {
                 return Ok(());
             }
-            let spec = control.spec.as_ref().expect("solo runtime keeps its spec");
             // The same build a fresh runtime at `r` replicas performs, so
             // post-swap responses match that runtime bit for bit. Rebuilt
             // at the *current* ensemble sample so a rescale after
             // `Resample` stays on the resampled draw (sample 0 is the
             // plain build, so un-resampled runtimes are unchanged).
-            let dep = Deployment::build_with_sample(
-                spec,
-                r,
-                cfg.seed,
-                cfg.connectivity,
-                control.sample.load(Ordering::Relaxed),
-            )?;
-            let cores = dep.core_count();
-            *control.proto.lock().expect("proto lock") = Some(Arc::new(dep));
+            let set = build_set(&control.specs, cfg, r, control.sample.load(Ordering::Relaxed))?;
+            control.cores.store(set.core_count(), Ordering::Relaxed);
             control.replicas.store(r, Ordering::Relaxed);
-            control.cores.store(cores, Ordering::Relaxed);
-            // Release pairs with the workers' Acquire epoch read: a worker
-            // that sees the new epoch also sees the swapped prototype.
-            control.epoch.fetch_add(1, Ordering::Release);
+            control.sets[0].swap(set);
             Ok(())
         }
         ControlAction::Resample { sample } => {
-            if control.packed.is_some() {
-                return Err(ServeError::BadConfig(
-                    "ensemble resampling is unavailable on a packed multi-tenant runtime"
-                        .into(),
-                ));
-            }
-            let spec = control.spec.as_ref().expect("solo runtime keeps its spec");
             let r = control.replicas.load(Ordering::Relaxed);
-            let dep =
-                Deployment::build_with_sample(spec, r, cfg.seed, cfg.connectivity, sample)?;
-            let cores = dep.core_count();
-            *control.proto.lock().expect("proto lock") = Some(Arc::new(dep));
-            control.cores.store(cores, Ordering::Relaxed);
+            let set = build_set(&control.specs, cfg, r, sample)?;
+            control.cores.store(set.core_count(), Ordering::Relaxed);
             control.sample.store(sample, Ordering::Relaxed);
-            control.epoch.fetch_add(1, Ordering::Release);
+            control.sets[0].swap(set);
             Ok(())
         }
         ControlAction::SetSpf { class, spf } => {
@@ -991,8 +915,7 @@ fn apply_action(
             // Clamp into the class's bounds: no controller decision (or
             // manual apply_control) can push a class outside its tier.
             // The store rides FrameInput at serve time — no prototype
-            // rebuild, so the replica-rescale epoch swap stays untouched
-            // and bit-identical.
+            // rebuild.
             slot.store(control.spf_bounds[class].clamp(spf), Ordering::Relaxed);
             Ok(())
         }
@@ -1240,56 +1163,44 @@ fn assemble_snapshot(ctx: &ObserverCtx, seq: u64, now_ns: u64) -> Snapshot {
     snap
 }
 
-/// Per-worker serving loop: drain micro-batches until closed-and-empty,
-/// slicing each drained batch into kernel-level lockstep lane batches of up
-/// to the live `kernel_batch` frames served by one `Deployment::run_frames`
-/// call. Each frame's seed is a pure function of `(cfg.seed, seq)`, so how
-/// frames land in batches never affects results. Between micro-batches the
-/// worker checks the control epoch and re-clones the prototype if the
-/// observer swapped it (replica rescaling), folding the old deployment's
-/// hardware-counter delta first so nothing is lost.
+/// The serving loop, one per worker thread: drain micro-batches until
+/// closed-and-empty and serve every job on a clone of its deployment set.
+///
+/// Per drained batch the worker re-clones any set whose prototype was
+/// swapped (rescale, resample); buckets the jobs by set; and serves
+/// the sets lowest index first. Each set is sliced into kernel chunks of
+/// up to `width` frames *per tenant* — the live `kernel_batch`, or the
+/// tier's own width — each served by one `PackedDeployment::run_frames`
+/// call (one `Kernel` span), whose hardware-counter delta is folded into
+/// the metrics before its answers are delivered. Frame seeds are
+/// `(cfg.seed, seq)` alone, so how frames land in chunks never affects
+/// results. On a tier set a
+/// response below the tier's confidence target with an `escalate_to`
+/// edge is not completed: the job joins the target set's queue (single
+/// hop) and is answered there exactly as a direct submission of the same
+/// seq to the target tier would be, with `ticks` summing both passes.
 fn worker_loop(
     worker: usize,
     cfg: &ServeConfig,
     queue: &BoundedQueue<Job>,
     metrics: &Metrics,
     control: &ControlState,
-    telemetry: Option<WorkerTelemetry>,
+    telemetry: Option<&WorkerTelemetry>,
 ) {
-    if let Some(packed) = &control.packed {
-        packed_worker_loop(worker, cfg, queue, metrics, control, telemetry, packed);
-        return;
-    }
-    let mut dep: Deployment = {
-        let proto = control.proto.lock().expect("proto lock");
-        (**proto.as_ref().expect("solo runtime has a prototype")).clone()
-    };
-    // Frames run on the deployment's compiled fast path (built once in the
-    // prototype and shared by every worker clone).
-    let mut local_epoch = control.epoch.load(Ordering::Acquire);
-    let n_classes = dep.n_classes();
-    // Tiered runtimes: one clone of every tier's deployment, re-cloned
-    // when that tier's epoch moves (resample). Empty on untiered
-    // runtimes, making every tier loop below a no-op.
-    let mut tier_deps: Vec<Deployment> = control
-        .tiers
-        .iter()
-        .map(|t| (**t.proto.lock().expect("tier proto lock")).clone())
-        .collect();
-    let mut tier_epochs: Vec<u64> = control
-        .tiers
-        .iter()
-        .map(|t| t.epoch.load(Ordering::Acquire))
-        .collect();
-    let mut tier_exports: Vec<_> = tier_deps.iter().map(Deployment::counter_export).collect();
+    let sets = &control.sets;
+    let (mut epochs, mut deps): (Vec<u64>, Vec<PackedDeployment>) =
+        sets.iter().map(DeploySet::checkout).unzip();
+    let mut exports: Vec<_> = deps.iter().map(PackedDeployment::counter_export).collect();
     let mut batch: Vec<Job> = Vec::with_capacity(cfg.batch_max);
-    let mut last_export = dep.counter_export();
+    // Per set: jobs to serve, each with the ticks of an escalated job's
+    // first pass (`None` for a job on the set it asked for).
+    let mut pending: Vec<Vec<(Job, Option<u64>)>> = sets.iter().map(|_| Vec::new()).collect();
     loop {
-        let drain_from = telemetry.as_ref().map(|t| t.clock.now_ns());
+        let drain_from = telemetry.map(|t| t.clock.now_ns());
         if !queue.pop_batch(cfg.batch_max, &mut batch) {
             break;
         }
-        if let (Some(t), Some(t0)) = (&telemetry, drain_from) {
+        if let (Some(t), Some(t0)) = (telemetry, drain_from) {
             let now = t.clock.now_ns();
             t.spans.record(Stage::Drain, t0, now.saturating_sub(t0));
             // Enqueue: the longest queue wait in the drained batch.
@@ -1298,364 +1209,130 @@ fn worker_loop(
                 t.spans.record(Stage::Enqueue, now.saturating_sub(ns), ns);
             }
         }
-        let epoch = control.epoch.load(Ordering::Acquire);
-        if epoch != local_epoch {
-            metrics.fold_chip(&dep.counter_export().delta_since(&last_export));
-            dep = {
-                let proto = control.proto.lock().expect("proto lock");
-                (**proto.as_ref().expect("solo runtime has a prototype")).clone()
-            };
-            last_export = dep.counter_export();
-            local_epoch = epoch;
-        }
-        for (t, state) in control.tiers.iter().enumerate() {
-            let e = state.epoch.load(Ordering::Acquire);
-            if e != tier_epochs[t] {
-                metrics
-                    .fold_chip(&tier_deps[t].counter_export().delta_since(&tier_exports[t]));
-                tier_deps[t] = (**state.proto.lock().expect("tier proto lock")).clone();
-                tier_exports[t] = tier_deps[t].counter_export();
-                tier_epochs[t] = e;
+        for (s, set) in sets.iter().enumerate() {
+            if set.epoch.load(Ordering::Acquire) != epochs[s] {
+                (epochs[s], deps[s]) = set.checkout();
+                exports[s] = deps[s].counter_export();
             }
         }
         metrics.batches.fetch_add(1, Ordering::Relaxed);
-        // Route: tier-less jobs keep the default fusion path below;
-        // tiered jobs are grouped per tier and served on that tier's
-        // deployment at its fixed operating point.
-        let mut tier_jobs: Vec<Vec<Job>> =
-            (0..control.tiers.len()).map(|_| Vec::new()).collect();
-        let mut default_jobs: Vec<Job> = Vec::with_capacity(batch.len());
         for job in batch.drain(..) {
-            match job.tier {
-                Some(t) => tier_jobs[t].push(job),
-                None => default_jobs.push(job),
-            }
+            pending[job.set].push((job, None));
         }
-        while !default_jobs.is_empty() {
-            let take = control
-                .kernel_batch
-                .load(Ordering::Relaxed)
-                .max(1)
-                .min(default_jobs.len());
-            let chunk: Vec<Job> = default_jobs.drain(..take).collect();
-            // Same per-frame derivation as the offline evaluator: the
-            // request's sequence number plays the role of the frame index.
-            // Each frame runs at its class's *live* spf — the controller's
-            // third actuator rides FrameInput, so no deployment rebuild is
-            // involved (run_frames groups consecutive same-spf frames into
-            // lockstep lanes on its own).
-            let spfs: Vec<usize> = chunk
-                .iter()
-                .map(|job| control.spf[job.class].load(Ordering::Relaxed).max(1))
-                .collect();
-            let frames: Vec<FrameInput> = chunk
-                .iter()
-                .zip(&spfs)
-                .map(|(job, &spf)| {
-                    let frame_seed = splitmix64(cfg.seed ^ job.seq.wrapping_mul(0x9E37_79B9));
-                    FrameInput::new(&job.inputs, spf, frame_seed)
-                })
-                .collect();
-            let kernel_from = telemetry.as_ref().map(|t| t.clock.now_ns());
-            let results = dep.run_frames(&frames);
-            if let (Some(t), Some(t0)) = (&telemetry, kernel_from) {
-                t.spans
-                    .record(Stage::Kernel, t0, t.clock.now_ns().saturating_sub(t0));
-            }
-            metrics.kernel_batches.fetch_add(1, Ordering::Relaxed);
-            drop(frames);
-            let vote_from = telemetry.as_ref().map(|t| t.clock.now_ns());
-            for ((job, votes), spf) in chunk.into_iter().zip(results).zip(spfs) {
-                let response = tally(
-                    job.seq,
-                    job.class,
-                    job.model,
-                    spf,
-                    worker,
-                    votes.ticks,
-                    n_classes,
-                    &votes.counts,
-                    job.submitted,
-                );
-                metrics.record_completion(
-                    worker,
-                    job.class,
-                    job.model,
-                    votes.ticks,
-                    response.latency,
-                    response.agreement,
-                );
-                job.completer.complete(Ok(response));
-            }
-            if let (Some(t), Some(t0)) = (&telemetry, vote_from) {
-                t.spans
-                    .record(Stage::Vote, t0, t.clock.now_ns().saturating_sub(t0));
-            }
-        }
-        for (t, jobs) in tier_jobs.into_iter().enumerate() {
-            if !jobs.is_empty() {
-                serve_tier_jobs(
-                    t,
-                    jobs,
-                    worker,
-                    cfg,
-                    metrics,
-                    control,
-                    telemetry.as_ref(),
-                    &mut tier_deps,
-                    n_classes,
-                );
-            }
-        }
-        // Fold this batch's hardware work into the global counters.
-        let export = dep.counter_export();
-        metrics.fold_chip(&export.delta_since(&last_export));
-        last_export = export;
-        for (d, le) in tier_deps.iter().zip(tier_exports.iter_mut()) {
-            let export = d.counter_export();
-            metrics.fold_chip(&export.delta_since(le));
-            *le = export;
-        }
-    }
-    metrics.fold_chip(&dep.counter_export().delta_since(&last_export));
-    for (d, le) in tier_deps.iter().zip(&tier_exports) {
-        metrics.fold_chip(&d.counter_export().delta_since(le));
-    }
-}
-
-/// Serve one tier's share of a drained micro-batch on that tier's
-/// deployment clone, in kernel chunks of the tier's fusion width
-/// (`kernel_batch == 0` inherits the live default width).
-///
-/// Frame seeds keep the global `(cfg.seed, seq)` derivation, so a tiered
-/// request's spikes depend only on its submission order — and an
-/// escalated re-run on the target tier is *bit-identical* to having
-/// submitted the same `seq` to that tier directly (same deployment
-/// clone, same spf, same seed; only `ticks` — which sums both passes —
-/// and the `escalated` flag differ).
-#[allow(clippy::too_many_arguments)]
-fn serve_tier_jobs(
-    tier_idx: usize,
-    mut jobs: Vec<Job>,
-    worker: usize,
-    cfg: &ServeConfig,
-    metrics: &Metrics,
-    control: &ControlState,
-    telemetry: Option<&WorkerTelemetry>,
-    tier_deps: &mut [Deployment],
-    n_classes: usize,
-) {
-    let state = &control.tiers[tier_idx];
-    let width = if state.tier.kernel_batch == 0 {
-        control.kernel_batch.load(Ordering::Relaxed).max(1)
-    } else {
-        state.tier.kernel_batch
-    };
-    let calibration = Arc::clone(&state.calibration.lock().expect("calibration lock"));
-    while !jobs.is_empty() {
-        let take = width.min(jobs.len());
-        let chunk: Vec<Job> = jobs.drain(..take).collect();
-        let frames: Vec<FrameInput> = chunk
-            .iter()
-            .map(|job| {
-                let frame_seed = splitmix64(cfg.seed ^ job.seq.wrapping_mul(0x9E37_79B9));
-                FrameInput::new(&job.inputs, state.tier.spf, frame_seed)
-            })
-            .collect();
-        let kernel_from = telemetry.map(|t| t.clock.now_ns());
-        let results = tier_deps[tier_idx].run_frames(&frames);
-        if let (Some(t), Some(t0)) = (telemetry, kernel_from) {
-            t.spans
-                .record(Stage::Kernel, t0, t.clock.now_ns().saturating_sub(t0));
-        }
-        metrics.kernel_batches.fetch_add(1, Ordering::Relaxed);
-        drop(frames);
-        let vote_from = telemetry.map(|t| t.clock.now_ns());
-        for (job, votes) in chunk.into_iter().zip(results) {
-            let mut response = tally(
-                job.seq,
-                job.class,
-                job.model,
-                state.tier.spf,
-                worker,
-                votes.ticks,
-                n_classes,
-                &votes.counts,
-                job.submitted,
-            );
-            let mut confidence = calibration.apply(vote_margin(&response.votes));
-            let mut escalated = false;
-            let mut served_tier = tier_idx;
-            let mut total_ticks = response.ticks;
-            if confidence < state.tier.confidence_target {
-                if let Some(target) = state.escalate_to {
-                    // Single hop: re-run the same frame (same seed) on the
-                    // target tier's deployment at the target's spf.
-                    let tgt = &control.tiers[target];
-                    let frame_seed =
-                        splitmix64(cfg.seed ^ job.seq.wrapping_mul(0x9E37_79B9));
-                    let redo_frames =
-                        [FrameInput::new(&job.inputs, tgt.tier.spf, frame_seed)];
-                    let redo = tier_deps[target].run_frames(&redo_frames);
-                    metrics.kernel_batches.fetch_add(1, Ordering::Relaxed);
-                    let rerun = tally(
+        while let Some(s) = pending.iter().position(|jobs| !jobs.is_empty()) {
+            let set = &sets[s];
+            let dep = &mut deps[s];
+            let width = match &set.tier {
+                Some(tier) if tier.kernel_batch > 0 => tier.kernel_batch,
+                _ => control.kernel_batch.load(Ordering::Relaxed).max(1),
+            };
+            let calibration = Arc::clone(&set.calibration.lock().expect("calibration lock"));
+            let mut jobs = std::mem::take(&mut pending[s]);
+            while !jobs.is_empty() {
+                // `width` is a *per-tenant* fusion width: one grouped pass
+                // takes up to `width` frames of every model, so each
+                // tenant's lane occupancy — and with it the per-model
+                // crossbar amortization — matches a solo runtime's at the
+                // same setting, while the tenants split the fixed per-pass
+                // cost. With one tenant this is plain `width`-frame slicing.
+                let mut taken = vec![0usize; dep.models()];
+                let (chunk, rest): (Vec<_>, Vec<_>) = jobs.into_iter().partition(|(job, _)| {
+                    taken[job.model] += 1;
+                    taken[job.model] <= width
+                });
+                jobs = rest;
+                // Tier sets run at the tier's fixed spf; the default set
+                // runs each frame at its class's *live* spf — the
+                // controller's third actuator rides FrameInput, so no
+                // deployment rebuild is involved.
+                let spfs: Vec<usize> = chunk
+                    .iter()
+                    .map(|(job, _)| match &set.tier {
+                        Some(tier) => tier.spf,
+                        None => control.spf[job.class].load(Ordering::Relaxed).max(1),
+                    })
+                    .collect();
+                // Same per-frame derivation as the offline evaluator: the
+                // request's sequence number plays the role of the frame
+                // index.
+                let frames: Vec<PackedFrame> = chunk
+                    .iter()
+                    .zip(&spfs)
+                    .map(|((job, _), &spf)| PackedFrame {
+                        model: job.model,
+                        frame: FrameInput::new(
+                            &job.inputs,
+                            spf,
+                            splitmix64(cfg.seed ^ job.seq.wrapping_mul(0x9E37_79B9)),
+                        ),
+                    })
+                    .collect();
+                let kernel_from = telemetry.map(|t| t.clock.now_ns());
+                let results = dep.run_frames(&frames);
+                if let (Some(t), Some(t0)) = (telemetry, kernel_from) {
+                    t.spans
+                        .record(Stage::Kernel, t0, t.clock.now_ns().saturating_sub(t0));
+                }
+                metrics.kernel_batches.fetch_add(1, Ordering::Relaxed);
+                // Fold the chunk's hardware work before any of its answers
+                // is delivered: a metrics read after an answer covers it.
+                let export = dep.counter_export();
+                metrics.fold_chip(&export.delta_since(&exports[s]));
+                exports[s] = export;
+                drop(frames);
+                let vote_from = telemetry.map(|t| t.clock.now_ns());
+                for (((job, first_pass), votes), spf) in chunk.into_iter().zip(results).zip(spfs) {
+                    let mut response = tally(
                         job.seq,
                         job.class,
                         job.model,
-                        tgt.tier.spf,
+                        spf,
                         worker,
-                        redo[0].ticks,
-                        n_classes,
-                        &redo[0].counts,
+                        votes.ticks,
+                        dep.model(job.model).n_classes(),
+                        &votes.counts,
                         job.submitted,
                     );
-                    let tgt_calibration =
-                        Arc::clone(&tgt.calibration.lock().expect("calibration lock"));
-                    confidence = tgt_calibration.apply(vote_margin(&rerun.votes));
-                    total_ticks += rerun.ticks;
-                    response = rerun;
-                    response.ticks = total_ticks;
-                    escalated = true;
-                    served_tier = target;
-                }
-            }
-            response.served.tier = Some(control.tiers[served_tier].tier.name.clone());
-            response.served.confidence = confidence;
-            response.served.escalated = escalated;
-            metrics.record_completion(
-                worker,
-                job.class,
-                job.model,
-                total_ticks,
-                response.latency,
-                response.agreement,
-            );
-            metrics.record_tier_completion(tier_idx, escalated, total_ticks, confidence);
-            job.completer.complete(Ok(response));
-        }
-        if let (Some(t), Some(t0)) = (telemetry, vote_from) {
-            t.spans
-                .record(Stage::Vote, t0, t.clock.now_ns().saturating_sub(t0));
-        }
-    }
-}
-
-/// The packed multi-tenant worker loop: same batching, telemetry, and
-/// counter folding as the solo loop, but one clone of the whole
-/// [`PackedDeployment`] serves every tenant, frame seeds come from the
-/// per-model submission index, and a kernel chunk may mix models — the
-/// packed `run_frames` buckets them into per-tenant lane groups ticked in
-/// the same lockstep pass. There is no epoch check: packed prototypes
-/// never swap (replica rescaling is rejected up front).
-fn packed_worker_loop(
-    worker: usize,
-    cfg: &ServeConfig,
-    queue: &BoundedQueue<Job>,
-    metrics: &Metrics,
-    control: &ControlState,
-    telemetry: Option<WorkerTelemetry>,
-    proto: &Arc<PackedDeployment>,
-) {
-    let mut dep: PackedDeployment = (**proto).clone();
-    let mut batch: Vec<Job> = Vec::with_capacity(cfg.batch_max);
-    let mut last_export = dep.counter_export();
-    loop {
-        let drain_from = telemetry.as_ref().map(|t| t.clock.now_ns());
-        if !queue.pop_batch(cfg.batch_max, &mut batch) {
-            break;
-        }
-        if let (Some(t), Some(t0)) = (&telemetry, drain_from) {
-            let now = t.clock.now_ns();
-            t.spans.record(Stage::Drain, t0, now.saturating_sub(t0));
-            if let Some(wait) = batch.iter().map(|j| j.submitted.elapsed()).max() {
-                let ns = u64::try_from(wait.as_nanos()).unwrap_or(u64::MAX);
-                t.spans.record(Stage::Enqueue, now.saturating_sub(ns), ns);
-            }
-        }
-        metrics.batches.fetch_add(1, Ordering::Relaxed);
-        while !batch.is_empty() {
-            // `kernel_batch` is a *per-tenant* fusion width here: one
-            // grouped pass takes up to `width` frames of every model, so
-            // each tenant's lane occupancy — and with it the per-model
-            // crossbar amortization — matches a solo runtime's at the
-            // same setting, while the tenants split the fixed per-pass
-            // cost. Slicing model-blind would instead divide the lanes
-            // among tenants and serve fewer frames per crossbar walk
-            // than the solo runtimes being consolidated.
-            let width = control.kernel_batch.load(Ordering::Relaxed).max(1);
-            let mut taken = vec![0usize; dep.models()];
-            let mut chunk: Vec<Job> = Vec::new();
-            let mut rest: Vec<Job> = Vec::with_capacity(batch.len());
-            for job in batch.drain(..) {
-                if taken[job.model] < width {
-                    taken[job.model] += 1;
-                    chunk.push(job);
-                } else {
-                    rest.push(job);
-                }
-            }
-            batch = rest;
-            let spfs: Vec<usize> = chunk
-                .iter()
-                .map(|job| control.spf[job.class].load(Ordering::Relaxed).max(1))
-                .collect();
-            // The per-model submission index plays the role the global
-            // sequence number plays solo, so tenant m's k-th request is
-            // seeded exactly as a solo runtime's k-th request.
-            let frames: Vec<PackedFrame> = chunk
-                .iter()
-                .zip(&spfs)
-                .map(|(job, &spf)| {
-                    let frame_seed =
-                        splitmix64(cfg.seed ^ job.model_seq.wrapping_mul(0x9E37_79B9));
-                    PackedFrame {
-                        model: job.model,
-                        frame: FrameInput::new(&job.inputs, spf, frame_seed),
+                    let ticks = response.ticks + first_pass.unwrap_or(0);
+                    if let Some(tier) = &set.tier {
+                        let confidence = calibration.apply(vote_margin(&response.votes));
+                        if let Some(target) = set.escalate_to {
+                            if first_pass.is_none() && confidence < tier.confidence_target {
+                                pending[target].push((job, Some(ticks)));
+                                continue;
+                            }
+                        }
+                        response.ticks = ticks;
+                        response.served.tier = Some(tier.name.clone());
+                        response.served.confidence = confidence;
+                        response.served.escalated = first_pass.is_some();
                     }
-                })
-                .collect();
-            let kernel_from = telemetry.as_ref().map(|t| t.clock.now_ns());
-            let results = dep.run_frames(&frames);
-            if let (Some(t), Some(t0)) = (&telemetry, kernel_from) {
-                t.spans
-                    .record(Stage::Kernel, t0, t.clock.now_ns().saturating_sub(t0));
-            }
-            metrics.kernel_batches.fetch_add(1, Ordering::Relaxed);
-            drop(frames);
-            let vote_from = telemetry.as_ref().map(|t| t.clock.now_ns());
-            for ((job, votes), spf) in chunk.into_iter().zip(results).zip(spfs) {
-                let n_classes = dep.model(job.model).n_classes();
-                let response = tally(
-                    job.seq,
-                    job.class,
-                    job.model,
-                    spf,
-                    worker,
-                    votes.ticks,
-                    n_classes,
-                    &votes.counts,
-                    job.submitted,
-                );
-                metrics.record_completion(
-                    worker,
-                    job.class,
-                    job.model,
-                    votes.ticks,
-                    response.latency,
-                    response.agreement,
-                );
-                job.completer.complete(Ok(response));
-            }
-            if let (Some(t), Some(t0)) = (&telemetry, vote_from) {
-                t.spans
-                    .record(Stage::Vote, t0, t.clock.now_ns().saturating_sub(t0));
+                    metrics.record_completion(
+                        worker,
+                        job.class,
+                        job.model,
+                        ticks,
+                        response.latency,
+                        response.agreement,
+                    );
+                    if let Some(tier) = job.set.checked_sub(1) {
+                        // Counted against the *requested* tier.
+                        metrics.record_tier_completion(
+                            tier,
+                            first_pass.is_some(),
+                            ticks,
+                            response.served.confidence,
+                        );
+                    }
+                    job.completer.complete(Ok(response));
+                }
+                if let (Some(t), Some(t0)) = (telemetry, vote_from) {
+                    t.spans
+                        .record(Stage::Vote, t0, t.clock.now_ns().saturating_sub(t0));
+                }
             }
         }
-        let export = dep.counter_export();
-        metrics.fold_chip(&export.delta_since(&last_export));
-        last_export = export;
     }
-    metrics.fold_chip(&dep.counter_export().delta_since(&last_export));
 }
 
 /// Pool replica votes into a [`Response`]. Ties break toward the lowest
@@ -1917,6 +1594,38 @@ mod tests {
         assert_eq!(snap.chip.synaptic_ops, snap.energy.synaptic_ops);
         assert_eq!(snap.chip.ticks, snap.ticks, "chip and serve tick counters agree");
         assert!(snap.chip.spikes_in > 0, "served frames inject spikes");
+    }
+
+    #[test]
+    fn answered_requests_are_already_in_the_chip_counters() {
+        // A chunk's hardware work is folded into the metrics before its
+        // answers are delivered. One worker serves a default-set request
+        // next to slow tier requests; once the default answer arrives, a
+        // metrics read must already cover its ticks instead of waiting
+        // for the slow chunk after it.
+        let rt = runtime(
+            ServeConfig::builder(19)
+                .replicas(2)
+                .workers(1)
+                .tier(QualityTier::new("slow", 8, 2048))
+                .build()
+                .expect("cfg"),
+        );
+        let slow = || SubmitRequest::new(vec![1.0, 0.0]).quality("slow");
+        let busy = rt.submit(slow()).expect("submit");
+        let answered = rt.submit(vec![0.0, 1.0]).expect("submit");
+        let queued = rt.submit(slow()).expect("submit");
+        answered.wait().expect("serve");
+        let snap = rt.metrics();
+        assert!(
+            snap.chip.ticks >= snap.ticks,
+            "answered work missing from the chip counters: chip {} < serve {}",
+            snap.chip.ticks,
+            snap.ticks
+        );
+        busy.wait().expect("serve");
+        queued.wait().expect("serve");
+        rt.shutdown();
     }
 
     #[test]
@@ -2187,8 +1896,9 @@ mod tests {
     #[test]
     fn packed_runtime_matches_solo_runtimes_bit_for_bit() {
         // Two different-shaped tenants on one packed chip, submissions
-        // interleaved across models: every tenant's responses must equal
-        // a solo runtime serving that spec alone at the same config.
+        // interleaved across models: every tenant's answer for seq `s`
+        // must equal a solo runtime serving that spec alone at the same
+        // config, answering `at_seq(s)`.
         let cfg = || {
             ServeConfig::builder(17)
                 .replicas(2)
@@ -2222,24 +1932,35 @@ mod tests {
             ));
         }
         let mut got: Vec<Vec<_>> = vec![Vec::new(), Vec::new()];
-        for (m, h) in handles {
+        for (i, (m, h)) in handles.into_iter().enumerate() {
             let r = h.wait().expect("serve");
             assert_eq!(r.model(), m, "response must name its tenant");
+            assert_eq!(r.seq, i as u64, "one global seq across tenants");
             let spf = r.spf();
-            got[m].push((r.predicted, r.votes, r.replica_predictions, spf, r.ticks));
+            got[m].push((
+                r.seq,
+                r.predicted,
+                r.votes,
+                r.replica_predictions,
+                spf,
+                r.ticks,
+            ));
         }
         packed.shutdown();
         for (m, spec) in specs.iter().enumerate() {
             let rt = ServeRuntime::new(spec, cfg()).expect("solo");
-            let handles: Vec<_> = (0..12)
+            let handles: Vec<_> = (0..12u64)
                 .map(|i| {
-                    if m == 0 {
+                    let seq = 2 * i + m as u64;
+                    let frame = if m == 0 {
                         let x = (i % 5) as f32 / 4.0;
-                        rt.submit(vec![x, 1.0 - x]).expect("submit")
+                        vec![x, 1.0 - x]
                     } else {
                         let y = (i % 3) as f32 / 2.0;
-                        rt.submit(vec![y, 1.0 - y, 0.5]).expect("submit")
-                    }
+                        vec![y, 1.0 - y, 0.5]
+                    };
+                    rt.submit(SubmitRequest::new(frame).at_seq(seq))
+                        .expect("submit")
                 })
                 .collect();
             let want: Vec<_> = handles
@@ -2247,7 +1968,14 @@ mod tests {
                 .map(|h| {
                     let r = h.wait().expect("serve");
                     let spf = r.spf();
-                    (r.predicted, r.votes, r.replica_predictions, spf, r.ticks)
+                    (
+                        r.seq,
+                        r.predicted,
+                        r.votes,
+                        r.replica_predictions,
+                        spf,
+                        r.ticks,
+                    )
                 })
                 .collect();
             rt.shutdown();
@@ -2258,7 +1986,13 @@ mod tests {
     #[test]
     fn packed_runtime_validates_models_and_rejects_rescale() {
         let specs = [xor_free_spec(), three_class_spec()];
-        let rt = ServeRuntime::new_packed(&specs, ServeConfig::new(3)).expect("packed");
+        let cfg = |replicas| {
+            ServeConfig::builder(3)
+                .replicas(replicas)
+                .build()
+                .expect("cfg")
+        };
+        let rt = ServeRuntime::new_packed(&specs, cfg(1)).expect("packed");
         assert_eq!(
             rt.submit(SubmitRequest::new(vec![0.5, 0.5]).model(2))
                 .unwrap_err(),
@@ -2271,19 +2005,63 @@ mod tests {
             "width is checked against the named tenant"
         );
         assert!(matches!(
-            rt.apply_control(&ControlAction::SetReplicas(2)),
-            Err(ServeError::BadConfig(msg)) if msg.contains("packed")
+            rt.apply_control(&ControlAction::SetReplicas(0)),
+            Err(ServeError::BadConfig(msg)) if msg.contains("replicas")
         ));
         rt.apply_control(&ControlAction::SetKernelBatch(4))
-            .expect("kernel-batch actuator still works packed");
+            .expect("kernel-batch actuator works packed");
         let r = rt
             .submit(SubmitRequest::new(vec![1.0, 0.0, 0.0]).model(1))
             .expect("submit")
             .wait()
             .expect("serve");
         assert_eq!((r.model(), r.predicted), (1, 0));
+        // Rescaling repacks every tenant; seq keying makes the repack
+        // invisible, so answers match a packed runtime built at 2.
+        let cores = rt.cores();
+        rt.apply_control(&ControlAction::SetReplicas(2))
+            .expect("packed runtimes rescale");
+        assert_eq!((rt.replicas(), rt.cores()), (2, 2 * cores));
+        let serve_both = |rt: &ServeRuntime| -> Vec<_> {
+            (1..9u64)
+                .map(|seq| {
+                    let m = (seq % 2) as usize;
+                    let y = (seq % 3) as f32 / 2.0;
+                    let frame = if m == 0 {
+                        vec![y, 1.0 - y]
+                    } else {
+                        vec![y, 1.0 - y, 0.5]
+                    };
+                    let r = rt
+                        .classify(SubmitRequest::new(frame).model(m).at_seq(seq))
+                        .expect("serve");
+                    (
+                        r.seq,
+                        r.model(),
+                        r.predicted,
+                        r.votes,
+                        r.replica_predictions,
+                        r.ticks,
+                    )
+                })
+                .collect()
+        };
+        let got = serve_both(&rt);
+        assert!(got.iter().all(|r| r.4.len() == 2), "served at 2 replicas");
+        // 3000 one-core replicas fit a chip alone but not twice over: the
+        // repack is rejected and the old set keeps serving.
+        assert!(matches!(
+            rt.apply_control(&ControlAction::SetReplicas(3000)),
+            Err(ServeError::Pack(_))
+        ));
+        assert_eq!((rt.replicas(), rt.cores()), (2, 2 * cores));
+        let again = serve_both(&rt);
         let snap = rt.shutdown();
-        assert_eq!(snap.completed, 1);
+        assert_eq!(snap.completed, 17);
+        assert_eq!(got, again, "the old set still serves, bit for bit");
+        let fresh = ServeRuntime::new_packed(&specs, cfg(2)).expect("packed at 2");
+        assert_eq!(got, serve_both(&fresh), "rescaled ≡ fresh packed runtime");
+        fresh.shutdown();
         assert!(
             ServeRuntime::new_packed(&[], ServeConfig::new(3)).is_err(),
             "empty spec list is refused"
@@ -2482,6 +2260,47 @@ mod tests {
     }
 
     #[test]
+    fn escalation_runs_are_booked_as_kernel_time() {
+        // confidence_target > 1 escalates every fast request, so every
+        // request runs twice; each run_frames call, the escalation re-run
+        // included, must record exactly one kernel span.
+        let sink = Arc::new(MemorySink::new());
+        let cfg = ServeConfig::builder(61)
+            .replicas(2)
+            .workers(2)
+            .tier(
+                QualityTier::new("fast", 1, 2)
+                    .confidence_target(2.0)
+                    .escalate_to("certain"),
+            )
+            .tier(QualityTier::new("certain", 4, 8))
+            .telemetry(TelemetryConfig::default())
+            .build()
+            .expect("cfg");
+        let rt = ServeRuntime::new_with_sink(
+            &xor_free_spec(),
+            cfg,
+            Arc::clone(&sink) as Arc<dyn MetricsSink>,
+        )
+        .expect("runtime");
+        for i in 0..10 {
+            let x = (i % 5) as f32 / 4.0;
+            let r = rt
+                .classify(SubmitRequest::new(vec![x, 1.0 - x]).quality("fast"))
+                .expect("serve");
+            assert!(r.escalated(), "confidence_target > 1 escalates every request");
+        }
+        rt.shutdown();
+        let last = sink.snapshots().pop().expect("final snapshot");
+        let kernel_batches = last.counters["serve.kernel_batches"];
+        assert!(kernel_batches >= 20, "two runs per request: {kernel_batches}");
+        assert_eq!(
+            last.stages["kernel"].count, kernel_batches,
+            "one kernel span per run_frames call"
+        );
+    }
+
+    #[test]
     fn packed_runtimes_reject_tier_tables() {
         let specs = [xor_free_spec(), three_class_spec()];
         let err = ServeRuntime::new_packed(&specs, tier_cfg(3).build().expect("cfg"))
@@ -2522,15 +2341,10 @@ mod tests {
         fresh.shutdown();
         assert_eq!(before, want_before);
         assert_eq!(after, want_after, "sample 0 is the plain build");
-        assert!(matches!(
-            ServeRuntime::new_packed(
-                &[xor_free_spec()],
-                ServeConfig::new(3)
-            )
+        ServeRuntime::new_packed(&[xor_free_spec(), three_class_spec()], ServeConfig::new(3))
             .expect("packed")
-            .resample(1),
-            Err(ServeError::BadConfig(msg)) if msg.contains("packed")
-        ));
+            .resample(1)
+            .expect("packed runtimes resample every tenant");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! `tn-telemetry` — the observability substrate of the serving stack.
 //!
 //! This crate is deliberately dependency-free and knows nothing about
-//! chips or queues; it provides the four primitives every layer above it
+//! chips or queues; it provides the primitives every layer above it
 //! (the `tn-serve` runtime, the chip counter hooks, benches) reports
 //! through:
 //!
@@ -21,6 +21,9 @@
 //!   additionally hands the most recent snapshot back to synchronous
 //!   readers (a live snapshot endpoint), optionally tee-ing to an inner
 //!   sink.
+//! * **Latency histograms** ([`LatencyHistogram`]) — the one quantile
+//!   type of the stack: lock-free log-linear buckets with ≤ 1/16 error,
+//!   recorded by the serve runtime and the fleet router alike.
 //! * **Staleness** ([`FreshnessTracker`]) — the consumer side of using a
 //!   snapshot stream as a heartbeat: lock-free last-arrival tracking and
 //!   an age budget, judged on a consumer-stamped clock (the fleet router
@@ -60,6 +63,7 @@
 #![warn(missing_debug_implementations)]
 
 mod clock;
+mod histogram;
 pub mod json;
 mod sink;
 mod snapshot;
@@ -67,6 +71,7 @@ mod span;
 mod staleness;
 
 pub use clock::{Clock, ManualClock, MonotonicClock};
+pub use histogram::LatencyHistogram;
 pub use sink::{emit, JsonLinesSink, LatestSink, MemorySink, MetricsSink, NullSink};
 pub use snapshot::{Snapshot, SnapshotError, SCHEMA};
 pub use span::{SpanRecord, SpanRecorder, Stage, StageStats};

@@ -419,8 +419,13 @@ fn solo_split_run(
             drivers.push(scope.spawn(move || -> Result<(u64, f64), String> {
                 let rt = serve_network(net, serve_cfg).map_err(|e| e.to_string())?;
                 let n_test = data.test_y.len();
+                // Request i of tenant m rides seq 2i + m on the packed
+                // runtime (submissions interleave tenants), so pin it here.
                 let handles: Vec<_> = (0..n_per_model)
-                    .map(|i| rt.submit(data.test_x.row(i % n_test).to_vec()))
+                    .map(|i| {
+                        let frame = data.test_x.row(i % n_test).to_vec();
+                        rt.submit(SubmitRequest::new(frame).at_seq((2 * i + m) as u64))
+                    })
                     .collect::<Result<_, _>>()
                     .map_err(|e| e.to_string())?;
                 let mut correct = 0u64;
@@ -525,8 +530,8 @@ fn consolidation_sweep(
     let snap = rt.shutdown();
     assert_eq!(snap.completed, total as u64, "drain served everything");
 
-    // Bit-identity, observed end to end: tenant m's k-th request saw the
-    // same frame seed in both runs, so per-model accuracy is *exactly*
+    // Bit-identity, observed end to end: tenant m's k-th request rode
+    // seq 2k + m in both runs, so per-model accuracy is *exactly*
     // equal — consolidation costs zero accuracy.
     assert_eq!(
         packed_correct, solo_correct,

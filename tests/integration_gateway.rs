@@ -523,8 +523,8 @@ fn packed_gateway_routes_models_and_rejects_unknown_ids() {
             vec![x, 1.0 - x, 0.5]
         })
         .collect();
-    // Interleave tenants on one connection; per-model submission order
-    // (not global order) is the determinism key.
+    // Interleave tenants on one connection; the seq each response
+    // carries is the determinism key.
     for i in 0..4 {
         client
             .write_all(&classify_request_model(&frames_a[i], 0))
@@ -596,31 +596,25 @@ fn packed_gateway_routes_models_and_rejects_unknown_ids() {
     let snap = gw.shutdown();
     assert_eq!(snap.completed, 8);
 
-    // Bit-identity vs solo gateways: tenant m's k-th request must match
-    // a single-model gateway's k-th request for the same spec.
+    // Bit-identity vs solo runtimes: tenant m's answer for seq `s` must
+    // match a single-model runtime's answer to `at_seq(s)` for the same
+    // spec.
     for (model, frames) in [(0usize, &frames_a), (1usize, &frames_b)] {
-        let solo = Gateway::bind("127.0.0.1:0", &specs[model], cfg(), GatewayConfig::default())
-            .expect("bind solo");
-        let mut client = TcpStream::connect(solo.local_addr()).expect("connect");
-        for frame in frames.iter() {
-            client.write_all(&classify_request(frame)).expect("send");
-        }
-        let solo_responses = read_responses(&mut client, 4);
-        drop(client);
-        solo.shutdown();
-        for (k, solo_resp) in solo_responses.iter().enumerate() {
-            let packed_resp = &responses[2 * k + model];
-            let (p, s) = (packed_resp.json(), solo_resp.json());
+        let solo = ServeRuntime::new(&specs[model], cfg()).expect("solo deploy");
+        for (k, frame) in frames.iter().enumerate() {
+            let p = responses[2 * k + model].json();
+            let seq = p.get("seq").and_then(JsonValue::as_u64).expect("seq");
+            let s = solo
+                .classify(SubmitRequest::new(frame.clone()).at_seq(seq))
+                .expect("solo answer");
             assert_eq!(
                 votes_of(&p),
-                votes_of(&s),
-                "tenant {model} request {k} diverged from solo"
+                s.votes,
+                "tenant {model} request {k} (seq {seq}) diverged from solo"
             );
-            assert_eq!(
-                p.get("predicted").unwrap().as_u64(),
-                s.get("predicted").unwrap().as_u64()
-            );
+            assert_eq!(p.get("predicted").unwrap().as_u64(), Some(s.predicted as u64));
         }
+        solo.shutdown();
     }
 }
 

@@ -765,3 +765,56 @@ proptest! {
         }
     }
 }
+
+/// A one-tenant pack is the serving runtime's solo deployment, so it must
+/// be bit-identical to `Deployment::run_frames` at every batch shape: lone
+/// frames (the frame-at-a-time path), multi-lane chunks, and mixed-spf
+/// batches whose runs split into both — votes, the chip-wide and tenant
+/// counter exports, per-core counters and PRNG end states, over a
+/// bench-1-shaped two-replica deployment and a two-layer one.
+#[test]
+fn one_tenant_pack_matches_deployment_at_every_batch_size() {
+    let bench_inputs: Vec<Vec<f32>> = (0..6).map(|i| bench1_inputs(0.3, i)).collect();
+    let deep_inputs: Vec<Vec<f32>> = (0..6).map(|i| vec![0.9 - 0.1 * i as f32, 0.4]).collect();
+    for (spec, inputs) in [
+        (bench1_spec(5), &bench_inputs),
+        (deep_spec(0.7), &deep_inputs),
+    ] {
+        let mut solo = Deployment::build(&spec, 2, 41).expect("deploy");
+        let mut packed = PackedDeployment::pack(&[solo.clone()]).expect("pack");
+        let batches: [&[(usize, u64)]; 4] = [
+            &[(4, 1)],
+            &[(4, 2), (4, 3), (4, 4)],
+            &[(3, 5), (4, 6), (4, 7), (3, 8)],
+            &[(2, 9)],
+        ];
+        for (b, batch) in batches.iter().enumerate() {
+            let frames: Vec<FrameInput> = batch
+                .iter()
+                .enumerate()
+                .map(|(i, &(spf, seed))| FrameInput::new(&inputs[i], spf, seed))
+                .collect();
+            let packed_frames: Vec<PackedFrame> = frames
+                .iter()
+                .map(|&frame| PackedFrame { model: 0, frame })
+                .collect();
+            assert_eq!(
+                packed.run_frames(&packed_frames),
+                solo.run_frames(&frames),
+                "votes diverged in batch {b}"
+            );
+            assert_eq!(packed.counter_export(), solo.counter_export(), "batch {b}");
+            assert_eq!(
+                packed.model_counter_export(0),
+                solo.counter_export(),
+                "batch {b}"
+            );
+            assert_eq!(packed.model(0).stats(), solo.chip_stats(), "batch {b}");
+            let sf = solo.compiled().expect("solo compiled");
+            for k in 0..solo.core_count() {
+                assert_eq!(packed.compiled().core_stats(k), sf.core_stats(k));
+                assert_eq!(packed.compiled().prng_state(k), sf.prng_state(k));
+            }
+        }
+    }
+}
