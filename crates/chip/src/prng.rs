@@ -91,10 +91,29 @@ pub fn splitmix64(mut x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Spike-train seed of frame `index` in a stream keyed by `seed`:
+/// `splitmix64(seed ^ index · 0x9E37_79B9)`. The determinism key shared by
+/// the offline evaluator (the frame index), the serving runtime (the
+/// request seq) and the power sweep — the same `(seed, index)` always
+/// draws the same input spikes.
+pub fn frame_seed(seed: u64, index: u64) -> u64 {
+    splitmix64(seed ^ index.wrapping_mul(0x9E37_79B9))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashSet;
+
+    #[test]
+    fn frame_seed_is_the_evaluator_derivation() {
+        for (seed, index) in [(0u64, 0u64), (7, 1), (u64::MAX, 12_345), (23, u64::MAX)] {
+            assert_eq!(
+                frame_seed(seed, index),
+                splitmix64(seed ^ index.wrapping_mul(0x9E37_79B9))
+            );
+        }
+    }
 
     #[test]
     fn zero_seed_is_remapped() {

@@ -11,7 +11,7 @@
 
 use crate::cross_thread::parallel_chunks;
 use tn_chip::nscs::{ConnectivityMode, DeployError, Deployment, NetworkDeploySpec};
-use tn_chip::prng::splitmix64;
+use tn_chip::prng::frame_seed;
 use tn_learn::matrix::Matrix;
 
 /// Accuracy over the full `(copies, spf)` duplication grid.
@@ -160,8 +160,7 @@ pub fn evaluate_grid(
         let mut grid = GridAccuracy::zeros(cfg.copies, cfg.spf);
         let mut votes = vec![0u64; n_classes];
         for i in range {
-            let frame_seed = splitmix64(cfg.seed ^ (i as u64).wrapping_mul(0x9E37_79B9));
-            let per_tick = dep.run_frame(inputs.row(i), cfg.spf, frame_seed);
+            let per_tick = dep.run_frame(inputs.row(i), cfg.spf, frame_seed(cfg.seed, i as u64));
             // Cumulative over ticks and copies: walk outward, reusing sums.
             // cum[copy][class] accumulates ticks 0..s as s grows.
             let mut cum = vec![vec![0u64; n_classes]; cfg.copies];

@@ -13,7 +13,7 @@ use crate::cross_thread::parallel_chunks;
 use serde::{Deserialize, Serialize};
 use tn_chip::energy::EnergyReport;
 use tn_chip::nscs::{ConnectivityMode, DeployError, Deployment, NetworkDeploySpec};
-use tn_chip::prng::splitmix64;
+use tn_chip::prng::frame_seed;
 use tn_learn::loss::argmax;
 use tn_learn::matrix::Matrix;
 
@@ -84,8 +84,7 @@ pub fn analyze_energy(
         dep.reset_counters();
         let mut correct = 0usize;
         for i in range.clone() {
-            let frame_seed = splitmix64(seed ^ (i as u64).wrapping_mul(0x9E37_79B9));
-            let per_tick = dep.run_frame(inputs.row(i), spf, frame_seed);
+            let per_tick = dep.run_frame(inputs.row(i), spf, frame_seed(seed, i as u64));
             let mut votes = vec![0f32; n_classes];
             for tick in &per_tick {
                 for copy in 0..copies {

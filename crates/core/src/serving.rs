@@ -365,8 +365,7 @@ mod tests {
         let (net, data) = tiny_trained();
         let cfg = ServeConfig::builder(5).workers(2).build().expect("cfg");
         let rt = serve_network(&net, cfg).expect("serve");
-        assert_eq!(rt.n_inputs(), 28 * 28);
-        assert_eq!(rt.n_classes(), 10);
+        assert_eq!(rt.shape().models, vec![(28 * 28, 10)]);
         let r = rt.classify(data.test_x.row(0).to_vec()).expect("classify");
         assert!(r.predicted < 10);
         let snap = rt.shutdown();
@@ -498,8 +497,7 @@ mod tests {
 
         let cfg = || ServeConfig::builder(11).workers(2).build().expect("cfg");
         let packed = serve_packed_networks(&[&net_a, &net_b], cfg()).expect("pack");
-        assert!(packed.is_packed());
-        assert_eq!(packed.models(), 2);
+        assert_eq!(packed.shape().models.len(), 2);
 
         let xa = data_a.test_x.row(0).to_vec();
         let xb = data_b.test_x.row(0).to_vec();

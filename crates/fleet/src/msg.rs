@@ -15,12 +15,12 @@
 
 use std::time::Duration;
 
-use tn_serve::{Response, ServeError, ServedAs, SubmitRequest};
+use tn_serve::{Response, ServeError, ServeShape, ServedAs, SubmitRequest};
 use tn_telemetry::json::{escape, parse, JsonValue};
 
 /// The handshake schema tag; a router refuses a shard that does not
 /// announce exactly this.
-pub const SCHEMA: &str = "tn-fleet/2";
+pub const SCHEMA: &str = "tn-fleet/3";
 
 // ---------------------------------------------------------------------
 // decode helpers
@@ -113,88 +113,57 @@ fn json_strings(xs: &[String]) -> String {
 // Hello
 // ---------------------------------------------------------------------
 
-/// A shard's opening announcement: protocol schema plus everything a
-/// router needs for client-side validation, introspection endpoints,
-/// and energy attribution — so steady-state dispatch never needs a
-/// round-trip to ask a shard about itself.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Hello {
-    /// Input channels (tenant model 0).
-    pub n_inputs: usize,
-    /// Classes voted on (tenant model 0).
-    pub n_classes: usize,
-    /// Per tenant model `(n_inputs, n_classes)`.
-    pub models: Vec<(usize, usize)>,
-    /// Replica count in force at connect time.
-    pub replicas: usize,
-    /// Whether the shard serves multiple tenants on one packed chip.
-    pub packed: bool,
-    /// Kernel fusion width in force at connect time.
-    pub kernel_batch: usize,
-    /// Live ticks-per-frame per request class.
-    pub spf: Vec<usize>,
-    /// Quality tier names, in config order.
-    pub tiers: Vec<String>,
-    /// The shard's submission queue capacity.
-    pub queue_capacity: usize,
-    /// Chip cores occupied by one worker's deployment (drives the
-    /// router's [`tn_chip::energy`] attribution).
-    pub cores: usize,
+/// Encode a shard's opening announcement: the protocol schema plus the
+/// [`ServeShape`] it serves — everything a router needs for admission,
+/// introspection endpoints and energy attribution, so steady-state
+/// dispatch never needs a round-trip to ask a shard about itself.
+pub fn encode_hello(shape: &ServeShape) -> String {
+    let models: Vec<String> = shape
+        .models
+        .iter()
+        .map(|(i, c)| format!("{{\"n_inputs\":{i},\"n_classes\":{c}}}"))
+        .collect();
+    format!(
+        "{{\"schema\":\"{SCHEMA}\",\"models\":[{}],\"replicas\":{},\"kernel_batch\":{},\
+         \"spf\":{},\"tiers\":{},\"queue_capacity\":{},\"cores\":{}}}",
+        models.join(","),
+        shape.replicas,
+        shape.kernel_batch,
+        json_usizes(&shape.spf),
+        json_strings(&shape.tiers),
+        shape.queue_capacity,
+        shape.cores,
+    )
 }
 
-impl Hello {
-    /// Encode as the Hello frame payload.
-    pub fn encode(&self) -> String {
-        let models: Vec<String> = self
-            .models
-            .iter()
-            .map(|(i, c)| format!("{{\"n_inputs\":{i},\"n_classes\":{c}}}"))
-            .collect();
-        format!(
-            "{{\"schema\":\"{SCHEMA}\",\"n_inputs\":{},\"n_classes\":{},\"models\":[{}],\
-             \"replicas\":{},\"packed\":{},\"kernel_batch\":{},\"spf\":{},\"tiers\":{},\
-             \"queue_capacity\":{},\"cores\":{}}}",
-            self.n_inputs,
-            self.n_classes,
-            models.join(","),
-            self.replicas,
-            self.packed,
-            self.kernel_batch,
-            json_usizes(&self.spf),
-            json_strings(&self.tiers),
-            self.queue_capacity,
-            self.cores,
-        )
+/// Parse a Hello frame payload, refusing foreign schemas and shards that
+/// serve no model.
+///
+/// # Errors
+///
+/// A human-readable description of the first malformed field.
+pub fn parse_hello(text: &str) -> Result<ServeShape, String> {
+    let v = parse(text).map_err(|e| e.to_string())?;
+    let schema = get_str(&v, "schema")?;
+    if schema != SCHEMA {
+        return Err(format!("shard speaks {schema:?}, this router speaks {SCHEMA:?}"));
     }
-
-    /// Parse a Hello frame payload, refusing foreign schemas.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable description of the first malformed field.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        let v = parse(text).map_err(|e| e.to_string())?;
-        let schema = get_str(&v, "schema")?;
-        if schema != SCHEMA {
-            return Err(format!("shard speaks {schema:?}, this router speaks {SCHEMA:?}"));
-        }
-        let models = get_arr(&v, "models")?
-            .iter()
-            .map(|m| Ok((get_usize(m, "n_inputs")?, get_usize(m, "n_classes")?)))
-            .collect::<Result<Vec<_>, String>>()?;
-        Ok(Self {
-            n_inputs: get_usize(&v, "n_inputs")?,
-            n_classes: get_usize(&v, "n_classes")?,
-            models,
-            replicas: get_usize(&v, "replicas")?,
-            packed: get_bool(&v, "packed")?,
-            kernel_batch: get_usize(&v, "kernel_batch")?,
-            spf: usize_array(&v, "spf")?,
-            tiers: string_array(&v, "tiers")?,
-            queue_capacity: get_usize(&v, "queue_capacity")?,
-            cores: get_usize(&v, "cores")?,
-        })
+    let models = get_arr(&v, "models")?
+        .iter()
+        .map(|m| Ok((get_usize(m, "n_inputs")?, get_usize(m, "n_classes")?)))
+        .collect::<Result<Vec<_>, String>>()?;
+    if models.is_empty() {
+        return Err("\"models\" is empty".to_string());
     }
+    Ok(ServeShape {
+        models,
+        spf: usize_array(&v, "spf")?,
+        tiers: string_array(&v, "tiers")?,
+        replicas: get_usize(&v, "replicas")?,
+        kernel_batch: get_usize(&v, "kernel_batch")?,
+        queue_capacity: get_usize(&v, "queue_capacity")?,
+        cores: get_usize(&v, "cores")?,
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -553,21 +522,23 @@ mod tests {
 
     #[test]
     fn hello_round_trips_and_checks_schema() {
-        let hello = Hello {
-            n_inputs: 4,
-            n_classes: 3,
+        let shape = ServeShape {
             models: vec![(4, 3), (2, 2)],
-            replicas: 2,
-            packed: true,
-            kernel_batch: 8,
             spf: vec![8, 16],
             tiers: vec!["fast".to_string(), "certain".to_string()],
+            replicas: 2,
+            kernel_batch: 8,
             queue_capacity: 256,
             cores: 6,
         };
-        assert_eq!(Hello::parse(&hello.encode()), Ok(hello));
-        let foreign = "{\"schema\":\"tn-fleet/9\",\"n_inputs\":1}";
-        assert!(Hello::parse(foreign).expect_err("schema").contains("tn-fleet/9"));
+        assert_eq!(parse_hello(&encode_hello(&shape)), Ok(shape.clone()));
+        let foreign = "{\"schema\":\"tn-fleet/2\",\"n_inputs\":1}";
+        assert!(parse_hello(foreign).expect_err("schema").contains("tn-fleet/2"));
+        let empty = encode_hello(&ServeShape {
+            models: Vec::new(),
+            ..shape
+        });
+        assert!(parse_hello(&empty).expect_err("no models").contains("models"));
     }
 
     #[test]

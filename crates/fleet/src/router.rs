@@ -54,16 +54,17 @@ use std::time::Duration;
 
 use tn_chip::energy::EnergyReport;
 use tn_chip::nscs::ChipCounterExport;
+use tn_chip::prng::splitmix64;
 use tn_serve::{
     Completer, MetricsSnapshot, QueueStats, RequestHandle, ServeBackend, ServeConfig, ServeError,
-    SubmitRequest,
+    ServeShape, SubmitRequest,
 };
 use tn_telemetry::{
     Clock, FreshnessTracker, LatencyHistogram, MetricsSink, MonotonicClock, NullSink, Snapshot,
 };
 
 use crate::frame::{read_frame, write_frame, FrameKind};
-use crate::msg::{encode_req, parse_err, parse_resp, Ack, Ctrl, Hello};
+use crate::msg::{encode_req, parse_err, parse_hello, parse_resp, Ack, Ctrl};
 use crate::transport::Transport;
 
 /// How the router picks a shard for each request.
@@ -83,7 +84,7 @@ pub enum DispatchPolicy {
 /// Router configuration. [`FleetConfig::serve`] must match the config
 /// every shard was built with — the bit-identity contract is
 /// conditional on fleet homogeneity, and the router checks what it can
-/// see of it from the shards' [`Hello`] announcements.
+/// see of it from the shapes the shards announce at connect.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
     /// The [`ServeConfig`] the shards run (introspection surface for
@@ -148,13 +149,6 @@ impl FleetConfig {
     }
 }
 
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// One request the router has written to a shard and not yet seen
 /// answered. Kept re-dispatchable: the original request rides along so
 /// a connection loss can replay it (same seq ⇒ same answer).
@@ -182,7 +176,7 @@ struct Shard {
     /// Latest `serve.queue_fill` gauge (f64 bits) from heartbeats.
     queue_fill: AtomicU64,
     /// Live chip cores this shard keeps powered. Seeded from the
-    /// connect-time `Hello`, then tracked: every heartbeat's
+    /// connect-time Hello, then tracked: every heartbeat's
     /// `serve.cores` gauge overwrites it, and a successful rolling
     /// rescale refreshes it arithmetically (cores scale with replicas),
     /// so energy attribution follows the fleet through rescales even on
@@ -222,7 +216,9 @@ struct Roll {
 
 struct Inner {
     cfg: FleetConfig,
-    hello: Hello,
+    /// The shape every shard announced at connect (they must agree):
+    /// what [`ServeShape::admit`] checks requests against.
+    shape: ServeShape,
     shards: Vec<Shard>,
     next_seq: AtomicU64,
     live_replicas: AtomicUsize,
@@ -273,9 +269,9 @@ impl FleetRouter {
     /// (`snapshot_check` accepts it: the schema never required ordered
     /// seqs across producers).
     ///
-    /// Each connection must open with the shard's [`Hello`]; all shards
-    /// must announce the same shape (the visible part of the
-    /// homogeneity contract).
+    /// Each connection must open with the shard's Hello
+    /// ([`crate::msg::parse_hello`]); all shards must announce the same
+    /// [`ServeShape`] (the visible part of the homogeneity contract).
     ///
     /// # Errors
     ///
@@ -296,7 +292,7 @@ impl FleetRouter {
         let max_age_ns = cfg
             .staleness
             .map_or(u64::MAX, |d| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
-        let mut hello: Option<Hello> = None;
+        let mut shape: Option<ServeShape> = None;
         let mut shards = Vec::with_capacity(conns.len());
         let mut read_halves = Vec::with_capacity(conns.len());
         for (i, mut conn) in conns.into_iter().enumerate() {
@@ -312,11 +308,11 @@ impl FleetRouter {
             }
             let h = std::str::from_utf8(&payload)
                 .map_err(|_| "not valid UTF-8".to_string())
-                .and_then(Hello::parse)
+                .and_then(parse_hello)
                 .map_err(|e| ServeError::BadConfig(format!("shard {i} hello: {e}")))?;
             let shard_cores = h.cores as u64;
-            match &hello {
-                None => hello = Some(h),
+            match &shape {
+                None => shape = Some(h),
                 Some(first) if *first != h => {
                     return Err(ServeError::BadConfig(format!(
                         "shard {i} announces a different shape than shard 0; \
@@ -345,11 +341,11 @@ impl FleetRouter {
             });
             read_halves.push(conn);
         }
-        let hello = hello.expect("non-empty fleet");
+        let shape = shape.expect("non-empty fleet");
         let n_shards = shards.len();
         let inner = Arc::new(Inner {
-            live_replicas: AtomicUsize::new(hello.replicas),
-            hello,
+            live_replicas: AtomicUsize::new(shape.replicas),
+            shape,
             shards,
             next_seq: AtomicU64::new(0),
             shutting_down: AtomicBool::new(false),
@@ -920,8 +916,8 @@ impl Inner {
             // with the replica count) so energy attribution tracks the
             // rescale even on shards running without telemetry; the
             // next heartbeat's `serve.cores` gauge confirms it.
-            if self.hello.replicas > 0 {
-                let per_replica = self.hello.cores as u64 / self.hello.replicas as u64;
+            if self.shape.replicas > 0 {
+                let per_replica = self.shape.cores as u64 / self.shape.replicas as u64;
                 shard
                     .cores
                     .store(per_replica * replicas as u64, Ordering::Relaxed);
@@ -984,18 +980,6 @@ impl Inner {
             rows_skipped: self.fold_counter("chip.rows_skipped"),
             cores_skipped: self.fold_counter("chip.cores_skipped"),
         };
-        // Static power scales with every core the fleet keeps powered:
-        // the live per-shard counts (heartbeat `serve.cores` gauges,
-        // refreshed through rolling rescales), skipping shards whose
-        // connections failed — a dead shard powers nothing. Shards that
-        // closed during an orderly shutdown still count: this snapshot
-        // attributes the fleet they formed.
-        let fleet_cores: usize = self
-            .shards
-            .iter()
-            .filter(|s| !s.failed.load(Ordering::Relaxed))
-            .map(|s| s.cores.load(Ordering::Relaxed) as usize)
-            .sum();
         let [p50_latency, p90_latency, p99_latency] = self.latency.quantiles([0.50, 0.90, 0.99]);
         MetricsSnapshot {
             submitted: self.submitted.load(Ordering::Relaxed),
@@ -1021,53 +1005,42 @@ impl Inner {
                 (self.agreement_micros.load(Ordering::Relaxed) as f64 / 1e6 / completed as f64)
                     as f32
             },
-            energy: EnergyReport::from_counters(chip.synaptic_ops, chip.ticks, fleet_cores),
+            energy: EnergyReport::from_counters(chip.synaptic_ops, chip.ticks, self.fleet_cores()),
             chip,
         }
     }
 
-    fn validate(&self, request: &SubmitRequest) -> Result<(), ServeError> {
-        let h = &self.hello;
-        if request.model >= h.models.len() {
-            return Err(ServeError::UnknownModel {
-                model: request.model,
-                models: h.models.len(),
-            });
-        }
-        let expected = h.models[request.model].0;
-        if request.frame.len() != expected {
-            return Err(ServeError::BadInput {
-                expected,
-                got: request.frame.len(),
-            });
-        }
-        for (channel, &value) in request.frame.iter().enumerate() {
-            if !(0.0..=1.0).contains(&value) {
-                return Err(ServeError::InputOutOfRange { channel, value });
-            }
-        }
-        if request.class >= h.spf.len() {
-            return Err(ServeError::UnknownClass {
-                class: request.class,
-                classes: h.spf.len(),
-            });
-        }
-        if let Some(q) = &request.quality {
-            if !h.tiers.iter().any(|t| t == q) {
-                return Err(ServeError::UnknownQuality {
-                    quality: q.clone(),
-                    tiers: h.tiers.clone(),
-                });
-            }
-        }
-        Ok(())
+    /// Static power scales with every core the fleet keeps powered: the
+    /// live per-shard counts (heartbeat `serve.cores` gauges, refreshed
+    /// through rolling rescales), skipping shards whose connections
+    /// failed — a dead shard powers nothing. Shards that closed during an
+    /// orderly shutdown still count: a snapshot attributes the fleet they
+    /// formed.
+    fn fleet_cores(&self) -> usize {
+        self.shards
+            .iter()
+            .filter(|s| !s.failed.load(Ordering::Relaxed))
+            .map(|s| s.cores.load(Ordering::Relaxed) as usize)
+            .sum()
+    }
+
+    /// `assemble_metrics().joules_per_frame()`, from the two chip
+    /// counters and the core count it depends on.
+    fn joules_per_frame(&self) -> f64 {
+        let completed = self.completed.load(Ordering::Relaxed);
+        let energy = EnergyReport::from_counters(
+            self.fold_counter("chip.synaptic_ops"),
+            self.fold_counter("chip.ticks"),
+            self.fleet_cores(),
+        );
+        tn_serve::joules_per_frame(&energy, completed)
     }
 
     fn submit(&self, request: SubmitRequest) -> Result<RequestHandle, ServeError> {
         if self.shutting_down.load(Ordering::Relaxed) {
             return Err(ServeError::ShuttingDown);
         }
-        self.validate(&request)?;
+        self.shape.admit(&request)?;
         // The router owns the fleet-global sequence counter — the
         // determinism key. An explicit caller seq is honored and the
         // counter advanced past it, mirroring ServeRuntime::submit.
@@ -1107,7 +1080,7 @@ impl ServeBackend for FleetRouter {
             .count();
         QueueStats {
             depth: in_flight as usize,
-            capacity: self.inner.hello.queue_capacity * connected,
+            capacity: self.inner.shape.queue_capacity * connected,
             in_flight,
         }
     }
@@ -1116,44 +1089,15 @@ impl ServeBackend for FleetRouter {
         self.inner.assemble_metrics()
     }
 
-    fn n_inputs(&self) -> usize {
-        self.inner.hello.n_inputs
+    fn joules_per_frame(&self) -> f64 {
+        self.inner.joules_per_frame()
     }
 
-    fn n_classes(&self) -> usize {
-        self.inner.hello.n_classes
-    }
-
-    fn models(&self) -> usize {
-        self.inner.hello.models.len()
-    }
-
-    fn model_n_inputs(&self, model: usize) -> Option<usize> {
-        self.inner.hello.models.get(model).map(|(i, _)| *i)
-    }
-
-    fn model_n_classes(&self, model: usize) -> Option<usize> {
-        self.inner.hello.models.get(model).map(|(_, c)| *c)
-    }
-
-    fn is_packed(&self) -> bool {
-        self.inner.hello.packed
-    }
-
-    fn replicas(&self) -> usize {
-        self.inner.live_replicas.load(Ordering::Relaxed)
-    }
-
-    fn kernel_batch(&self) -> usize {
-        self.inner.hello.kernel_batch
-    }
-
-    fn spf_per_class(&self) -> Vec<usize> {
-        self.inner.hello.spf.clone()
-    }
-
-    fn tier_names(&self) -> Vec<String> {
-        self.inner.hello.tiers.clone()
+    fn shape(&self) -> ServeShape {
+        ServeShape {
+            replicas: self.inner.live_replicas.load(Ordering::Relaxed),
+            ..self.inner.shape.clone()
+        }
     }
 
     fn config(&self) -> &ServeConfig {
@@ -1204,7 +1148,7 @@ mod tests {
     // would never produce on cue.
     // -----------------------------------------------------------------
 
-    use crate::msg::{encode_err, encode_resp, parse_req};
+    use crate::msg::{encode_err, encode_hello, encode_resp, parse_req};
     use crate::shard::ShardServer;
     use std::time::Instant;
     use tn_chip::nscs::{CoreDeploySpec, InputSource, NetworkDeploySpec};
@@ -1233,30 +1177,6 @@ mod tests {
             .workers(1)
             .build()
             .expect("valid config")
-    }
-
-    /// The announcement a real `ShardServer` hosting `rt` would make —
-    /// so a scripted shard is indistinguishable at the handshake.
-    fn mirror_hello(rt: &ServeRuntime) -> Hello {
-        Hello {
-            n_inputs: rt.n_inputs(),
-            n_classes: rt.n_classes(),
-            models: (0..rt.models())
-                .map(|m| {
-                    (
-                        rt.model_n_inputs(m).unwrap_or(0),
-                        rt.model_n_classes(m).unwrap_or(0),
-                    )
-                })
-                .collect(),
-            replicas: rt.replicas(),
-            packed: rt.is_packed(),
-            kernel_batch: rt.kernel_batch(),
-            spf: rt.spf_per_class(),
-            tiers: rt.tier_names(),
-            queue_capacity: rt.config().queue_capacity,
-            cores: rt.cores(),
-        }
     }
 
     fn request_inputs(i: usize) -> Vec<f32> {
@@ -1297,12 +1217,12 @@ mod tests {
         // both onto one midpoint.
         let cfg = tiny_cfg();
         let oracle = ServeRuntime::new(&tiny_spec(), cfg.clone()).expect("oracle deploy");
-        let hello = mirror_hello(&oracle);
+        let hello = encode_hello(&oracle.shape());
         oracle.shutdown();
 
         let clock = Arc::new(tn_telemetry::ManualClock::new());
         let (mut shard_end, router_end) = duplex(64 * 1024);
-        write_frame(&mut shard_end, FrameKind::Hello, hello.encode().as_bytes())
+        write_frame(&mut shard_end, FrameKind::Hello, hello.as_bytes())
             .expect("handshake write");
         let router = FleetRouter::connect(
             vec![router_end],
@@ -1341,11 +1261,11 @@ mod tests {
     fn no_healthy_shard_fails_with_unavailable_not_shutting_down() {
         let cfg = tiny_cfg();
         let oracle = ServeRuntime::new(&tiny_spec(), cfg.clone()).expect("oracle deploy");
-        let hello = mirror_hello(&oracle);
+        let hello = encode_hello(&oracle.shape());
         oracle.shutdown();
 
         let (mut shard_end, router_end) = duplex(64 * 1024);
-        write_frame(&mut shard_end, FrameKind::Hello, hello.encode().as_bytes())
+        write_frame(&mut shard_end, FrameKind::Hello, hello.as_bytes())
             .expect("handshake write");
         let router =
             FleetRouter::connect(vec![router_end], FleetConfig::new(cfg)).expect("connect");
@@ -1369,11 +1289,11 @@ mod tests {
     fn non_utf8_payload_poisons_the_stream_instead_of_being_rewritten() {
         let cfg = tiny_cfg();
         let oracle = ServeRuntime::new(&tiny_spec(), cfg.clone()).expect("oracle deploy");
-        let hello = mirror_hello(&oracle);
+        let hello = encode_hello(&oracle.shape());
         oracle.shutdown();
 
         let (mut shard_end, router_end) = duplex(64 * 1024);
-        write_frame(&mut shard_end, FrameKind::Hello, hello.encode().as_bytes())
+        write_frame(&mut shard_end, FrameKind::Hello, hello.as_bytes())
             .expect("handshake write");
         let router =
             FleetRouter::connect(vec![router_end], FleetConfig::new(cfg)).expect("connect");
@@ -1408,7 +1328,7 @@ mod tests {
 
         // Solo oracle (also the template for the scripted shard's Hello).
         let oracle = ServeRuntime::new(&spec, cfg.clone()).expect("oracle deploy");
-        let hello = mirror_hello(&oracle);
+        let hello = encode_hello(&oracle.shape());
         let solo: Vec<Response> = (0..N)
             .map(|i| {
                 oracle
@@ -1423,7 +1343,7 @@ mod tests {
         // Shard 0: scripted, answers every request with QueueFull.
         // Shard 1: a real runtime.
         let (mut fake_end, router0_end) = duplex(256 * 1024);
-        write_frame(&mut fake_end, FrameKind::Hello, hello.encode().as_bytes())
+        write_frame(&mut fake_end, FrameKind::Hello, hello.as_bytes())
             .expect("handshake write");
         let refused = Arc::new(AtomicU64::new(0));
         let refused_in_fake = Arc::clone(&refused);
@@ -1519,11 +1439,11 @@ mod tests {
         let s2 = pinned.next().unwrap();
 
         let oracle = ServeRuntime::new(&spec, cfg.clone()).expect("oracle deploy");
-        let hello = mirror_hello(&oracle);
+        let hello = encode_hello(&oracle.shape());
         oracle.shutdown();
 
         let (mut fake_end, router0_end) = duplex(256 * 1024);
-        write_frame(&mut fake_end, FrameKind::Hello, hello.encode().as_bytes())
+        write_frame(&mut fake_end, FrameKind::Hello, hello.as_bytes())
             .expect("handshake write");
         let (shard1_end, router1_end) = duplex(256 * 1024);
         let shard1 = ShardServer::host(&spec, cfg.clone(), shard1_end).expect("host shard 1");

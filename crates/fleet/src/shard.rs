@@ -20,7 +20,7 @@ use tn_serve::{ControlAction, RequestHandle, ServeConfig, ServeError, ServeRunti
 use tn_telemetry::{MetricsSink, Snapshot};
 
 use crate::frame::{read_frame, write_frame, FrameKind};
-use crate::msg::{encode_err, encode_resp, parse_req, Ack, Ctrl, Hello};
+use crate::msg::{encode_err, encode_hello, encode_resp, parse_req, Ack, Ctrl};
 use crate::transport::Transport;
 
 /// Shared write half of the shard's connection. Whole frames go out
@@ -73,7 +73,8 @@ impl ShardServer {
     /// Deploy `spec` under `cfg` and serve the fleet protocol over
     /// `conn` until the router sends [`Ctrl::Shutdown`] or hangs up.
     ///
-    /// Sends the [`Hello`] announcement immediately; with
+    /// Sends the Hello announcement ([`encode_hello`] of the runtime's
+    /// [`ServeRuntime::shape`]) immediately; with
     /// [`ServeConfig::telemetry`] set, the runtime's observer snapshots
     /// ride out as Snap-frame heartbeats at the configured interval.
     ///
@@ -114,28 +115,10 @@ impl ShardServer {
         });
         let runtime = Arc::new(ServeRuntime::new_packed_with_sink(specs, cfg, sink)?);
 
-        let hello = Hello {
-            n_inputs: runtime.n_inputs(),
-            n_classes: runtime.n_classes(),
-            models: (0..runtime.models())
-                .map(|m| {
-                    (
-                        runtime.model_n_inputs(m).unwrap_or(0),
-                        runtime.model_n_classes(m).unwrap_or(0),
-                    )
-                })
-                .collect(),
-            replicas: runtime.replicas(),
-            packed: runtime.is_packed(),
-            kernel_batch: runtime.kernel_batch(),
-            spf: runtime.spf_per_class(),
-            tiers: runtime.tier_names(),
-            queue_capacity: runtime.config().queue_capacity,
-            cores: runtime.cores(),
-        };
+        let hello = encode_hello(&runtime.shape());
         {
             let mut w = writer.lock().expect("shard writer lock");
-            write_frame(&mut **w, FrameKind::Hello, hello.encode().as_bytes())
+            write_frame(&mut **w, FrameKind::Hello, hello.as_bytes())
                 .map_err(|e| ServeError::BadConfig(format!("shard handshake failed: {e}")))?;
         }
 

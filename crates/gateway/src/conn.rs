@@ -107,7 +107,7 @@ impl Pending {
                 };
                 match result {
                     Ok(resp) => {
-                        let jpf = ctx.rt.metrics().joules_per_frame();
+                        let jpf = ctx.rt.joules_per_frame();
                         (200, proto::classify_json(&resp, jpf), None, self.close)
                     }
                     Err(ServeError::WaitTimeout) => return None,

@@ -140,20 +140,19 @@ pub(crate) fn health_json() -> String {
     "{\"status\":\"ok\"}".to_string()
 }
 
-/// Render the `/v1/config` body: model introspection plus the serve
-/// config, with the *live* values for knobs the adaptive controller can
-/// move (`replicas`, `kernel_batch`, and per-class `spf`).
+/// Render the `/v1/config` body from one [`ServeBackend::shape`] read
+/// plus the serve config: the shape supplies the models and the *live*
+/// values of the knobs the adaptive controller can move (`replicas`,
+/// `kernel_batch`, and per-class `spf`).
 ///
 /// `"model"` stays tenant 0 (backward compatible); the `"models"` array
 /// lists every packed tenant (a single entry on solo runtimes), and
 /// `"packed"` flags multi-tenant runtimes.
 pub(crate) fn config_json(rt: &dyn ServeBackend) -> String {
-    let models = join((0..rt.models()).map(|m| {
-        format!(
-            "{{\"id\":{m},\"n_inputs\":{},\"n_classes\":{}}}",
-            rt.model_n_inputs(m).unwrap_or(0),
-            rt.model_n_classes(m).unwrap_or(0),
-        )
+    let shape = rt.shape();
+    let (n_inputs, n_classes) = shape.models.first().copied().unwrap_or_default();
+    let models = join(shape.models.iter().enumerate().map(|(m, (i, c))| {
+        format!("{{\"id\":{m},\"n_inputs\":{i},\"n_classes\":{c}}}")
     }));
     let cfg = rt.config();
     let tiers = join(cfg.tiers.iter().map(|t| {
@@ -173,21 +172,19 @@ pub(crate) fn config_json(rt: &dyn ServeBackend) -> String {
     }));
     format!(
         "{{\"schema\":\"tn-gateway/1\",\
-         \"model\":{{\"n_inputs\":{},\"n_classes\":{},\"replicas\":{}}},\
+         \"model\":{{\"n_inputs\":{n_inputs},\"n_classes\":{n_classes},\"replicas\":{}}},\
          \"models\":[{models}],\"packed\":{},\"tiers\":[{tiers}],\
          \"serve\":{{\"workers\":{},\"spf\":[{}],\"seed\":{},\"queue_capacity\":{},\
          \"batch_max\":{},\"kernel_batch\":{},\"backpressure\":\"{}\",\
          \"connectivity\":\"{}\",\"telemetry\":{}}}}}",
-        rt.n_inputs(),
-        rt.n_classes(),
-        rt.replicas(),
-        rt.is_packed(),
+        shape.replicas,
+        shape.models.len() > 1,
         cfg.workers,
-        join(rt.spf_per_class().iter()),
+        join(shape.spf.iter()),
         cfg.seed,
         cfg.queue_capacity,
         cfg.batch_max,
-        rt.kernel_batch(),
+        shape.kernel_batch,
         match cfg.backpressure {
             Backpressure::Block => "block",
             Backpressure::Reject => "reject",

@@ -9,6 +9,11 @@
 //! implemented here by [`ServeRuntime`] and in `tn-fleet` by its
 //! `FleetRouter`.
 //!
+//! What a backend serves is one value, [`ServeShape`]: the runtime builds
+//! it, a fleet shard announces it at connect, the router keeps the
+//! shards' common shape, and the gateway renders `/v1/config` from it.
+//! [`ServeShape::admit`] is the one admission check over it.
+//!
 //! The trait is object-safe on purpose (front-ends hold
 //! `Arc<dyn ServeBackend>`), which is why submission takes a concrete
 //! [`SubmitRequest`] rather than `impl Into<SubmitRequest>`.
@@ -20,18 +25,90 @@ use crate::metrics::{MetricsSnapshot, QueueStats};
 use crate::request::SubmitRequest;
 use crate::runtime::ServeRuntime;
 
+/// What a backend serves: its tenant models, request classes, quality
+/// tiers and operating point. One description shared by the runtime,
+/// the fleet handshake and the gateway's `/v1/config`, and the input of
+/// the one admission check, [`ServeShape::admit`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ServeShape {
+    /// `(n_inputs, n_classes)` per tenant model (one entry on solo
+    /// runtimes).
+    pub models: Vec<(usize, usize)>,
+    /// Ticks-per-frame per request class (at least one entry).
+    pub spf: Vec<usize>,
+    /// Quality tier names, in config order.
+    pub tiers: Vec<String>,
+    /// Replica count of the default deployment set.
+    pub replicas: usize,
+    /// Kernel fusion width.
+    pub kernel_batch: usize,
+    /// Submission queue capacity.
+    pub queue_capacity: usize,
+    /// Chip cores the default deployment set occupies.
+    pub cores: usize,
+}
+
+impl ServeShape {
+    /// Whether `request` addresses something this shape serves with a
+    /// well-formed frame. Checks run in a fixed order — model, class,
+    /// quality, frame width, input range — and the first failure is the
+    /// error, so every backend names the same fault for the same request.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::UnknownModel`], [`ServeError::UnknownClass`],
+    /// [`ServeError::UnknownQuality`], [`ServeError::BadInput`] or
+    /// [`ServeError::InputOutOfRange`].
+    pub fn admit(&self, request: &SubmitRequest) -> Result<(), ServeError> {
+        let Some(&(n_inputs, _)) = self.models.get(request.model) else {
+            return Err(ServeError::UnknownModel {
+                model: request.model,
+                models: self.models.len(),
+            });
+        };
+        if request.class >= self.spf.len() {
+            return Err(ServeError::UnknownClass {
+                class: request.class,
+                classes: self.spf.len(),
+            });
+        }
+        if let Some(quality) = &request.quality {
+            if !self.tiers.contains(quality) {
+                return Err(ServeError::UnknownQuality {
+                    quality: quality.clone(),
+                    tiers: self.tiers.clone(),
+                });
+            }
+        }
+        let frame = &request.frame;
+        if frame.len() != n_inputs {
+            return Err(ServeError::BadInput {
+                expected: n_inputs,
+                got: frame.len(),
+            });
+        }
+        if let Some(channel) = frame.iter().position(|v| !(0.0..=1.0).contains(v)) {
+            return Err(ServeError::InputOutOfRange {
+                channel,
+                value: frame[channel],
+            });
+        }
+        Ok(())
+    }
+}
+
 /// What a serving front-end needs from whatever answers its requests:
-/// non-blocking-ish submission, admission gauges, counters, and enough
-/// model/config introspection to render a config endpoint.
+/// submission, admission gauges, counters, and the served shape and
+/// config a config endpoint renders.
 pub trait ServeBackend: Send + Sync + std::fmt::Debug {
     /// Submit one request; returns an awaitable [`RequestHandle`].
     ///
     /// # Errors
     ///
-    /// Same contract as [`ServeRuntime::submit`]: validation failures,
-    /// [`ServeError::QueueFull`] under rejecting backpressure,
-    /// [`ServeError::ShuttingDown`] once the backend is draining (for a
-    /// fleet: when no healthy shard remains).
+    /// Same contract as [`ServeRuntime::submit`]: the
+    /// [`ServeShape::admit`] errors, [`ServeError::QueueFull`] under
+    /// rejecting backpressure, [`ServeError::ShuttingDown`] once the
+    /// backend is draining (for a fleet: when no healthy shard remains).
     fn submit_request(&self, request: SubmitRequest) -> Result<RequestHandle, ServeError>;
 
     /// Live queue-depth / in-flight admission gauge (fleet backends
@@ -41,38 +118,17 @@ pub trait ServeBackend: Send + Sync + std::fmt::Debug {
     /// Point-in-time counters (fleet backends aggregate across shards).
     fn metrics(&self) -> MetricsSnapshot;
 
-    /// Input channels each request must provide (tenant model 0).
-    fn n_inputs(&self) -> usize;
+    /// Model-estimated chip energy per served frame, in joules — equal
+    /// to `metrics().joules_per_frame()`, read from a few counters
+    /// instead of a full snapshot.
+    fn joules_per_frame(&self) -> f64;
 
-    /// Classes voted on per request (tenant model 0).
-    fn n_classes(&self) -> usize;
-
-    /// Number of tenant models served.
-    fn models(&self) -> usize;
-
-    /// Input channels tenant `model` expects, `None` if out of range.
-    fn model_n_inputs(&self, model: usize) -> Option<usize>;
-
-    /// Classes tenant `model` votes on, `None` if out of range.
-    fn model_n_classes(&self, model: usize) -> Option<usize>;
-
-    /// Whether several tenants share one packed chip.
-    fn is_packed(&self) -> bool;
-
-    /// Replica count currently in force.
-    fn replicas(&self) -> usize;
-
-    /// Kernel fusion width currently in force.
-    fn kernel_batch(&self) -> usize;
-
-    /// Live ticks-per-frame for each request class (≥ 1 entry).
-    fn spf_per_class(&self) -> Vec<usize>;
-
-    /// Names of the quality tiers served, in config order.
-    fn tier_names(&self) -> Vec<String>;
+    /// What the backend serves, with the live replica count (and, on a
+    /// runtime, the live fusion width, spf values and cores).
+    fn shape(&self) -> ServeShape;
 
     /// The serving configuration (initial knob values; the live values
-    /// come from [`ServeBackend::replicas`] etc.).
+    /// come from [`ServeBackend::shape`]).
     fn config(&self) -> &ServeConfig;
 }
 
@@ -89,44 +145,12 @@ impl ServeBackend for ServeRuntime {
         ServeRuntime::metrics(self)
     }
 
-    fn n_inputs(&self) -> usize {
-        ServeRuntime::n_inputs(self)
+    fn joules_per_frame(&self) -> f64 {
+        ServeRuntime::joules_per_frame(self)
     }
 
-    fn n_classes(&self) -> usize {
-        ServeRuntime::n_classes(self)
-    }
-
-    fn models(&self) -> usize {
-        ServeRuntime::models(self)
-    }
-
-    fn model_n_inputs(&self, model: usize) -> Option<usize> {
-        ServeRuntime::model_n_inputs(self, model)
-    }
-
-    fn model_n_classes(&self, model: usize) -> Option<usize> {
-        ServeRuntime::model_n_classes(self, model)
-    }
-
-    fn is_packed(&self) -> bool {
-        ServeRuntime::is_packed(self)
-    }
-
-    fn replicas(&self) -> usize {
-        ServeRuntime::replicas(self)
-    }
-
-    fn kernel_batch(&self) -> usize {
-        ServeRuntime::kernel_batch(self)
-    }
-
-    fn spf_per_class(&self) -> Vec<usize> {
-        ServeRuntime::spf_per_class(self)
-    }
-
-    fn tier_names(&self) -> Vec<String> {
-        ServeRuntime::tier_names(self)
+    fn shape(&self) -> ServeShape {
+        ServeRuntime::shape(self)
     }
 
     fn config(&self) -> &ServeConfig {
@@ -158,6 +182,38 @@ mod tests {
     }
 
     #[test]
+    fn admit_checks_model_class_quality_width_then_range() {
+        let shape = ServeShape {
+            models: vec![(2, 2)],
+            spf: vec![8],
+            tiers: vec!["fast".to_string()],
+            replicas: 1,
+            kernel_batch: 1,
+            queue_capacity: 4,
+            cores: 1,
+        };
+        // Every rule broken at once; mend one per step, in check order.
+        let request = SubmitRequest::new(vec![2.0]).model(1).class(1).quality("turbo");
+        let err = |r: &SubmitRequest| shape.admit(r).expect_err("rejected");
+        assert_eq!(err(&request), ServeError::UnknownModel { model: 1, models: 1 });
+        let request = request.model(0);
+        assert_eq!(err(&request), ServeError::UnknownClass { class: 1, classes: 1 });
+        let request = request.class(0);
+        assert_eq!(
+            err(&request),
+            ServeError::UnknownQuality {
+                quality: "turbo".to_string(),
+                tiers: vec!["fast".to_string()],
+            }
+        );
+        let request = request.quality("fast");
+        assert_eq!(err(&request), ServeError::BadInput { expected: 2, got: 1 });
+        let request = SubmitRequest::new(vec![0.5, 2.0]).quality("fast");
+        assert_eq!(err(&request), ServeError::InputOutOfRange { channel: 1, value: 2.0 });
+        assert_eq!(shape.admit(&SubmitRequest::new(vec![0.5, 1.0])), Ok(()));
+    }
+
+    #[test]
     fn runtime_serves_through_the_trait_object() {
         let rt = ServeRuntime::new(&xor_free_spec(), ServeConfig::new(7)).expect("deploy");
         let direct = rt.classify(vec![1.0, 0.0]).expect("classify");
@@ -171,10 +227,7 @@ mod tests {
         // Same (seed, seq) through either surface: bit-identical.
         assert_eq!(via_trait.predicted, direct.predicted);
         assert_eq!(via_trait.votes, direct.votes);
-        assert_eq!(backend.n_inputs(), 2);
-        assert_eq!(backend.n_classes(), 2);
-        assert_eq!(backend.models(), 1);
-        assert!(!backend.is_packed());
+        assert_eq!(backend.shape().models, vec![(2, 2)]);
         assert_eq!(backend.config().seed, 7);
         assert!(backend.queue_stats().capacity > 0);
     }

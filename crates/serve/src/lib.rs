@@ -102,7 +102,10 @@
 //!   and [`RequestHandle::wait_timeout`] bounds any individual wait.
 //! * **Scale-out seam**: [`ServeBackend`] abstracts "something a
 //!   front-end can submit to" (this runtime, or `tn-fleet`'s router over
-//!   many shard runtimes); [`SubmitRequest::at_seq`] makes submission
+//!   many shard runtimes); [`ServeShape`] describes what a backend
+//!   serves, and its [`ServeShape::admit`] is the one admission check
+//!   every backend runs, so all of them name the same typed error for
+//!   the same bad request; [`SubmitRequest::at_seq`] makes submission
 //!   *shard-addressable* (a router that owns the sequence counter gets
 //!   bit-identical answers from any shard); [`RequestHandle::channel`]
 //!   lets a router mint handle/completer pairs for remotely dispatched
@@ -157,12 +160,12 @@ mod request;
 mod runtime;
 mod tier;
 
-pub use backend::ServeBackend;
+pub use backend::{ServeBackend, ServeShape};
 pub use config::{Backpressure, ServeConfig, ServeConfigBuilder, TelemetryConfig};
 pub use control::{ControlAction, ControlSample, Controller, ControllerConfig, SpfClass};
 pub use error::ServeError;
 pub use handle::{Completer, RequestHandle, Response, ServedAs};
-pub use metrics::{MetricsSnapshot, QueueStats};
+pub use metrics::{joules_per_frame, MetricsSnapshot, QueueStats};
 pub use queue::{BoundedQueue, PushError};
 pub use request::SubmitRequest;
 pub use runtime::ServeRuntime;

@@ -250,6 +250,15 @@ impl Metrics {
         Some((sum / frames as f64) as f32)
     }
 
+    /// [`MetricsSnapshot::joules_per_frame`] of a snapshot taken now,
+    /// without taking one.
+    pub(crate) fn joules_per_frame(&self, cores: usize) -> f64 {
+        let completed = self.completed.load(Ordering::Relaxed);
+        let ticks = self.ticks.load(Ordering::Relaxed);
+        let synaptic_ops = self.chip[0].load(Ordering::Relaxed);
+        joules_per_frame(&EnergyReport::from_counters(synaptic_ops, ticks, cores), completed)
+    }
+
     pub(crate) fn snapshot(
         &self,
         queue_depth: usize,
@@ -298,6 +307,18 @@ impl Metrics {
             energy: EnergyReport::from_counters(chip.synaptic_ops, ticks, cores),
             chip,
         }
+    }
+}
+
+/// Model-estimated chip energy per served frame, in joules: `energy`
+/// spread over `completed` frames (0 before the first). The one formula
+/// behind [`MetricsSnapshot::joules_per_frame`] and every backend's
+/// [`crate::ServeBackend::joules_per_frame`].
+pub fn joules_per_frame(energy: &EnergyReport, completed: u64) -> f64 {
+    if completed == 0 {
+        0.0
+    } else {
+        energy.total_joules() / completed as f64
     }
 }
 
@@ -374,11 +395,7 @@ pub struct MetricsSnapshot {
 impl MetricsSnapshot {
     /// Model-estimated chip energy per served frame, in joules.
     pub fn joules_per_frame(&self) -> f64 {
-        if self.completed == 0 {
-            0.0
-        } else {
-            self.energy.total_joules() / self.completed as f64
-        }
+        joules_per_frame(&self.energy, self.completed)
     }
 
     /// Mean micro-batch size (requests per queue drain).

@@ -19,10 +19,11 @@
 //! Each tenant of each set is built (and Bernoulli-sampled) exactly as a
 //! solo runtime configured at that operating point builds it, from
 //! `(spec, replicas, cfg.seed, sample)`. A request's spike trains are
-//! seeded purely by `(cfg.seed, seq)` — the same derivation the offline
-//! evaluator uses per frame — so the result of serving request `seq` is a
-//! pure function of the config and the seq, never of worker count, queue
-//! timing, OS scheduling, or which other tenants share the chip. Tenant
+//! seeded purely by [`frame_seed`]`(cfg.seed, seq)` — the derivation the
+//! offline evaluator uses per frame — so the result of serving request
+//! `seq` is a pure function of the config and the seq, never of worker
+//! count, queue timing, OS scheduling, or which other tenants share the
+//! chip. Tenant
 //! `m` of a packed runtime answers seq `s` exactly as a solo runtime
 //! serving `m` alone answers [`SubmitRequest::at_seq`]`(s)`: packing
 //! keeps every tenant bit-identical to its solo deployment.
@@ -54,9 +55,10 @@ use std::time::{Duration, Instant};
 
 use tn_chip::nscs::{Deployment, FrameInput, NetworkDeploySpec};
 use tn_chip::pack::{PackedDeployment, PackedFrame};
-use tn_chip::prng::splitmix64;
+use tn_chip::prng::frame_seed;
 use tn_telemetry::{emit, Clock, MetricsSink, MonotonicClock, NullSink, Snapshot, SpanRecorder, Stage};
 
+use crate::backend::ServeShape;
 use crate::config::{Backpressure, ServeConfig};
 use crate::control::{ControlAction, Controller, SpfClass};
 use crate::error::ServeError;
@@ -215,9 +217,9 @@ pub struct ServeRuntime {
     stop: StopFlag,
     control: Arc<ControlState>,
     next_seq: AtomicU64,
-    /// `(n_inputs, n_classes)` per tenant model (one entry on solo
-    /// runtimes).
-    model_dims: Vec<(usize, usize)>,
+    /// The shape at construction: what [`ServeShape::admit`] checks
+    /// requests against ([`ServeRuntime::shape`] adds the live knobs).
+    shape: ServeShape,
     started: Instant,
     cfg: ServeConfig,
 }
@@ -306,7 +308,7 @@ impl ServeRuntime {
             ));
         }
         let default = build_set(specs, &cfg, cfg.replicas, 0)?;
-        let model_dims: Vec<(usize, usize)> = (0..default.models())
+        let models: Vec<(usize, usize)> = (0..default.models())
             .map(|m| (default.model(m).n_inputs(), default.model(m).n_classes()))
             .collect();
         let cores = default.core_count();
@@ -337,6 +339,15 @@ impl ServeRuntime {
             sample: AtomicU64::new(0),
             sets,
         });
+        let shape = ServeShape {
+            models,
+            spf: control.spf.iter().map(|s| s.load(Ordering::Relaxed)).collect(),
+            tiers: cfg.tiers.iter().map(|t| t.name.clone()).collect(),
+            replicas: cfg.replicas,
+            kernel_batch: cfg.kernel_batch,
+            queue_capacity: cfg.queue_capacity,
+            cores,
+        };
 
         let clock: Arc<dyn Clock> = Arc::new(MonotonicClock::new());
         let spans = cfg
@@ -347,7 +358,7 @@ impl ServeRuntime {
         let metrics = Arc::new(Metrics::new(
             cfg.workers,
             control.spf.len(),
-            model_dims.len(),
+            shape.models.len(),
             cfg.tiers.len(),
         ));
         let mut workers = Vec::with_capacity(cfg.workers);
@@ -391,58 +402,32 @@ impl ServeRuntime {
             stop,
             control,
             next_seq: AtomicU64::new(0),
-            model_dims,
+            shape,
             started: Instant::now(),
             cfg,
         })
     }
 
-    /// Input channels each request must provide (tenant model 0 on
-    /// packed runtimes; see [`ServeRuntime::model_n_inputs`]).
-    pub fn n_inputs(&self) -> usize {
-        self.model_dims[0].0
-    }
-
-    /// Classes voted on per request (tenant model 0 on packed runtimes).
-    pub fn n_classes(&self) -> usize {
-        self.model_dims[0].1
-    }
-
-    /// Number of tenant models this runtime serves (1 unless built with
-    /// [`ServeRuntime::new_packed`] over several specs).
-    pub fn models(&self) -> usize {
-        self.model_dims.len()
-    }
-
-    /// Whether this runtime serves several tenants from one packed chip.
-    pub fn is_packed(&self) -> bool {
-        self.models() > 1
-    }
-    /// Input channels tenant `model` expects, `None` if out of range.
-    pub fn model_n_inputs(&self, model: usize) -> Option<usize> {
-        self.model_dims.get(model).map(|&(n, _)| n)
-    }
-
-    /// Classes tenant `model` votes on, `None` if out of range.
-    pub fn model_n_classes(&self, model: usize) -> Option<usize> {
-        self.model_dims.get(model).map(|&(_, c)| c)
+    /// What this runtime serves, with the live replica count, fusion
+    /// width, per-class spf and cores (the controller moves those).
+    pub fn shape(&self) -> ServeShape {
+        let control = &self.control;
+        ServeShape {
+            models: self.shape.models.clone(),
+            spf: control.spf.iter().map(|s| s.load(Ordering::Relaxed)).collect(),
+            tiers: self.shape.tiers.clone(),
+            replicas: control.replicas.load(Ordering::Relaxed),
+            kernel_batch: control.kernel_batch.load(Ordering::Relaxed),
+            queue_capacity: self.shape.queue_capacity,
+            cores: self.cores(),
+        }
     }
 
     /// The runtime's configuration (the *initial* knob values; see
-    /// [`ServeRuntime::kernel_batch`] and [`ServeRuntime::replicas`] for
-    /// the live values under adaptive control).
+    /// [`ServeRuntime::shape`] for the live values under adaptive
+    /// control).
     pub fn config(&self) -> &ServeConfig {
         &self.cfg
-    }
-
-    /// Kernel fusion width currently in force.
-    pub fn kernel_batch(&self) -> usize {
-        self.control.kernel_batch.load(Ordering::Relaxed)
-    }
-
-    /// Replica count currently in force.
-    pub fn replicas(&self) -> usize {
-        self.control.replicas.load(Ordering::Relaxed)
     }
 
     /// Chip cores occupied by the live deployment (all replicas; moves
@@ -452,22 +437,6 @@ impl ServeRuntime {
     /// fleet-level energy.
     pub fn cores(&self) -> usize {
         self.control.cores.load(Ordering::Relaxed)
-    }
-
-    /// Live ticks-per-frame for each request class. Always at least one
-    /// entry; without configured spf classes the single entry is pinned
-    /// at [`ServeConfig::spf`].
-    pub fn spf_per_class(&self) -> Vec<usize> {
-        self.control
-            .spf
-            .iter()
-            .map(|s| s.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// Number of request classes this runtime serves (≥ 1).
-    pub fn n_spf_classes(&self) -> usize {
-        self.control.spf.len()
     }
 
     /// Replica rebuilds the observer attempted that failed (the scale
@@ -546,9 +515,10 @@ impl ServeRuntime {
         self.submit_inner(request.into())
     }
 
-    /// The one real submission path: validate routing and inputs, claim
-    /// a sequence number, enqueue.
+    /// The one real submission path: admit the request, claim a
+    /// sequence number, enqueue.
     fn submit_inner(&self, request: SubmitRequest) -> Result<RequestHandle, ServeError> {
+        self.shape.admit(&request)?;
         let SubmitRequest {
             frame: inputs,
             model,
@@ -557,47 +527,15 @@ impl ServeRuntime {
             seq: seq_override,
             ..
         } = request;
-        let Some(&(n_inputs, _)) = self.model_dims.get(model) else {
-            return Err(ServeError::UnknownModel {
-                model,
-                models: self.model_dims.len(),
-            });
-        };
-        if class >= self.control.spf.len() {
-            return Err(ServeError::UnknownClass {
-                class,
-                classes: self.control.spf.len(),
-            });
-        }
-        let set = match &quality {
-            None => 0,
-            Some(name) => {
-                let Some(set) = self
-                    .control
-                    .sets
-                    .iter()
-                    .position(|s| s.tier.as_ref().is_some_and(|t| t.name == *name))
-                else {
-                    return Err(ServeError::UnknownQuality {
-                        quality: name.clone(),
-                        tiers: self.tier_names(),
-                    });
-                };
-                set
-            }
-        };
-        if inputs.len() != n_inputs {
-            return Err(ServeError::BadInput {
-                expected: n_inputs,
-                got: inputs.len(),
-            });
-        }
-        if let Some(channel) = inputs.iter().position(|v| !(0.0..=1.0).contains(v)) {
-            return Err(ServeError::InputOutOfRange {
-                channel,
-                value: inputs[channel],
-            });
-        }
+        // Set 0 is the default operating point; set `t + 1` is tier `t`.
+        let set = quality.map_or(0, |name| {
+            1 + self
+                .shape
+                .tiers
+                .iter()
+                .position(|t| *t == name)
+                .expect("admitted tier")
+        });
         // Shard-addressable submission: an explicit seq (from a fleet
         // router that owns the global counter) is honored verbatim; the
         // local counter is advanced past it so occasional mixing with
@@ -658,16 +596,6 @@ impl ServeRuntime {
         self.submit(request)?.wait()
     }
 
-    /// Names of the configured quality tiers, in table order (empty
-    /// without [`ServeConfig::tiers`]).
-    pub fn tier_names(&self) -> Vec<String> {
-        self.control
-            .sets
-            .iter()
-            .filter_map(|s| s.tier.as_ref().map(|t| t.name.clone()))
-            .collect()
-    }
-
     /// Fit each tier's margin → confidence [`CalibrationMap`] from a
     /// held-out labelled set, on the calling thread.
     ///
@@ -695,19 +623,9 @@ impl ServeRuntime {
             return Ok(());
         }
         for (x, _) in frames {
-            if x.len() != self.n_inputs() {
-                return Err(ServeError::BadInput {
-                    expected: self.n_inputs(),
-                    got: x.len(),
-                });
-            }
-            if let Some(channel) = x.iter().position(|v| !(0.0..=1.0).contains(v)) {
-                return Err(ServeError::InputOutOfRange {
-                    channel,
-                    value: x[channel],
-                });
-            }
+            self.shape.admit(&SubmitRequest::new(x.clone()))?;
         }
+        let n_classes = self.shape.models[0].1;
         for set in &self.control.sets[1..] {
             let mut dep = (*set.proto()).clone();
             let spf = set.tier.as_ref().expect("sets 1.. are tiers").spf;
@@ -718,14 +636,13 @@ impl ServeRuntime {
                     .enumerate()
                     .map(|(k, (x, _))| {
                         let i = (ci * 16 + k) as u64;
-                        let frame_seed = splitmix64(
-                            self.cfg.seed
-                                ^ i.wrapping_mul(0x9E37_79B9)
-                                ^ CALIBRATION_SALT,
-                        );
                         PackedFrame {
                             model: 0,
-                            frame: FrameInput::new(x, spf, frame_seed),
+                            frame: FrameInput::new(
+                                x,
+                                spf,
+                                frame_seed(self.cfg.seed ^ CALIBRATION_SALT, i),
+                            ),
                         }
                     })
                     .collect();
@@ -738,7 +655,7 @@ impl ServeRuntime {
                         spf,
                         0,
                         votes.ticks,
-                        self.n_classes(),
+                        n_classes,
                         &votes.counts,
                         Instant::now(),
                     );
@@ -785,7 +702,7 @@ impl ServeRuntime {
         else {
             return Err(ServeError::UnknownQuality {
                 quality: quality.to_string(),
-                tiers: self.tier_names(),
+                tiers: self.shape.tiers.clone(),
             });
         };
         set.swap(build_set(&self.control.specs, &self.cfg, tier.replicas, sample)?);
@@ -807,6 +724,13 @@ impl ServeRuntime {
             capacity: self.cfg.queue_capacity,
             in_flight: submitted.saturating_sub(completed),
         }
+    }
+
+    /// Model-estimated chip energy per served frame, in joules: equal to
+    /// `metrics().joules_per_frame()`, from four atomic loads instead of
+    /// a full snapshot.
+    pub fn joules_per_frame(&self) -> f64 {
+        self.metrics.joules_per_frame(self.cores())
     }
 
     /// Snapshot the runtime's counters.
@@ -1260,11 +1184,7 @@ fn worker_loop(
                     .zip(&spfs)
                     .map(|((job, _), &spf)| PackedFrame {
                         model: job.model,
-                        frame: FrameInput::new(
-                            &job.inputs,
-                            spf,
-                            splitmix64(cfg.seed ^ job.seq.wrapping_mul(0x9E37_79B9)),
-                        ),
+                        frame: FrameInput::new(&job.inputs, spf, frame_seed(cfg.seed, job.seq)),
                     })
                     .collect();
                 let kernel_from = telemetry.map(|t| t.clock.now_ns());
@@ -1629,6 +1549,16 @@ mod tests {
     }
 
     #[test]
+    fn joules_per_frame_equals_the_snapshot_value() {
+        let rt = runtime(ServeConfig::builder(5).replicas(2).workers(2).build().expect("cfg"));
+        assert_eq!(rt.joules_per_frame(), 0.0, "nothing served yet");
+        serve_n(&rt, 12);
+        let jpf = rt.joules_per_frame();
+        assert!(jpf > 0.0);
+        assert_eq!(jpf.to_bits(), rt.metrics().joules_per_frame().to_bits());
+    }
+
+    #[test]
     fn queue_stats_track_admission_load() {
         let rt = runtime(
             ServeConfig::builder(3)
@@ -1728,7 +1658,7 @@ mod tests {
         scaled
             .apply_control(&ControlAction::SetReplicas(3))
             .expect("rescale");
-        assert_eq!(scaled.replicas(), 3);
+        assert_eq!(scaled.shape().replicas, 3);
         let got = serve_n(&scaled, 24);
         assert_eq!(
             got.iter().map(|r| r.3.len()).max(),
@@ -1758,7 +1688,7 @@ mod tests {
         let rt = mk();
         rt.apply_control(&ControlAction::SetKernelBatch(3))
             .expect("set width");
-        assert_eq!(rt.kernel_batch(), 3);
+        assert_eq!(rt.shape().kernel_batch, 3);
         let narrow = serve_n(&rt, 24);
         rt.shutdown();
         let rt = mk();
@@ -1799,8 +1729,7 @@ mod tests {
                 .build()
                 .expect("cfg"),
         );
-        assert_eq!(rt.n_spf_classes(), 2);
-        assert_eq!(rt.spf_per_class(), vec![8, 8]);
+        assert_eq!(rt.shape().spf, vec![8, 8]);
         // Unknown class is refused up front.
         assert_eq!(
             rt.submit(SubmitRequest::new(vec![1.0, 0.0]).class(2))
@@ -1813,7 +1742,7 @@ mod tests {
         // Move class 1's spf; class 0 is untouched.
         rt.apply_control(&ControlAction::SetSpf { class: 1, spf: 16 })
             .expect("set spf");
-        assert_eq!(rt.spf_per_class(), vec![8, 16]);
+        assert_eq!(rt.shape().spf, vec![8, 16]);
         let r1 = rt
             .submit(SubmitRequest::new(vec![0.0, 1.0]).class(1))
             .expect("submit")
@@ -1826,7 +1755,7 @@ mod tests {
         // unknown classes are refused.
         rt.apply_control(&ControlAction::SetSpf { class: 0, spf: 1024 })
             .expect("clamp");
-        assert_eq!(rt.spf_per_class()[0], 32, "clamped to spf_max");
+        assert_eq!(rt.shape().spf[0], 32, "clamped to spf_max");
         assert!(matches!(
             rt.apply_control(&ControlAction::SetSpf { class: 0, spf: 0 }),
             Err(ServeError::BadConfig(msg)) if msg.contains("spf")
@@ -1909,11 +1838,7 @@ mod tests {
         };
         let specs = [xor_free_spec(), three_class_spec()];
         let packed = ServeRuntime::new_packed(&specs, cfg()).expect("packed runtime");
-        assert!(packed.is_packed());
-        assert_eq!(packed.models(), 2);
-        assert_eq!(packed.model_n_inputs(0), Some(2));
-        assert_eq!(packed.model_n_inputs(1), Some(3));
-        assert_eq!(packed.model_n_classes(1), Some(3));
+        assert_eq!(packed.shape().models, vec![(2, 2), (3, 3)]);
         let mut handles = Vec::new();
         for i in 0..12 {
             let x = (i % 5) as f32 / 4.0;
@@ -2021,7 +1946,7 @@ mod tests {
         let cores = rt.cores();
         rt.apply_control(&ControlAction::SetReplicas(2))
             .expect("packed runtimes rescale");
-        assert_eq!((rt.replicas(), rt.cores()), (2, 2 * cores));
+        assert_eq!((rt.shape().replicas, rt.cores()), (2, 2 * cores));
         let serve_both = |rt: &ServeRuntime| -> Vec<_> {
             (1..9u64)
                 .map(|seq| {
@@ -2054,7 +1979,7 @@ mod tests {
             rt.apply_control(&ControlAction::SetReplicas(3000)),
             Err(ServeError::Pack(_))
         ));
-        assert_eq!((rt.replicas(), rt.cores()), (2, 2 * cores));
+        assert_eq!((rt.shape().replicas, rt.cores()), (2, 2 * cores));
         let again = serve_both(&rt);
         let snap = rt.shutdown();
         assert_eq!(snap.completed, 17);
@@ -2071,8 +1996,7 @@ mod tests {
     #[test]
     fn solo_runtime_serves_model_zero_only() {
         let rt = runtime(ServeConfig::new(4));
-        assert!(!rt.is_packed());
-        assert_eq!(rt.models(), 1);
+        assert_eq!(rt.shape().models.len(), 1);
         assert_eq!(
             rt.submit(SubmitRequest::new(vec![0.5, 0.5]).model(1))
                 .unwrap_err(),
@@ -2191,7 +2115,7 @@ mod tests {
     #[test]
     fn tier_routing_serves_named_operating_points() {
         let rt = runtime(tier_cfg(41).build().expect("cfg"));
-        assert_eq!(rt.tier_names(), vec!["fast", "certain"]);
+        assert_eq!(rt.shape().tiers, vec!["fast", "certain"]);
         // Unknown tiers are refused up front, naming the live table.
         assert_eq!(
             rt.submit(SubmitRequest::new(vec![1.0, 0.0]).quality("turbo"))

@@ -355,7 +355,7 @@ fn adaptive_spf_cell(
         }
     }
     let wall = t0.elapsed();
-    let final_spf = rt.spf_per_class()[0];
+    let final_spf = rt.shape().spf[0];
     let snap = rt.shutdown();
     assert_eq!(snap.completed, n_requests as u64, "drain served everything");
     Ok((
@@ -1013,8 +1013,8 @@ fn adaptive_run(
         n_requests,
         wall,
         n_requests as f64 / wall.as_secs_f64(),
-        rt.kernel_batch(),
-        rt.replicas(),
+        rt.shape().kernel_batch,
+        rt.shape().replicas,
     );
     let snap = rt.shutdown();
     println!(

@@ -108,6 +108,13 @@ TN_TRAIN=200 TN_TEST=60 TN_EPOCHS=1 TN_GATEWAY_CLIENTS=3 TN_GATEWAY_REQUESTS=24 
 cargo run --release -q -p tn-telemetry --bin snapshot_check -- - --min 1 \
   < "$GATEWAY_TRAIL"
 
+echo "== benchmark harness: perfbench builds and its unit tests pass =="
+# perfbench is a workspace of its own that tier 1 never compiles; build
+# and unit-test it here so an API change in the serving crates cannot
+# break the benchmark harness unseen.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "== lint gate: clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
 

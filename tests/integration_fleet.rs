@@ -11,6 +11,8 @@
 //!   without dropping anything;
 //! * a cut shard connection re-routes its in-flight requests to the
 //!   survivors, still bit-identically;
+//! * a request the fleet refuses gets the solo runtime's typed error,
+//!   and claims no seq;
 //! * the aggregated heartbeat trail is a valid snapshot stream;
 //! * `tn-gateway` serves a fleet through `Gateway::bind_backend` over
 //!   real TCP.
@@ -25,7 +27,7 @@ use tn_fleet::{DispatchPolicy, FleetConfig, FleetRouter, LocalFleet, ShardServer
 use tn_gateway::{Gateway, GatewayConfig};
 use tn_serve::pipe::duplex;
 use tn_serve::{
-    ControlAction, Response, ServeBackend, ServeConfig, ServeRuntime, SubmitRequest,
+    ControlAction, QualityTier, Response, ServeBackend, ServeConfig, ServeRuntime, SubmitRequest,
     TelemetryConfig,
 };
 use tn_telemetry::{json, LatestSink, ManualClock, MemorySink, NullSink, Snapshot};
@@ -154,6 +156,61 @@ fn three_class_spec() -> NetworkDeploySpec {
 }
 
 #[test]
+fn fleet_rejects_mixed_fault_requests_with_the_solo_error() {
+    // Requests that break two admission rules at once: the fleet must
+    // name the same fault a solo runtime names (the runtime's check
+    // order: model, class, quality, width, range), and a rejected
+    // request claims no seq on either side.
+    let cfg = ServeConfig::builder(61)
+        .replicas(2)
+        .workers(1)
+        .tier(QualityTier::new("fast", 1, 4))
+        .tier(QualityTier::new("certain", 3, 8))
+        .build()
+        .expect("valid config");
+    let solo = ServeRuntime::new(&fractional_spec(), cfg.clone()).expect("solo deploy");
+    let fleet =
+        LocalFleet::launch(&fractional_spec(), 2, FleetConfig::new(cfg)).expect("launch fleet");
+    let cases = [
+        ("bad width + unknown class", SubmitRequest::new(vec![0.5]).class(9)),
+        (
+            "out-of-range input + unknown quality",
+            SubmitRequest::new(vec![0.5, 1.5]).quality("turbo"),
+        ),
+        ("bad width + unknown quality", SubmitRequest::new(vec![0.5]).quality("turbo")),
+        ("unknown model + bad width", SubmitRequest::new(vec![0.5]).model(1)),
+        (
+            "out-of-range input + unknown class",
+            SubmitRequest::new(vec![-0.5, 0.5]).class(1),
+        ),
+        (
+            "unknown class + unknown quality",
+            SubmitRequest::new(vec![0.5, 0.5]).class(2).quality("turbo"),
+        ),
+    ];
+    for (what, request) in cases {
+        let want = solo.submit(request.clone()).expect_err("solo must reject");
+        let got = fleet
+            .router()
+            .submit_request(request)
+            .expect_err("fleet must reject");
+        assert_eq!(got, want, "{what}: fleet and solo disagree");
+    }
+    let valid = SubmitRequest::new(request_inputs(3)).quality("certain");
+    let want = solo.classify(valid.clone()).expect("solo answer");
+    let got = fleet
+        .router()
+        .submit_request(valid)
+        .expect("fleet submit")
+        .wait()
+        .expect("fleet answer");
+    assert_eq!(want.seq, 0, "a rejected request consumed a solo seq");
+    assert_eq!(identity_key(&got), identity_key(&want));
+    solo.shutdown();
+    fleet.shutdown();
+}
+
+#[test]
 fn packed_shards_answer_each_tenant_like_a_solo_runtime_at_the_same_seq() {
     // Two packed two-tenant runtimes as fleet shards: the router pins
     // every seq, and each tenant answers fleet seq `s` exactly as a solo
@@ -176,7 +233,7 @@ fn packed_shards_answer_each_tenant_like_a_solo_runtime_at_the_same_seq() {
         conns.push(router_end);
     }
     let router = FleetRouter::connect(conns, FleetConfig::new(serve_cfg())).expect("connect");
-    assert!(router.is_packed());
+    assert!(router.shape().models.len() > 1);
     let handles: Vec<_> = (0..24u64)
         .map(|seq| {
             router
@@ -254,11 +311,11 @@ fn rolling_rescale_is_invisible_in_the_answer_stream() {
         .into_iter()
         .map(|h| h.wait().expect("fleet answer"))
         .collect();
-    assert_eq!(fleet.router().replicas(), 3, "pre-roll replica gauge");
+    assert_eq!(fleet.router().shape().replicas, 3, "pre-roll replica gauge");
     // Energy attribution: 2 shards × 1 core/replica × 3 replicas.
     assert_eq!(fleet.router().metrics().energy.cores, 6, "pre-roll powered cores");
     fleet.router().set_replicas(5).expect("rolling rescale");
-    assert_eq!(fleet.router().replicas(), 5, "post-roll replica gauge");
+    assert_eq!(fleet.router().shape().replicas, 5, "post-roll replica gauge");
     // The per-shard core gauge tracked the roll: attribution follows the
     // shards' *current* deployment, not their connect-time Hello.
     assert_eq!(fleet.router().metrics().energy.cores, 10, "post-roll powered cores");
@@ -282,7 +339,7 @@ fn rolling_rescale_is_invisible_in_the_answer_stream() {
     }
     // Every shard really swapped: their runtimes agree on the new count.
     for i in 0..fleet.n_shards() {
-        assert_eq!(fleet.shard(i).runtime().replicas(), 5, "shard {i}");
+        assert_eq!(fleet.shard(i).runtime().shape().replicas, 5, "shard {i}");
     }
     fleet.shutdown();
 }
@@ -452,6 +509,38 @@ fn aggregated_heartbeat_trail_is_a_valid_snapshot_stream() {
 }
 
 #[test]
+fn router_joules_per_frame_equals_its_snapshot_value() {
+    let mut cfg = serve_cfg();
+    cfg.telemetry = Some(TelemetryConfig {
+        interval: Duration::from_millis(2),
+        span_ring: 64,
+    });
+    let fleet =
+        LocalFleet::launch(&fractional_spec(), 2, FleetConfig::new(cfg)).expect("launch fleet");
+    let router = fleet.router();
+    assert_eq!(router.joules_per_frame(), 0.0, "nothing served yet");
+    for i in 0..12 {
+        router
+            .submit_request(SubmitRequest::new(request_inputs(i)))
+            .expect("fleet submit")
+            .wait()
+            .expect("fleet answer");
+    }
+    // The router folds chip counters from heartbeats: wait until they
+    // cover every tick the shards ran, after which nothing moves.
+    let shard_ticks: u64 = (0..2).map(|i| fleet.shard(i).runtime().metrics().ticks).sum();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while router.metrics().ticks < shard_ticks {
+        assert!(Instant::now() < deadline, "heartbeats never caught up");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let jpf = router.joules_per_frame();
+    assert!(jpf > 0.0);
+    assert_eq!(jpf.to_bits(), router.metrics().joules_per_frame().to_bits());
+    fleet.shutdown();
+}
+
+#[test]
 fn gateway_serves_a_fleet_backend_over_tcp() {
     let mut cfg = serve_cfg();
     cfg.telemetry = Some(TelemetryConfig {
@@ -507,6 +596,15 @@ fn gateway_serves_a_fleet_backend_over_tcp() {
     client.read_to_string(&mut reply).expect("receive");
     assert!(reply.starts_with("HTTP/1.1 200 OK"), "{reply}");
     let payload = reply.split("\r\n\r\n").nth(1).expect("body");
+    assert_eq!(
+        payload,
+        "{\"schema\":\"tn-gateway/1\",\"model\":{\"n_inputs\":2,\"n_classes\":2,\"replicas\":3},\
+         \"models\":[{\"id\":0,\"n_inputs\":2,\"n_classes\":2}],\"packed\":false,\"tiers\":[],\
+         \"serve\":{\"workers\":2,\"spf\":[8],\"seed\":77,\"queue_capacity\":256,\"batch_max\":16,\
+         \"kernel_batch\":8,\"backpressure\":\"block\",\"connectivity\":\"IndependentPerCopy\",\
+         \"telemetry\":true}}",
+        "the fleet's /v1/config body, byte for byte"
+    );
     let v = json::parse(payload).expect("valid JSON");
     assert_eq!(
         v.get("model")

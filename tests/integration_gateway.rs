@@ -583,7 +583,16 @@ fn packed_gateway_routes_models_and_rejects_unknown_ids() {
     client
         .write_all(b"GET /v1/config HTTP/1.1\r\n\r\n")
         .expect("send config");
-    let config = read_responses(&mut client, 1).remove(0).json();
+    let config_resp = read_responses(&mut client, 1).remove(0);
+    assert_eq!(
+        config_resp.body,
+        "{\"schema\":\"tn-gateway/1\",\"model\":{\"n_inputs\":2,\"n_classes\":2,\"replicas\":2},\
+         \"models\":[{\"id\":0,\"n_inputs\":2,\"n_classes\":2},{\"id\":1,\"n_inputs\":3,\"n_classes\":2}],\
+         \"packed\":true,\"tiers\":[],\"serve\":{\"workers\":2,\"spf\":[8],\"seed\":23,\
+         \"queue_capacity\":256,\"batch_max\":16,\"kernel_batch\":8,\"backpressure\":\"reject\",\
+         \"connectivity\":\"IndependentPerCopy\",\"telemetry\":false}}"
+    );
+    let config = config_resp.json();
     drop(client);
     assert_eq!(config.get("packed"), Some(&JsonValue::Bool(true)));
     let models = config
@@ -717,7 +726,21 @@ fn tiered_gateway_serves_quality_keys_and_structured_errors() {
     client
         .write_all(b"GET /v1/config HTTP/1.1\r\n\r\n")
         .expect("send config");
-    let config = read_responses(&mut client, 1).remove(0).json();
+    let config_resp = read_responses(&mut client, 1).remove(0);
+    // The exact body, byte for byte: the shape the runtime serves plus
+    // the config it was built from.
+    assert_eq!(
+        config_resp.body,
+        "{\"schema\":\"tn-gateway/1\",\"model\":{\"n_inputs\":2,\"n_classes\":2,\"replicas\":1},\
+         \"models\":[{\"id\":0,\"n_inputs\":2,\"n_classes\":2}],\"packed\":false,\
+         \"tiers\":[{\"name\":\"fast\",\"replicas\":1,\"spf\":2,\"kernel_batch\":0,\
+         \"confidence_target\":2,\"escalate_to\":\"certain\"},{\"name\":\"certain\",\"replicas\":4,\
+         \"spf\":8,\"kernel_batch\":0,\"confidence_target\":0,\"escalate_to\":null}],\
+         \"serve\":{\"workers\":2,\"spf\":[8],\"seed\":83,\"queue_capacity\":256,\"batch_max\":16,\
+         \"kernel_batch\":8,\"backpressure\":\"reject\",\"connectivity\":\"IndependentPerCopy\",\
+         \"telemetry\":false}}"
+    );
+    let config = config_resp.json();
     drop(client);
     let tiers = config
         .get("tiers")

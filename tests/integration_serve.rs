@@ -5,7 +5,7 @@
 use std::time::Duration;
 
 use tn_chip::nscs::{CoreDeploySpec, InputSource};
-use tn_chip::prng::splitmix64;
+use tn_chip::prng::frame_seed;
 use tn_serve::vote_margin;
 use truenorth::prelude::*;
 
@@ -72,7 +72,7 @@ fn serving_is_deterministic_across_worker_counts() {
 fn serving_matches_offline_deployment_bit_exactly() {
     // The runtime promises: result of request `seq` == running the same
     // frame on an offline deployment built from (spec, seed, replicas),
-    // with frame seed splitmix64(seed ^ seq · 0x9E37_79B9).
+    // with the frame seed `frame_seed(seed, seq)`.
     let spec = fractional_spec();
     let (seed, replicas, spf) = (23u64, 2usize, 8usize);
     let rt = ServeRuntime::new(
@@ -89,9 +89,8 @@ fn serving_matches_offline_deployment_bit_exactly() {
     for i in 0..12usize {
         let inputs = request_inputs(i);
         let served = rt.classify(inputs.clone()).expect("serve");
-        let frame_seed = splitmix64(seed ^ served.seq.wrapping_mul(0x9E37_79B9));
         let votes = offline
-            .run_frames(&[FrameInput::new(&inputs, spf, frame_seed)])
+            .run_frames(&[FrameInput::new(&inputs, spf, frame_seed(seed, served.seq))])
             .pop()
             .expect("one frame");
         let pooled: Vec<u64> = (0..spec.n_classes)

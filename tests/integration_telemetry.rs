@@ -111,7 +111,7 @@ fn rescaled_runtime_serves_like_a_fresh_one() {
     scaled
         .apply_control(&ControlAction::SetReplicas(4))
         .expect("rescale");
-    assert_eq!(scaled.replicas(), 4);
+    assert_eq!(scaled.shape().replicas, 4);
     let got = serve_all(&scaled);
     scaled.shutdown();
 
@@ -166,7 +166,7 @@ fn rescale_stays_bit_identical_with_spf_actuator_enabled() {
     scaled
         .apply_control(&ControlAction::SetReplicas(4))
         .expect("rescale");
-    assert_eq!(scaled.replicas(), 4);
+    assert_eq!(scaled.shape().replicas, 4);
     actuate(&scaled);
     let got = serve_all(&scaled);
     scaled.shutdown();
@@ -217,10 +217,10 @@ fn controller_widens_kernel_batch_under_sustained_backlog() {
         .map(|i| rt.submit(frame(spec.n_inputs, i)).expect("submit"))
         .collect();
     let deadline = Instant::now() + Duration::from_secs(20);
-    while rt.kernel_batch() == 1 && Instant::now() < deadline {
+    while rt.shape().kernel_batch == 1 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(2));
     }
-    let widened = rt.kernel_batch();
+    let widened = rt.shape().kernel_batch;
     for h in handles {
         h.wait().expect("serve");
     }
