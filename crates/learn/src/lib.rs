@@ -63,6 +63,7 @@ pub mod model;
 pub mod optimizer;
 pub mod penalty;
 pub mod persist;
+mod pool;
 pub mod trainer;
 
 /// Convenient glob-import of the commonly used types.

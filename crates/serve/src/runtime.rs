@@ -53,6 +53,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use tn_chip::exec::parallel_chunks;
 use tn_chip::nscs::{Deployment, FrameInput, NetworkDeploySpec};
 use tn_chip::pack::{PackedDeployment, PackedFrame};
 use tn_chip::prng::frame_seed;
@@ -597,7 +598,7 @@ impl ServeRuntime {
     }
 
     /// Fit each tier's margin → confidence [`CalibrationMap`] from a
-    /// held-out labelled set, on the calling thread.
+    /// held-out labelled set.
     ///
     /// Every `(frame, label)` pair is served once per tier on a clone of
     /// that tier's deployment set (as model 0) at the tier's spf, seeded from a
@@ -605,6 +606,12 @@ impl ServeRuntime {
     /// observed (vote margin, was-correct) pairs are fitted with binned
     /// isotonic regression ([`CalibrationMap::fit`]). Until this runs,
     /// tiers report the raw margin as confidence (identity map).
+    ///
+    /// Each tier's frames are split into contiguous ranges served on
+    /// scoped threads, one prototype clone per range. A frame's seed
+    /// depends only on its index in `frames`, and the ranges' samples are
+    /// joined in frame order, so the fitted map is the one a single
+    /// in-order pass fits.
     ///
     /// Workers pick the new maps up on their next micro-batch; serving
     /// results (votes, predictions) are unaffected — only the reported
@@ -615,57 +622,71 @@ impl ServeRuntime {
     /// [`ServeError::BadInput`] / [`ServeError::InputOutOfRange`] on a
     /// malformed frame. A runtime without tiers (or an empty `frames`)
     /// returns `Ok(())` untouched.
-    pub fn calibrate_tiers(
-        &self,
-        frames: &[(Vec<f32>, usize)],
-    ) -> Result<(), ServeError> {
+    pub fn calibrate_tiers(&self, frames: &[(Vec<f32>, usize)]) -> Result<(), ServeError> {
         if self.cfg.tiers.is_empty() || frames.is_empty() {
             return Ok(());
         }
         for (x, _) in frames {
             self.shape.admit(&SubmitRequest::new(x.clone()))?;
         }
-        let n_classes = self.shape.models[0].1;
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
         for set in &self.control.sets[1..] {
-            let mut dep = (*set.proto()).clone();
+            let proto = set.proto();
             let spf = set.tier.as_ref().expect("sets 1.. are tiers").spf;
-            let mut samples = Vec::with_capacity(frames.len());
-            for (ci, chunk) in frames.chunks(16).enumerate() {
-                let inputs: Vec<PackedFrame> = chunk
-                    .iter()
-                    .enumerate()
-                    .map(|(k, (x, _))| {
-                        let i = (ci * 16 + k) as u64;
-                        PackedFrame {
-                            model: 0,
-                            frame: FrameInput::new(
-                                x,
-                                spf,
-                                frame_seed(self.cfg.seed ^ CALIBRATION_SALT, i),
-                            ),
-                        }
-                    })
-                    .collect();
-                let results = dep.run_frames(&inputs);
-                for ((_, label), votes) in chunk.iter().zip(results) {
-                    let r = tally(
-                        0,
-                        0,
-                        0,
-                        spf,
-                        0,
-                        votes.ticks,
-                        n_classes,
-                        &votes.counts,
-                        Instant::now(),
-                    );
-                    samples.push((vote_margin(&r.votes), r.predicted == *label));
-                }
-            }
+            let ranges = parallel_chunks(frames.len(), threads, |range| {
+                Ok::<_, ()>(self.calibration_samples(&proto, spf, frames, range))
+            })
+            .expect("calibration ranges are infallible");
+            let samples: Vec<(f32, bool)> = ranges.into_iter().flatten().collect();
             let map = CalibrationMap::fit(&samples, 8);
             *set.calibration.lock().expect("calibration lock") = Arc::new(map);
         }
         Ok(())
+    }
+
+    /// The (vote margin, was-correct) samples of `frames[range]`, served
+    /// on one clone of `proto` at `spf`. Frame `i` is seeded by its index
+    /// in `frames`, whatever range it is served in.
+    fn calibration_samples(
+        &self,
+        proto: &PackedDeployment,
+        spf: usize,
+        frames: &[(Vec<f32>, usize)],
+        range: std::ops::Range<usize>,
+    ) -> Vec<(f32, bool)> {
+        let n_classes = self.shape.models[0].1;
+        let mut dep = proto.clone();
+        let mut samples = Vec::with_capacity(range.len());
+        for start in range.clone().step_by(16) {
+            let chunk = start..(start + 16).min(range.end);
+            let inputs: Vec<PackedFrame> = chunk
+                .clone()
+                .map(|i| PackedFrame {
+                    model: 0,
+                    frame: FrameInput::new(
+                        &frames[i].0,
+                        spf,
+                        frame_seed(self.cfg.seed ^ CALIBRATION_SALT, i as u64),
+                    ),
+                })
+                .collect();
+            let results = dep.run_frames(&inputs);
+            for ((_, label), votes) in frames[chunk].iter().zip(results) {
+                let r = tally(
+                    0,
+                    0,
+                    0,
+                    spf,
+                    0,
+                    votes.ticks,
+                    n_classes,
+                    &votes.counts,
+                    Instant::now(),
+                );
+                samples.push((vote_margin(&r.votes), r.predicted == *label));
+            }
+        }
+        samples
     }
 
     /// Swap the *base* (tier-less) deployment set for a fresh Bernoulli
@@ -2110,6 +2131,60 @@ mod tests {
             .workers(2)
             .tier(QualityTier::new("fast", 1, 2))
             .tier(QualityTier::new("certain", 4, 8))
+    }
+
+    /// Calibration spread over threads fits, per tier, the map one
+    /// in-order pass over the frames fits: global frame seeds, samples
+    /// joined in frame order.
+    #[test]
+    fn threaded_calibration_fits_the_single_pass_map() {
+        let rt = runtime(tier_cfg(43).build().expect("cfg"));
+        // 53 frames: uneven ranges, and a last 16-frame chunk cut short.
+        let frames: Vec<(Vec<f32>, usize)> = (0..53)
+            .map(|i| {
+                let x = (i % 11) as f32 / 10.0;
+                (vec![x, 1.0 - x], usize::from(i % 7 == 0) ^ usize::from(x < 0.5))
+            })
+            .collect();
+        rt.calibrate_tiers(&frames).expect("calibrate");
+        let n_classes = rt.shape().models[0].1;
+        for set in &rt.control.sets[1..] {
+            let spf = set.tier.as_ref().expect("tier set").spf;
+            let mut dep = (*set.proto()).clone();
+            let mut samples = Vec::new();
+            for (ci, chunk) in frames.chunks(16).enumerate() {
+                let inputs: Vec<PackedFrame> = chunk
+                    .iter()
+                    .enumerate()
+                    .map(|(k, (x, _))| PackedFrame {
+                        model: 0,
+                        frame: FrameInput::new(
+                            x,
+                            spf,
+                            frame_seed(43 ^ CALIBRATION_SALT, (ci * 16 + k) as u64),
+                        ),
+                    })
+                    .collect();
+                for ((_, label), votes) in chunk.iter().zip(dep.run_frames(&inputs)) {
+                    let r = tally(
+                        0,
+                        0,
+                        0,
+                        spf,
+                        0,
+                        votes.ticks,
+                        n_classes,
+                        &votes.counts,
+                        Instant::now(),
+                    );
+                    samples.push((vote_margin(&r.votes), r.predicted == *label));
+                }
+            }
+            let want = CalibrationMap::fit(&samples, 8);
+            assert_ne!(want, CalibrationMap::identity(), "a map worth pinning");
+            assert_eq!(**set.calibration.lock().expect("calibration lock"), want);
+        }
+        rt.shutdown();
     }
 
     #[test]

@@ -23,10 +23,17 @@ done
 echo "== tier 1: workspace tests =="
 cargo test -q
 
-echo "== training bit-identity: golden digests under release codegen =="
+echo "== training bit-identity: golden digests under release codegen, under a time limit =="
 # Tier 1 runs the golden-bits suite in the debug profile; release code is
-# vectorized differently, and trained bits must not depend on that.
-cargo test --release -q -p truenorth --test integration_golden_bits
+# vectorized differently, and trained bits must not depend on that. The
+# suite trains on tn-learn's thread pool, with its tests on parallel
+# threads so that the concurrent-trainers case always runs; the time limit
+# turns a lost helper wake-up into a failure instead of a stalled gate.
+cargo test --release -q -p truenorth --test integration_golden_bits --no-run
+if ! timeout 300 cargo test --release -q -p truenorth --test integration_golden_bits; then
+  echo "FAIL: release golden-bits suite failed or ran past 300 s (a lost pool wake-up?)" >&2
+  exit 1
+fi
 
 echo "== kernel equivalence under release codegen =="
 # Tier 1 runs the kernel suite in the debug profile; the bit-plane and

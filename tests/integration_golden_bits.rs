@@ -12,6 +12,10 @@
 //! (two layers) additionally covers layer 1's input gradient, which
 //! back-propagates into layer 0. `scripts/verify.sh` also runs this suite
 //! in release mode, whose codegen differs from the debug test build.
+//!
+//! A layer's cores train in parallel on `tn-learn`'s thread pool, and a
+//! trainer that finds the pool busy runs its cores inline; the concurrent
+//! test pins both paths to the same digests.
 
 use tn_learn::layer::Layer;
 use truenorth::prelude::*;
@@ -52,8 +56,10 @@ fn trained_digest(id: usize, scale: RunScale, penalty: Penalty, seed: u64) -> u6
     digest(&net)
 }
 
-#[test]
-fn bench1_biased_training_bits_are_pinned() {
+const BENCH1_DIGEST: u64 = 0x931b_976b_696b_a007;
+const BENCH5_DIGEST: u64 = 0xb86d_1e5a_6679_bab1;
+
+fn bench1_digest() -> u64 {
     let scale = RunScale {
         n_train: 300,
         n_test: 10,
@@ -62,15 +68,10 @@ fn bench1_biased_training_bits_are_pinned() {
         threads: 1,
     };
     let penalty = TestBench::new(1, 77).biasing_penalty();
-    let got = trained_digest(1, scale, penalty, 77);
-    assert_eq!(
-        got, 0x931b_976b_696b_a007,
-        "bench 1 trained bits moved: digest {got:#018x}"
-    );
+    trained_digest(1, scale, penalty, 77)
 }
 
-#[test]
-fn bench5_two_layer_training_bits_are_pinned() {
+fn bench5_digest() -> u64 {
     let scale = RunScale {
         n_train: 200,
         n_test: 10,
@@ -78,9 +79,53 @@ fn bench5_two_layer_training_bits_are_pinned() {
         seeds: 1,
         threads: 1,
     };
-    let got = trained_digest(5, scale, Penalty::None, 5);
+    trained_digest(5, scale, Penalty::None, 5)
+}
+
+#[test]
+fn bench1_biased_training_bits_are_pinned() {
+    let got = bench1_digest();
     assert_eq!(
-        got, 0xb86d_1e5a_6679_bab1,
+        got, BENCH1_DIGEST,
+        "bench 1 trained bits moved: digest {got:#018x}"
+    );
+}
+
+#[test]
+fn bench5_two_layer_training_bits_are_pinned() {
+    let got = bench5_digest();
+    assert_eq!(
+        got, BENCH5_DIGEST,
         "bench 5 trained bits moved: digest {got:#018x}"
+    );
+}
+
+/// Two trainers at once: whichever holds the pool spreads its cores over
+/// the helpers while the other runs inline, regions interleave for the
+/// whole run, and both still land on their pinned digests.
+#[test]
+fn concurrent_trainers_keep_their_pinned_bits() {
+    let start = std::sync::Barrier::new(2);
+    let (got1, got5) = std::thread::scope(|s| {
+        let t1 = s.spawn(|| {
+            start.wait();
+            bench1_digest()
+        });
+        let t5 = s.spawn(|| {
+            start.wait();
+            bench5_digest()
+        });
+        (
+            t1.join().expect("bench 1 trainer"),
+            t5.join().expect("bench 5 trainer"),
+        )
+    });
+    assert_eq!(
+        got1, BENCH1_DIGEST,
+        "bench 1 trained bits moved: digest {got1:#018x}"
+    );
+    assert_eq!(
+        got5, BENCH5_DIGEST,
+        "bench 5 trained bits moved: digest {got5:#018x}"
     );
 }

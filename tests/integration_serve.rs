@@ -218,12 +218,15 @@ fn wait_timeout_expires_under_a_saturated_queue_then_recovers() {
     // be served within a tiny deadline, so wait_timeout must report
     // WaitTimeout — specifically, not ShuttingDown and not a panic — and
     // the same handle must still deliver the result once the backlog
-    // clears (the request was never dropped).
+    // clears (the request was never dropped). The backlog must outlast
+    // any preemption of this thread between the submissions and the
+    // wait: at spf 512 the worker drained all 48 frames in under 3 ms,
+    // within one scheduler slice on a loaded 2-vCPU host.
     let rt = ServeRuntime::new(
         &fractional_spec(),
         ServeConfig::builder(7)
             .workers(1)
-            .spf(512)
+            .spf(8192)
             .queue_capacity(64)
             .batch_max(4)
             .build()
