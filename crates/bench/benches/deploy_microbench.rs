@@ -1,10 +1,12 @@
 //! Criterion microbenchmarks of the deployment toolchain: connectivity
-//! sampling + placement (the NSCS build), frame simulation, and deviation
-//! extraction, all on the paper's Fig.-3 four-core network.
+//! sampling + placement (the NSCS build), serving-set builds and worker
+//! checkouts, frame simulation, and deviation extraction, all on the
+//! paper's Fig.-3 four-core network.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;
-use tn_chip::nscs::{Deployment, FrameInput};
+use tn_chip::nscs::{ConnectivityMode, Deployment, FrameInput};
+use tn_chip::pack::PackedDeployment;
 use tn_chip::prng::splitmix64;
 use truenorth::arch::ArchSpec;
 use truenorth::deploy::extract_spec;
@@ -24,6 +26,38 @@ fn bench_build(c: &mut Criterion) {
         group.bench_function(format!("{copies}_copies"), |b| {
             b.iter(|| Deployment::build(&spec, copies, 7).expect("deploy"))
         });
+    }
+    group.finish();
+}
+
+/// Serving-set cost: building the set a `tn-serve` runtime serves from
+/// (`PackedDeployment::build`, what start-up, rescale and resample run)
+/// over bench-1-shaped specs at 1 and 2 tenants and r1 / r4, and one
+/// worker checkout — a clone of the built set.
+fn bench_serving_set(c: &mut Criterion) {
+    let mut group = c.benchmark_group("serving_set");
+    group
+        .sample_size(10)
+        .measurement_time(Duration::from_secs(3));
+    let specs = [fractional_bias_spec(42), fractional_bias_spec(43)];
+    for tenants in [1usize, 2] {
+        for replicas in [1usize, 4] {
+            let build = || {
+                PackedDeployment::build(
+                    &specs[..tenants],
+                    replicas,
+                    7,
+                    ConnectivityMode::IndependentPerCopy,
+                    0,
+                )
+                .expect("serving set")
+            };
+            group.bench_function(format!("build_{tenants}t_r{replicas}"), |b| b.iter(build));
+            let set = build();
+            group.bench_function(format!("checkout_{tenants}t_r{replicas}"), |b| {
+                b.iter(|| set.clone())
+            });
+        }
     }
     group.finish();
 }
@@ -48,11 +82,13 @@ fn bench_frame(c: &mut Criterion) {
     group.finish();
 }
 
-/// `fig3_spec` with every bias fractional. The untrained spec's biases
-/// are all 0, so its neurons never draw; a trained model's neurons each
-/// make a fractional-leak draw every tick, as these do.
-fn fractional_bias_spec() -> tn_chip::nscs::NetworkDeploySpec {
-    let mut spec = fig3_spec();
+/// The Fig.-3 spec of architecture seed `seed` with every bias
+/// fractional. The untrained spec's biases are all 0, so its neurons never
+/// draw; a trained model's neurons each make a fractional-leak draw every
+/// tick, as these do.
+fn fractional_bias_spec(seed: u64) -> tn_chip::nscs::NetworkDeploySpec {
+    let net = ArchSpec::test_bench(1, seed).build().expect("arch");
+    let mut spec = extract_spec(&net).expect("spec");
     for core in &mut spec.cores {
         for (n, b) in core.biases.iter_mut().enumerate() {
             *b = -0.9 + 0.4 * ((n * 7) % 10) as f32 / 10.0;
@@ -71,7 +107,7 @@ fn bench_frames(c: &mut Criterion) {
     group
         .sample_size(10)
         .measurement_time(Duration::from_secs(3));
-    let spec = fractional_bias_spec();
+    let spec = fractional_bias_spec(42);
     let inputs: Vec<f32> = (0..784).map(|i| ((i * 13) % 90) as f32 / 100.0).collect();
     for (copies, spf, batch) in [(1usize, 2usize, 1usize), (4, 8, 1), (4, 8, 8)] {
         let mut dep = Deployment::build(&spec, copies, 7).expect("deploy");
@@ -104,5 +140,12 @@ fn bench_deviation(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_build, bench_frame, bench_frames, bench_deviation);
+criterion_group!(
+    benches,
+    bench_build,
+    bench_serving_set,
+    bench_frame,
+    bench_frames,
+    bench_deviation
+);
 criterion_main!(benches);

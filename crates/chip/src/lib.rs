@@ -23,9 +23,10 @@
 //! * [`placement`] — core-site allocation (the resource §4.3 economizes):
 //!   linear handle allocation plus shelf rectangle packing for multi-tenant
 //!   chips;
-//! * [`pack`] — multi-tenant packing: several deployments on disjoint core
-//!   rectangles of one compiled chip, served through per-tenant lane
-//!   groups, bit-identical to each model deployed solo;
+//! * [`pack`] — the one deployed-network type: one or more tenants on
+//!   disjoint core rectangles of one chip, compiled once and served
+//!   through per-tenant lane groups, bit-identical to each model deployed
+//!   solo;
 //! * [`nscs`] — the deployment toolchain: Bernoulli connectivity sampling,
 //!   spatial copies, frame driving, and Fig.-4 deviation-map extraction;
 //! * [`energy`] — a first-order energy/latency proxy calibrated to the

@@ -150,13 +150,12 @@ pub fn evaluate_grid(
 ) -> Result<GridAccuracy, DeployError> {
     assert_eq!(inputs.rows(), labels.len(), "inputs/labels length mismatch");
     assert!(cfg.copies > 0 && cfg.spf > 0, "grid axes must be nonzero");
-    // Build once to validate and to fail fast before spawning workers.
+    // Sample and compile once; every worker serves a clone.
     let prototype = Deployment::build_with_mode(spec, cfg.copies, cfg.seed, cfg.connectivity)?;
-    drop(prototype);
 
     let n_classes = spec.n_classes;
     let worker = |range: std::ops::Range<usize>| -> Result<GridAccuracy, DeployError> {
-        let mut dep = Deployment::build_with_mode(spec, cfg.copies, cfg.seed, cfg.connectivity)?;
+        let mut dep = prototype.clone();
         let mut grid = GridAccuracy::zeros(cfg.copies, cfg.spf);
         let mut votes = vec![0u64; n_classes];
         for i in range {

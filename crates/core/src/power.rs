@@ -78,10 +78,12 @@ pub fn analyze_energy(
     assert!(copies > 0 && spf > 0, "copies and spf must be nonzero");
     let n_classes = spec.n_classes;
 
+    // Sample and compile once; every worker serves a clone (fresh
+    // counters included).
+    let prototype =
+        Deployment::build_with_mode(spec, copies, seed, ConnectivityMode::IndependentPerCopy)?;
     let worker = |range: std::ops::Range<usize>| -> Result<(usize, u64, u64, u64), DeployError> {
-        let mut dep =
-            Deployment::build_with_mode(spec, copies, seed, ConnectivityMode::IndependentPerCopy)?;
-        dep.reset_counters();
+        let mut dep = prototype.clone();
         let mut correct = 0usize;
         for i in range.clone() {
             let per_tick = dep.run_frame(inputs.row(i), spf, frame_seed(seed, i as u64));

@@ -256,7 +256,7 @@ pub enum ControlAction {
     /// [`crate::ServeRuntime::resample`]).
     Resample {
         /// Ensemble sample index (see
-        /// [`tn_chip::nscs::Deployment::build_with_sample`]).
+        /// [`tn_chip::pack::PackedDeployment::build`]).
         sample: u64,
     },
 }

@@ -33,8 +33,9 @@
 //!   slabs, amortizing per-tick work — the paper's accuracy recipe makes
 //!   every request R replicas × spf ticks of nearly identical crossbar
 //!   work — over the whole micro-batch.
-//! * **Replicas** are the paper's duplication axis: each tenant's
-//!   [`tn_chip::nscs::Deployment`] carries `cfg.replicas` independently
+//! * **Replicas** are the paper's duplication axis: each tenant of a
+//!   deployment set ([`tn_chip::pack::PackedDeployment`], built from the
+//!   specs and compiled once) carries `cfg.replicas` independently
 //!   Bernoulli-sampled spatial copies of the network, and a request's
 //!   prediction is the argmax of their pooled votes.
 //!   [`Response::agreement`] reports how unanimously the replicas voted —

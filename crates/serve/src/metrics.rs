@@ -361,7 +361,8 @@ pub struct MetricsSnapshot {
     pub batches: u64,
     /// Kernel-level lockstep lane batches executed
     /// ([`crate::ServeConfig::kernel_batch`] slices of drained
-    /// micro-batches, each served by one `Deployment::run_frames` call).
+    /// micro-batches, each served by one
+    /// `tn_chip::pack::PackedDeployment::run_frames` call).
     pub kernel_batches: u64,
     /// Total chip ticks across all workers.
     pub ticks: u64,

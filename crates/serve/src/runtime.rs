@@ -54,8 +54,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use tn_chip::exec::parallel_chunks;
-use tn_chip::nscs::{Deployment, FrameInput, NetworkDeploySpec};
-use tn_chip::pack::{PackedDeployment, PackedFrame};
+use tn_chip::nscs::{FrameInput, NetworkDeploySpec};
+use tn_chip::pack::{PackError, PackedDeployment, PackedFrame};
 use tn_chip::prng::frame_seed;
 use tn_telemetry::{emit, Clock, MetricsSink, MonotonicClock, NullSink, Snapshot, SpanRecorder, Stage};
 
@@ -175,20 +175,19 @@ struct ControlState {
 }
 
 /// Build every tenant at `(replicas, sample)` — the build a solo runtime
-/// configured at that point makes — and pack them onto one chip.
+/// configured at that point makes — packed onto one chip and compiled once.
 fn build_set(
     specs: &[NetworkDeploySpec],
     cfg: &ServeConfig,
     replicas: usize,
     sample: u64,
 ) -> Result<PackedDeployment, ServeError> {
-    let deps = specs
-        .iter()
-        .map(|spec| {
-            Deployment::build_with_sample(spec, replicas, cfg.seed, cfg.connectivity, sample)
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    PackedDeployment::pack(&deps).map_err(|e| ServeError::Pack(e.to_string()))
+    PackedDeployment::build(specs, replicas, cfg.seed, cfg.connectivity, sample).map_err(|e| {
+        match e {
+            PackError::Deploy(e) => ServeError::Deploy(e),
+            e => ServeError::Pack(e.to_string()),
+        }
+    })
 }
 
 /// Shutdown signal for the observer thread.
@@ -691,7 +690,7 @@ impl ServeRuntime {
 
     /// Swap the *base* (tier-less) deployment set for a fresh Bernoulli
     /// ensemble draw of every tenant — sample `0` reproduces the original
-    /// build; see `tn_chip::nscs::Deployment::build_with_sample`.
+    /// build; see [`tn_chip::pack::PackedDeployment::build`].
     /// Shorthand for [`ControlAction::Resample`] via
     /// [`ServeRuntime::apply_control`].
     ///

@@ -46,7 +46,7 @@ pub struct QualityTier {
     pub escalate_to: Option<String>,
     /// Ensemble sample index for this tier's deployment: `0` reproduces
     /// the default build; other values realize fresh Bernoulli synapse
-    /// draws (see `Deployment::build_with_sample`).
+    /// draws (see `tn_chip::pack::PackedDeployment::build`).
     pub sample: u64,
 }
 

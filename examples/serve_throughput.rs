@@ -342,31 +342,44 @@ fn adaptive_spf_cell(
     let rt = serve_persisted(path, builder.build()?)?;
     let n_test = data.test_y.len();
     let t0 = Instant::now();
-    let handles: Vec<_> = (0..n_requests)
-        .map(|i| rt.submit(data.test_x.row(i % n_test).to_vec()))
-        .collect::<Result<_, _>>()?;
+    // The adaptive cell keeps submitting waves of `n_requests` until one
+    // wave has been submitted after the controller lowered spf (a short
+    // stream on a fast host can end before the controller first acts),
+    // up to a deadline; the fixed cell serves one wave of the same total.
+    let deadline = t0 + Duration::from_secs(30);
+    let mut served = 0usize;
     let mut correct = 0u64;
     let mut agreement_sum = 0.0f32;
-    for (i, h) in handles.into_iter().enumerate() {
-        let r = h.wait()?;
-        agreement_sum += r.agreement;
-        if r.predicted == data.test_y[i % n_test] {
-            correct += 1;
+    loop {
+        let lowered = rt.shape().spf[0] < spf;
+        let handles: Vec<_> = (served..served + n_requests)
+            .map(|i| rt.submit(data.test_x.row(i % n_test).to_vec()))
+            .collect::<Result<_, _>>()?;
+        for (i, h) in (served..).zip(handles) {
+            let r = h.wait()?;
+            agreement_sum += r.agreement;
+            if r.predicted == data.test_y[i % n_test] {
+                correct += 1;
+            }
+        }
+        served += n_requests;
+        if !adaptive || lowered || Instant::now() >= deadline {
+            break;
         }
     }
     let wall = t0.elapsed();
     let final_spf = rt.shape().spf[0];
     let snap = rt.shutdown();
-    assert_eq!(snap.completed, n_requests as u64, "drain served everything");
+    assert_eq!(snap.completed, served as u64, "drain served everything");
     Ok((
         Cell {
             model,
             replicas: 1,
             kernel_batch: 8,
             requests: snap.completed,
-            accuracy: correct as f32 / n_requests as f32,
-            mean_agreement: agreement_sum / n_requests as f32,
-            throughput_rps: n_requests as f64 / wall.as_secs_f64(),
+            accuracy: correct as f32 / served as f32,
+            mean_agreement: agreement_sum / served as f32,
+            throughput_rps: served as f64 / wall.as_secs_f64(),
             p50_us: snap.p50_latency.as_micros(),
             p90_us: snap.p90_latency.as_micros(),
             p99_us: snap.p99_latency.as_micros(),
@@ -1207,10 +1220,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Controller-driven spf: same stream, fixed spf vs the adaptive
     // actuator halving toward the class floor while agreement runs high.
     println!("\n== adaptive spf: fixed {spf} vs controller-driven (biased model) ==\n");
-    let (spf_fixed, _) =
-        adaptive_spf_cell("spf_fixed", &biased_path, workers, spf, n_requests, &data, false)?;
     let (spf_adaptive, live_spf) =
         adaptive_spf_cell("spf_adaptive", &biased_path, workers, spf, n_requests, &data, true)?;
+    let (spf_fixed, _) = adaptive_spf_cell(
+        "spf_fixed",
+        &biased_path,
+        workers,
+        spf,
+        spf_adaptive.requests as usize,
+        &data,
+        false,
+    )?;
     for c in [&spf_fixed, &spf_adaptive] {
         println!(
             "{:<13} accuracy {:.4}  req/s {:>8.1}  J/frame {:.3e}",

@@ -45,7 +45,7 @@ fn deployment_occupies_exactly_copies_times_cores() {
     let spec = truenorth::deploy::extract_spec(&net).expect("spec");
     for copies in [1usize, 3, 7] {
         let dep = Deployment::build(&spec, copies, 5).expect("deploy");
-        assert_eq!(dep.chip.core_count(), copies * 4);
+        assert_eq!(dep.core_count(), copies * 4);
         assert_eq!(dep.copies(), copies);
     }
 }

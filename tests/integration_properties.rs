@@ -151,7 +151,7 @@ proptest! {
             output_taps: (0..n_neurons).map(|n| (0, n, n % 2)).collect(),
         };
         let dep = Deployment::build(&spec, 1, seed).expect("deploy");
-        let core = dep.chip.core(0).expect("core 0");
+        let core = dep.chip().core(0).expect("core 0");
         let density = core.crossbar().connection_count() as f32 / (n_axons * n_neurons) as f32;
         // 1024 Bernoulli(p) samples: allow 5 sigma.
         let sigma = (p * (1.0 - p) / (n_axons * n_neurons) as f32).sqrt();
