@@ -111,7 +111,7 @@ pub mod prelude {
     pub use tn_serve::{
         Backpressure, CalibrationMap, ControlAction, ControlSample, Controller, ControllerConfig,
         MetricsSnapshot, QualityTier, RequestHandle, Response, ServeBackend, ServeConfig,
-        ServeConfigBuilder, ServeError, ServeRuntime, ServedAs, SpfClass, SubmitRequest,
+        ServeConfigBuilder, ServeError, ServeRuntime, ServedAs, SpfRange, SubmitRequest,
         TelemetryConfig,
     };
 }

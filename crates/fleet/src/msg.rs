@@ -20,7 +20,7 @@ use tn_telemetry::json::{escape, parse, JsonValue};
 
 /// The handshake schema tag; a router refuses a shard that does not
 /// announce exactly this.
-pub const SCHEMA: &str = "tn-fleet/3";
+pub const SCHEMA: &str = "tn-fleet/4";
 
 // ---------------------------------------------------------------------
 // decode helpers
@@ -178,10 +178,9 @@ fn req_head(seq: u64, request: &SubmitRequest) -> String {
         None => "null".to_string(),
     };
     format!(
-        "{{\"seq\":{seq},\"n\":{},\"model\":{},\"class\":{},\"quality\":{quality}}}",
+        "{{\"seq\":{seq},\"n\":{},\"model\":{},\"quality\":{quality}}}",
         request.frame.len(),
         request.model,
-        request.class,
     )
 }
 
@@ -238,7 +237,6 @@ pub fn parse_req(payload: &[u8]) -> Result<(u64, SubmitRequest), String> {
         .collect();
     let mut request = SubmitRequest::new(frame)
         .model(get_usize(&v, "model")?)
-        .class(get_usize(&v, "class")?)
         .at_seq(seq);
     match want(&v, "quality")? {
         JsonValue::Null => {}
@@ -270,14 +268,13 @@ pub fn encode_resp(r: &Response) -> String {
     };
     format!(
         "{{\"seq\":{},\"predicted\":{},\"votes\":{},\"replica_predictions\":{},\
-         \"agreement\":{:?},\"class\":{},\"model\":{},\"spf\":{},\"tier\":{tier},\
+         \"agreement\":{:?},\"model\":{},\"spf\":{},\"tier\":{tier},\
          \"confidence\":{:?},\"escalated\":{},\"worker\":{},\"ticks\":{},\"latency_ns\":{}}}",
         r.seq,
         r.predicted,
         json_u64s(&r.votes),
         json_usizes(&r.replica_predictions),
         f64::from(r.agreement),
-        r.class(),
         r.model(),
         r.spf(),
         f64::from(r.confidence()),
@@ -295,12 +292,8 @@ pub fn encode_resp(r: &Response) -> String {
 /// A human-readable description of the first malformed field.
 pub fn parse_resp(text: &str) -> Result<Response, String> {
     let v = parse(text).map_err(|e| e.to_string())?;
-    let mut served = ServedAs::new(
-        get_usize(&v, "class")?,
-        get_usize(&v, "model")?,
-        get_usize(&v, "spf")?,
-    )
-    .with_confidence(get_f64(&v, "confidence")? as f32)
+    let mut served = ServedAs::new(get_usize(&v, "model")?, get_usize(&v, "spf")?)
+        .with_confidence(get_f64(&v, "confidence")? as f32)
     .with_escalated(get_bool(&v, "escalated")?);
     match want(&v, "tier")? {
         JsonValue::Null => {}
@@ -353,10 +346,6 @@ pub fn encode_err(seq: u64, e: &ServeError) -> String {
             "input_out_of_range",
             format!("{{\"channel\":{channel},\"value\":{:?}}}", f64::from(*value)),
         ),
-        ServeError::UnknownClass { class, classes } => (
-            "unknown_class",
-            format!("{{\"class\":{class},\"classes\":{classes}}}"),
-        ),
         ServeError::UnknownModel { model, models } => (
             "unknown_model",
             format!("{{\"model\":{model},\"models\":{models}}}"),
@@ -405,10 +394,6 @@ pub fn parse_err(text: &str) -> Result<(u64, ServeError), String> {
         "input_out_of_range" => ServeError::InputOutOfRange {
             channel: get_usize(data, "channel")?,
             value: get_f64(data, "value")? as f32,
-        },
-        "unknown_class" => ServeError::UnknownClass {
-            class: get_usize(data, "class")?,
-            classes: get_usize(data, "classes")?,
         },
         "unknown_model" => ServeError::UnknownModel {
             model: get_usize(data, "model")?,
@@ -524,7 +509,7 @@ mod tests {
     fn hello_round_trips_and_checks_schema() {
         let shape = ServeShape {
             models: vec![(4, 3), (2, 2)],
-            spf: vec![8, 16],
+            spf: vec![8, 2, 16],
             tiers: vec!["fast".to_string(), "certain".to_string()],
             replicas: 2,
             kernel_batch: 8,
@@ -532,8 +517,8 @@ mod tests {
             cores: 6,
         };
         assert_eq!(parse_hello(&encode_hello(&shape)), Ok(shape.clone()));
-        let foreign = "{\"schema\":\"tn-fleet/2\",\"n_inputs\":1}";
-        assert!(parse_hello(foreign).expect_err("schema").contains("tn-fleet/2"));
+        let foreign = "{\"schema\":\"tn-fleet/3\",\"n_inputs\":1}";
+        assert!(parse_hello(foreign).expect_err("schema").contains("tn-fleet/3"));
         let empty = encode_hello(&ServeShape {
             models: Vec::new(),
             ..shape
@@ -549,14 +534,13 @@ mod tests {
         let below_one = 1.0 - f32::EPSILON / 2.0;
         let req = SubmitRequest::new(vec![0.1, 1.0, 0.0, 0.333_333_34, -0.0, subnormal, below_one])
             .model(1)
-            .class(2)
             .quality("fast");
         let (seq, parsed) = parse_req(&encode_req(17, &req)).expect("parse");
         assert_eq!(seq, 17);
         assert_eq!(parsed.seq, Some(17), "wire seq pins the request seq");
         let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&parsed.frame), bits(&req.frame), "f32s must round-trip bit-exactly");
-        assert_eq!((parsed.model, parsed.class), (1, 2));
+        assert_eq!(parsed.model, 1);
         assert_eq!(parsed.quality.as_deref(), Some("fast"));
 
         let bare = SubmitRequest::new(vec![0.5]);
@@ -574,20 +558,23 @@ mod tests {
 
     #[test]
     fn req_rejects_bad_heads_and_tails() {
-        let head = br#"{"seq":3,"n":1,"model":0,"class":0,"quality":null}"#;
+        let head = br#"{"seq":3,"n":1,"model":0,"quality":null}"#;
         assert!(parse_req(&raw_req(head, &0.5f32.to_le_bytes())).is_ok());
         // Tail length must be exactly 4·n.
         assert!(parse_req(&raw_req(head, &[0; 3])).is_err());
         assert!(parse_req(&raw_req(head, &[0; 8])).is_err());
         // A head that is not UTF-8 is refused, not lossily rewritten.
-        let bad_utf8 = b"{\"seq\":3,\"n\":0,\"model\":0,\"class\":0,\"quality\":\"f\xFFst\"}";
+        let bad_utf8 = b"{\"seq\":3,\"n\":0,\"model\":0,\"quality\":\"f\xFFst\"}";
         let err = parse_req(&raw_req(bad_utf8, &[])).expect_err("non-UTF-8 head");
         assert!(err.contains("UTF-8"), "{err}");
         // Valid JSON that encode_req would not write is refused too.
-        let spaced = br#"{"seq":3, "n":0,"model":0,"class":0,"quality":null}"#;
+        let spaced = br#"{"seq":3, "n":0,"model":0,"quality":null}"#;
         assert!(parse_req(&raw_req(spaced, &[])).is_err());
-        let leading_zero = br#"{"seq":03,"n":0,"model":0,"class":0,"quality":null}"#;
+        let leading_zero = br#"{"seq":03,"n":0,"model":0,"quality":null}"#;
         assert!(parse_req(&raw_req(leading_zero, &[])).is_err());
+        // A tn-fleet/3 head still carrying a request class is refused.
+        let classed = br#"{"seq":3,"n":0,"model":0,"class":0,"quality":null}"#;
+        assert!(parse_req(&raw_req(classed, &[])).is_err());
         // Short payloads and overlong head lengths.
         assert!(parse_req(&[1, 0]).is_err());
         assert!(parse_req(&[0xFF, 0xFF, 0xFF, 0xFF, b'{']).is_err());
@@ -620,7 +607,7 @@ mod tests {
         let inputs: Vec<f32> = (0..784).map(|i| ((i * 37) % 256) as f32 / 255.0).collect();
         let requests = [
             (0, SubmitRequest::new(Vec::new())),
-            (5, SubmitRequest::new(vec![0.25, -0.0, 1.0]).model(1).class(2).quality("fast")),
+            (5, SubmitRequest::new(vec![0.25, -0.0, 1.0]).model(1).quality("fast")),
             (1 << 40, SubmitRequest::new(inputs).quality("qu\"o\u{e9}")),
         ];
         let mut rng = StdRng::seed_from_u64(15);
@@ -678,7 +665,7 @@ mod tests {
             votes: vec![1, 0, 7],
             replica_predictions: vec![2, 2, 0],
             agreement: 2.0 / 3.0,
-            served: ServedAs::new(1, 0, 16)
+            served: ServedAs::new(1, 16)
                 .with_tier("certain")
                 .with_confidence(0.875)
                 .with_escalated(true),
@@ -699,7 +686,6 @@ mod tests {
             ServeError::WaitTimeout,
             ServeError::BadInput { expected: 4, got: 2 },
             ServeError::InputOutOfRange { channel: 1, value: 1.5 },
-            ServeError::UnknownClass { class: 9, classes: 2 },
             ServeError::UnknownModel { model: 3, models: 1 },
             ServeError::UnknownQuality {
                 quality: "warp".to_string(),

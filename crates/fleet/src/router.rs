@@ -222,6 +222,10 @@ struct Inner {
     shards: Vec<Shard>,
     next_seq: AtomicU64,
     live_replicas: AtomicUsize,
+    /// The fusion width and per-set spf (set 0 the default, `t + 1`
+    /// tier `t`) of the latest heartbeat that reported them.
+    live_kernel_batch: AtomicUsize,
+    live_spf: Vec<AtomicUsize>,
     shutting_down: AtomicBool,
     roll: Mutex<Roll>,
     /// Signalled on swap progress and membership changes; dispatchers
@@ -345,6 +349,8 @@ impl FleetRouter {
         let n_shards = shards.len();
         let inner = Arc::new(Inner {
             live_replicas: AtomicUsize::new(shape.replicas),
+            live_kernel_batch: AtomicUsize::new(shape.kernel_batch),
+            live_spf: shape.spf.iter().map(|&s| AtomicUsize::new(s)).collect(),
             shape,
             shards,
             next_seq: AtomicU64::new(0),
@@ -584,9 +590,25 @@ impl Inner {
         if let Some(fill) = snap.gauges.get("serve.queue_fill") {
             shard.queue_fill.store(fill.to_bits(), Ordering::Relaxed);
         }
-        if let Some(cores) = snap.gauges.get("serve.cores") {
-            if cores.is_finite() && *cores >= 0.0 {
-                shard.cores.store(*cores as u64, Ordering::Relaxed);
+        let gauge = |key: &str| {
+            snap.gauges
+                .get(key)
+                .filter(|v| v.is_finite() && **v >= 0.0)
+                .map(|v| *v as usize)
+        };
+        if let Some(cores) = gauge("serve.cores") {
+            shard.cores.store(cores as u64, Ordering::Relaxed);
+        }
+        if let Some(kb) = gauge("serve.kernel_batch") {
+            self.live_kernel_batch.store(kb, Ordering::Relaxed);
+        }
+        for (s, slot) in self.live_spf.iter().enumerate() {
+            let key = match s {
+                0 => "serve.spf".to_string(),
+                s => format!("serve.tier.{}.spf", s - 1),
+            };
+            if let Some(spf) = gauge(&key) {
+                slot.store(spf, Ordering::Relaxed);
             }
         }
         self.sink.export(&snap);
@@ -1093,10 +1115,16 @@ impl ServeBackend for FleetRouter {
         self.inner.joules_per_frame()
     }
 
+    /// The shards' common shape with the live replica count (tracked by
+    /// rolling rescales) and the fusion width and per-set spf of the
+    /// latest shard heartbeat.
     fn shape(&self) -> ServeShape {
+        let inner = &self.inner;
         ServeShape {
-            replicas: self.inner.live_replicas.load(Ordering::Relaxed),
-            ..self.inner.shape.clone()
+            replicas: inner.live_replicas.load(Ordering::Relaxed),
+            kernel_batch: inner.live_kernel_batch.load(Ordering::Relaxed),
+            spf: inner.live_spf.iter().map(|s| s.load(Ordering::Relaxed)).collect(),
+            ..inner.shape.clone()
         }
     }
 
@@ -1193,7 +1221,7 @@ mod tests {
             votes: vec![1, 0],
             replica_predictions: vec![0, 0],
             agreement: 1.0,
-            served: ServedAs::new(0, 0, 8),
+            served: ServedAs::new(0, 8),
             worker: 0,
             ticks: 8,
             latency: Duration::ZERO,

@@ -49,7 +49,7 @@
 //!
 //! | wire | request | response |
 //! |---|---|---|
-//! | HTTP | `POST /v1/classify` `{"frame":[...]}` (+ optional `"class"`, `"model"`) | votes / label / agreement / energy |
+//! | HTTP | `POST /v1/classify` `{"frame":[...]}` (+ optional `"model"`, `"quality"`; `"class"` is refused) | votes / label / agreement / energy |
 //! | HTTP | `GET /v1/config` | serve config + model introspection |
 //! | HTTP | `GET /v1/snapshot` | latest `tn-telemetry/1` snapshot line |
 //! | HTTP | `GET /healthz` | `{"status":"ok"}` |

@@ -34,9 +34,10 @@ fn join<T: std::fmt::Display>(items: impl Iterator<Item = T>) -> String {
 /// Extract a classify request from a parsed request object. The body
 /// mirrors [`SubmitRequest`] key for key: `{"frame": [x0, x1, ...]}`
 /// with numeric entries is required, plus the optional routing knobs
-/// `"class": N` (request class, default 0), `"model": M` (tenant,
-/// default 0), and `"quality": "tier-name"` (quality tier, default
-/// none) — together routed to [`tn_serve::ServeRuntime::submit`].
+/// `"model": M` (tenant, default 0) and `"quality": "tier-name"`
+/// (quality tier, default none) — together routed to
+/// [`tn_serve::ServeRuntime::submit`]. The retired `"class"` key is
+/// refused with a message naming `"quality"`, its replacement.
 pub(crate) fn parse_classify_frame(value: &JsonValue) -> Result<SubmitRequest, String> {
     let frame = value
         .get("frame")
@@ -53,13 +54,9 @@ pub(crate) fn parse_classify_frame(value: &JsonValue) -> Result<SubmitRequest, S
                 .ok_or_else(|| format!("frame[{i}] is not a number"))
         })
         .collect::<Result<_, _>>()?;
-    let class = match value.get("class") {
-        None => 0,
-        Some(v) => v
-            .as_u64()
-            .and_then(|c| usize::try_from(c).ok())
-            .ok_or_else(|| "\"class\" must be a non-negative integer".to_string())?,
-    };
+    if value.get("class").is_some() {
+        return Err("\"class\" is no longer accepted; name an operating point with \"quality\"".into());
+    }
     let model = match value.get("model") {
         None => 0,
         Some(v) => v
@@ -67,7 +64,7 @@ pub(crate) fn parse_classify_frame(value: &JsonValue) -> Result<SubmitRequest, S
             .and_then(|m| usize::try_from(m).ok())
             .ok_or_else(|| "\"model\" must be a non-negative integer".to_string())?,
     };
-    let mut request = SubmitRequest::new(inputs).class(class).model(model);
+    let mut request = SubmitRequest::new(inputs).model(model);
     if let Some(v) = value.get("quality") {
         let quality = v
             .as_str()
@@ -96,7 +93,7 @@ pub(crate) fn classify_json(r: &Response, joules_per_frame: f64) -> String {
     };
     format!(
         "{{\"seq\":{},\"predicted\":{},\"votes\":[{}],\"replica_predictions\":[{}],\
-         \"agreement\":{},\"class\":{},\"model\":{},\"spf\":{},\"tier\":{},\
+         \"agreement\":{},\"model\":{},\"spf\":{},\"tier\":{},\
          \"confidence\":{},\"escalated\":{},\"ticks\":{},\
          \"latency_us\":{},\"joules_per_frame\":{}}}",
         r.seq,
@@ -104,7 +101,6 @@ pub(crate) fn classify_json(r: &Response, joules_per_frame: f64) -> String {
         join(r.votes.iter()),
         join(r.replica_predictions.iter()),
         json_f64(f64::from(r.agreement)),
-        r.class(),
         r.model(),
         r.spf(),
         tier,
@@ -143,7 +139,7 @@ pub(crate) fn health_json() -> String {
 /// Render the `/v1/config` body from one [`ServeBackend::shape`] read
 /// plus the serve config: the shape supplies the models and the *live*
 /// values of the knobs the adaptive controller can move (`replicas`,
-/// `kernel_batch`, and per-class `spf`).
+/// `kernel_batch`, and the default set's and each tier's `spf`).
 ///
 /// `"model"` stays tenant 0 (backward compatible); the `"models"` array
 /// lists every packed tenant (a single entry on solo runtimes), and
@@ -155,7 +151,7 @@ pub(crate) fn config_json(rt: &dyn ServeBackend) -> String {
         format!("{{\"id\":{m},\"n_inputs\":{i},\"n_classes\":{c}}}")
     }));
     let cfg = rt.config();
-    let tiers = join(cfg.tiers.iter().map(|t| {
+    let tiers = join(cfg.tiers.iter().zip(&shape.spf[1..]).map(|(t, spf)| {
         let escalate = match &t.escalate_to {
             Some(name) => format!("\"{}\"", escape(name)),
             None => "null".to_string(),
@@ -165,7 +161,7 @@ pub(crate) fn config_json(rt: &dyn ServeBackend) -> String {
              \"confidence_target\":{},\"escalate_to\":{escalate}}}",
             escape(&t.name),
             t.replicas,
-            t.spf,
+            spf,
             t.kernel_batch,
             json_f64(f64::from(t.confidence_target)),
         )
@@ -174,13 +170,13 @@ pub(crate) fn config_json(rt: &dyn ServeBackend) -> String {
         "{{\"schema\":\"tn-gateway/1\",\
          \"model\":{{\"n_inputs\":{n_inputs},\"n_classes\":{n_classes},\"replicas\":{}}},\
          \"models\":[{models}],\"packed\":{},\"tiers\":[{tiers}],\
-         \"serve\":{{\"workers\":{},\"spf\":[{}],\"seed\":{},\"queue_capacity\":{},\
+         \"serve\":{{\"workers\":{},\"spf\":{},\"seed\":{},\"queue_capacity\":{},\
          \"batch_max\":{},\"kernel_batch\":{},\"backpressure\":\"{}\",\
          \"connectivity\":\"{}\",\"telemetry\":{}}}}}",
         shape.replicas,
         shape.models.len() > 1,
         cfg.workers,
-        join(shape.spf.iter()),
+        shape.spf[0],
         cfg.seed,
         cfg.queue_capacity,
         cfg.batch_max,
@@ -218,16 +214,12 @@ mod tests {
             SubmitRequest::new(vec![1.0, 0.5, 0.0])
         );
         assert_eq!(
-            parse_classify_body(b"{\"frame\":[1,0],\"class\":2}").expect("parse"),
-            SubmitRequest::new(vec![1.0, 0.0]).class(2)
-        );
-        assert_eq!(
             parse_classify_body(b"{\"frame\":[1,0],\"model\":1}").expect("parse"),
             SubmitRequest::new(vec![1.0, 0.0]).model(1)
         );
         assert_eq!(
-            parse_classify_body(b"{\"frame\":[0],\"class\":1,\"model\":3}").expect("parse"),
-            SubmitRequest::new(vec![0.0]).class(1).model(3)
+            parse_classify_body(b"{\"frame\":[0],\"model\":3,\"quality\":\"q\"}").expect("parse"),
+            SubmitRequest::new(vec![0.0]).model(3).quality("q")
         );
         assert_eq!(
             parse_classify_body(b"{\"frame\":[1],\"quality\":\"fast\"}").expect("parse"),
@@ -237,8 +229,8 @@ mod tests {
             (&b"{}"[..], "missing"),
             (b"{\"frame\":3}", "array"),
             (b"{\"frame\":[\"x\"]}", "not a number"),
-            (b"{\"frame\":[1],\"class\":-1}", "class"),
-            (b"{\"frame\":[1],\"class\":\"gold\"}", "class"),
+            (b"{\"frame\":[1],\"class\":0}", "\"quality\""),
+            (b"{\"frame\":[1],\"class\":\"gold\"}", "no longer accepted"),
             (b"{\"frame\":[1],\"model\":-2}", "model"),
             (b"{\"frame\":[1],\"model\":\"five\"}", "model"),
             (b"{\"frame\":[1],\"quality\":7}", "quality"),
@@ -258,7 +250,7 @@ mod tests {
             votes: vec![2, 9],
             replica_predictions: vec![1, 1, 0],
             agreement: 2.0 / 3.0,
-            served: tn_serve::ServedAs::new(1, 2, 16)
+            served: tn_serve::ServedAs::new(2, 16)
                 .with_tier("certain")
                 .with_confidence(0.875)
                 .with_escalated(true),
@@ -270,7 +262,7 @@ mod tests {
         let v = json::parse(&body).expect("valid JSON");
         assert_eq!(v.get("predicted").unwrap().as_u64(), Some(1));
         assert_eq!(v.get("votes").unwrap().as_array().unwrap().len(), 2);
-        assert_eq!(v.get("class").unwrap().as_u64(), Some(1));
+        assert!(v.get("class").is_none(), "responses carry no request class");
         assert_eq!(v.get("model").unwrap().as_u64(), Some(2));
         assert_eq!(v.get("spf").unwrap().as_u64(), Some(16));
         assert_eq!(v.get("tier").unwrap().as_str(), Some("certain"));
@@ -280,7 +272,7 @@ mod tests {
         assert!(v.get("joules_per_frame").unwrap().as_f64().unwrap() > 0.0);
         // Tier-less responses render "tier": null and the raw margin.
         let bare = Response {
-            served: tn_serve::ServedAs::new(0, 0, 8).with_confidence(0.5),
+            served: tn_serve::ServedAs::new(0, 8).with_confidence(0.5),
             ..resp
         };
         let v = json::parse(&classify_json(&bare, 0.0)).expect("valid JSON");

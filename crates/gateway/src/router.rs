@@ -92,9 +92,9 @@ fn classify(body: &[u8], ctx: &ServiceCtx, line_mode: bool) -> Pending {
 }
 
 /// Submit one classify request; map admission failures onto wire
-/// responses. The routing failures (`unknown_class` / `unknown_model` /
-/// `unknown_quality`) share one structured 400 shape whose `detail`
-/// object names what was asked for and what this runtime serves.
+/// responses. The routing failures (`unknown_model` / `unknown_quality`)
+/// share one structured 400 shape whose `detail` object names what was
+/// asked for and what this runtime serves.
 fn submit(request: SubmitRequest, ctx: &ServiceCtx, line_mode: bool) -> Pending {
     match ctx.rt.submit_request(request) {
         Ok(handle) => Pending::handle(handle, line_mode),
@@ -122,15 +122,6 @@ fn submit(request: SubmitRequest, ctx: &ServiceCtx, line_mode: bool) -> Pending 
         Err(
             e @ (ServeError::BadInput { .. } | ServeError::InputOutOfRange { .. }),
         ) => Pending::ready(400, proto::error_json("bad_input", &e.to_string()), line_mode),
-        Err(e @ ServeError::UnknownClass { class, classes }) => Pending::ready(
-            400,
-            proto::error_json_detail(
-                "unknown_class",
-                &e.to_string(),
-                Some(&format!("{{\"class\":{class},\"classes\":{classes}}}")),
-            ),
-            line_mode,
-        ),
         Err(e @ ServeError::UnknownModel { model, models }) => Pending::ready(
             400,
             proto::error_json_detail(

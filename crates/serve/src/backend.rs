@@ -25,8 +25,8 @@ use crate::metrics::{MetricsSnapshot, QueueStats};
 use crate::request::SubmitRequest;
 use crate::runtime::ServeRuntime;
 
-/// What a backend serves: its tenant models, request classes, quality
-/// tiers and operating point. One description shared by the runtime,
+/// What a backend serves: its tenant models, quality tiers and
+/// operating point. One description shared by the runtime,
 /// the fleet handshake and the gateway's `/v1/config`, and the input of
 /// the one admission check, [`ServeShape::admit`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,7 +34,9 @@ pub struct ServeShape {
     /// `(n_inputs, n_classes)` per tenant model (one entry on solo
     /// runtimes).
     pub models: Vec<(usize, usize)>,
-    /// Ticks-per-frame per request class (at least one entry).
+    /// Live ticks-per-frame per deployment set: entry 0 is the default
+    /// set, entry `t + 1` quality tier `t` (so `tiers.len() + 1`
+    /// entries).
     pub spf: Vec<usize>,
     /// Quality tier names, in config order.
     pub tiers: Vec<String>,
@@ -50,14 +52,13 @@ pub struct ServeShape {
 
 impl ServeShape {
     /// Whether `request` addresses something this shape serves with a
-    /// well-formed frame. Checks run in a fixed order — model, class,
-    /// quality, frame width, input range — and the first failure is the
+    /// well-formed frame. Checks run in a fixed order — model, quality,
+    /// frame width, input range — and the first failure is the
     /// error, so every backend names the same fault for the same request.
     ///
     /// # Errors
     ///
-    /// [`ServeError::UnknownModel`], [`ServeError::UnknownClass`],
-    /// [`ServeError::UnknownQuality`], [`ServeError::BadInput`] or
+    /// [`ServeError::UnknownModel`], [`ServeError::UnknownQuality`], [`ServeError::BadInput`] or
     /// [`ServeError::InputOutOfRange`].
     pub fn admit(&self, request: &SubmitRequest) -> Result<(), ServeError> {
         let Some(&(n_inputs, _)) = self.models.get(request.model) else {
@@ -66,12 +67,6 @@ impl ServeShape {
                 models: self.models.len(),
             });
         };
-        if request.class >= self.spf.len() {
-            return Err(ServeError::UnknownClass {
-                class: request.class,
-                classes: self.spf.len(),
-            });
-        }
         if let Some(quality) = &request.quality {
             if !self.tiers.contains(quality) {
                 return Err(ServeError::UnknownQuality {
@@ -123,8 +118,8 @@ pub trait ServeBackend: Send + Sync + std::fmt::Debug {
     /// instead of a full snapshot.
     fn joules_per_frame(&self) -> f64;
 
-    /// What the backend serves, with the live replica count (and, on a
-    /// runtime, the live fusion width, spf values and cores).
+    /// What the backend serves, with the live replica count, fusion
+    /// width and per-set spf (and, on a runtime, the live cores).
     fn shape(&self) -> ServeShape;
 
     /// The serving configuration (initial knob values; the live values
@@ -182,10 +177,10 @@ mod tests {
     }
 
     #[test]
-    fn admit_checks_model_class_quality_width_then_range() {
+    fn admit_checks_model_quality_width_then_range() {
         let shape = ServeShape {
             models: vec![(2, 2)],
-            spf: vec![8],
+            spf: vec![8, 2],
             tiers: vec!["fast".to_string()],
             replicas: 1,
             kernel_batch: 1,
@@ -193,12 +188,10 @@ mod tests {
             cores: 1,
         };
         // Every rule broken at once; mend one per step, in check order.
-        let request = SubmitRequest::new(vec![2.0]).model(1).class(1).quality("turbo");
+        let request = SubmitRequest::new(vec![2.0]).model(1).quality("turbo");
         let err = |r: &SubmitRequest| shape.admit(r).expect_err("rejected");
         assert_eq!(err(&request), ServeError::UnknownModel { model: 1, models: 1 });
         let request = request.model(0);
-        assert_eq!(err(&request), ServeError::UnknownClass { class: 1, classes: 1 });
-        let request = request.class(0);
         assert_eq!(
             err(&request),
             ServeError::UnknownQuality {

@@ -119,8 +119,10 @@ pub struct ServeConfig {
     /// set, an observer thread runs a [`crate::Controller`] that adapts
     /// the live fusion width within `1 ..= kernel_batch` from queue depth
     /// and the replica count within the configured bounds from the live
-    /// vote-agreement metric. With `None`, results are bit-identical to a
-    /// runtime without the control machinery.
+    /// vote-agreement metric, and moves the spf of every deployment set
+    /// that has an spf range ([`ControllerConfig::spf_range`],
+    /// [`QualityTier::spf_range`]). With `None`, results are bit-identical
+    /// to a runtime without the control machinery.
     pub controller: Option<ControllerConfig>,
     /// Periodic snapshot export (`None` = no observer exports, the
     /// default). See [`TelemetryConfig`].
@@ -203,6 +205,14 @@ impl ServeConfig {
             telemetry.validate()?;
         }
         validate_tiers(&self.tiers)?;
+        if self.controller.is_none() {
+            if let Some(t) = self.tiers.iter().find(|t| t.spf_range.is_some()) {
+                return Err(ServeError::BadConfig(format!(
+                    "tier {:?}: an spf_range needs a controller",
+                    t.name
+                )));
+            }
+        }
         Ok(())
     }
 }
@@ -318,6 +328,7 @@ impl ServeConfigBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::control::SpfRange;
 
     #[test]
     fn builder_chains_and_builds() {
@@ -446,5 +457,15 @@ mod tests {
                 .build(),
             Err(ServeError::BadConfig(msg)) if msg.contains("missing")
         ));
+        let ranged = || QualityTier::new("fast", 1, 2).spf_range(SpfRange::new(1, 8));
+        assert!(matches!(
+            ServeConfig::builder(1).tier(ranged()).build(),
+            Err(ServeError::BadConfig(msg)) if msg.contains("needs a controller")
+        ));
+        ServeConfig::builder(1)
+            .tier(ranged())
+            .controller(ControllerConfig::default())
+            .build()
+            .expect("a ranged tier under a controller is valid");
     }
 }

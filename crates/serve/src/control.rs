@@ -24,16 +24,19 @@
 //!   out-of-band samples), and a post-change cooldown
 //!   ([`ControllerConfig::cooldown`]) so one decision's effect is observed
 //!   before the next. Bounds: `min_replicas ..= max_replicas`.
-//! * **spf per request class from agreement** — ticks-per-frame is the
-//!   paper's performance axis (its 6.5× speedup knob). When a request
-//!   class's windowed agreement saturates above
+//! * **spf per deployment set from agreement** — ticks-per-frame is the
+//!   paper's performance axis (its 6.5× speedup knob). Every deployment
+//!   set with an [`SpfRange`] — the default set through
+//!   [`ControllerConfig::spf_range`], a quality tier through
+//!   [`crate::QualityTier::spf_range`] — has its live spf driven from its
+//!   own windowed agreement. When that saturates above
 //!   [`ControllerConfig::agreement_high`], the stochastic vote has
-//!   converged and the class is over-sampling: spf halves toward
-//!   [`SpfClass::spf_min`]. When agreement falls below
+//!   converged and the set is over-sampling: spf halves toward
+//!   [`SpfRange::spf_min`]. When agreement falls below
 //!   [`ControllerConfig::agreement_low`] the vote is under-sampled and spf
-//!   doubles toward [`SpfClass::spf_max`]. Each class carries its own
+//!   doubles toward [`SpfRange::spf_max`]. Each set carries its own
 //!   streak counters and cooldown clock (the *same* hysteresis machinery
-//!   replicas use), so a bursty class cannot steal another's evidence.
+//!   replicas use), so a bursty tier cannot steal another's evidence.
 //!   The actuator rides [`tn_chip::nscs::FrameInput::spf`] — no
 //!   deployment rebuild — so the epoch-swapped replica-rescale path stays
 //!   bit-identical to a fresh runtime.
@@ -49,33 +52,51 @@
 use std::time::Duration;
 
 use crate::error::ServeError;
+use crate::tier::QualityTier;
 
-/// Per-request-class bounds for the spf (ticks-per-frame) actuator.
+/// Bounds for the spf (ticks-per-frame) actuator on one deployment set:
+/// the default set ([`ControllerConfig::spf_range`]) or a quality tier
+/// ([`crate::QualityTier::spf_range`]).
 ///
-/// A *request class* is a caller-chosen service tier: class `c` of a
-/// submission ([`crate::SubmitRequest::class`]) selects
-/// `spf_classes[c]`. The controller moves the class's live spf
-/// multiplicatively inside `[spf_min, spf_max]`; frames always run at the
-/// spf their class held at serve time.
+/// The controller moves the set's live spf multiplicatively inside
+/// `[spf_min, spf_max]`; frames always run at the spf their set held at
+/// serve time. A set starts at its configured spf clamped into the range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpfClass {
-    /// Floor for the class's ticks-per-frame (≥ 1). The throughput end:
+pub struct SpfRange {
+    /// Floor for the set's ticks-per-frame (≥ 1). The throughput end:
     /// the controller halves spf toward this while agreement saturates.
     pub spf_min: usize,
-    /// Ceiling for the class's ticks-per-frame. The accuracy end: the
+    /// Ceiling for the set's ticks-per-frame. The accuracy end: the
     /// controller doubles spf toward this while agreement is poor.
     pub spf_max: usize,
 }
 
-impl SpfClass {
-    /// A class bounded to `spf_min ..= spf_max`.
+impl SpfRange {
+    /// A range bounded to `spf_min ..= spf_max`.
     pub fn new(spf_min: usize, spf_max: usize) -> Self {
         Self { spf_min, spf_max }
     }
 
-    /// Clamp an spf value into this class's bounds.
+    /// Clamp an spf value into this range.
     pub fn clamp(&self, spf: usize) -> usize {
         spf.clamp(self.spf_min, self.spf_max)
+    }
+
+    /// Check `1 <= spf_min <= spf_max`; `owner` names the set in the
+    /// error.
+    pub(crate) fn validate(&self, owner: &str) -> Result<(), ServeError> {
+        if self.spf_min == 0 {
+            return Err(ServeError::BadConfig(format!(
+                "{owner} spf_range: spf_min must be >= 1"
+            )));
+        }
+        if self.spf_min > self.spf_max {
+            return Err(ServeError::BadConfig(format!(
+                "{owner} spf_range: spf_min ({}) must not exceed spf_max ({})",
+                self.spf_min, self.spf_max
+            )));
+        }
+        Ok(())
     }
 }
 
@@ -105,13 +126,13 @@ pub struct ControllerConfig {
     /// Minimum time between replica changes (lets the previous decision's
     /// effect show up in the agreement window before acting again).
     pub cooldown: Duration,
-    /// Request classes whose spf the controller adapts (empty = the spf
-    /// actuator is off and every request runs at the configured
-    /// [`crate::ServeConfig::spf`]). Class `c` of a submission maps to
-    /// `spf_classes[c]`; each class gets independent streak + cooldown
-    /// state reusing the same `agreement_low`/`agreement_high` band,
-    /// `scale_streak`, and `cooldown` the replica actuator uses.
-    pub spf_classes: Vec<SpfClass>,
+    /// spf bounds of the default deployment set (`None` = the default
+    /// set's spf stays at [`crate::ServeConfig::spf`]). Quality tiers
+    /// carry their own [`crate::QualityTier::spf_range`]. Every ranged
+    /// set gets independent streak + cooldown state reusing the same
+    /// `agreement_low`/`agreement_high` band, `scale_streak`, and
+    /// `cooldown` the replica actuator uses.
+    pub spf_range: Option<SpfRange>,
 }
 
 impl Default for ControllerConfig {
@@ -126,7 +147,7 @@ impl Default for ControllerConfig {
             max_replicas: 8,
             scale_streak: 3,
             cooldown: Duration::from_secs(2),
-            spf_classes: Vec::new(),
+            spf_range: None,
         }
     }
 }
@@ -177,18 +198,8 @@ impl ControllerConfig {
                 "controller scale_streak must be >= 1".into(),
             ));
         }
-        for (c, class) in self.spf_classes.iter().enumerate() {
-            if class.spf_min == 0 {
-                return Err(ServeError::BadConfig(format!(
-                    "controller spf class {c}: spf_min must be >= 1"
-                )));
-            }
-            if class.spf_min > class.spf_max {
-                return Err(ServeError::BadConfig(format!(
-                    "controller spf class {c}: spf_min ({}) must not exceed spf_max ({})",
-                    class.spf_min, class.spf_max
-                )));
-            }
+        if let Some(range) = &self.spf_range {
+            range.validate("controller")?;
         }
         Ok(())
     }
@@ -214,12 +225,12 @@ pub struct ControlSample {
     /// sample; `None` when no requests completed in the window (the
     /// controller then leaves replicas alone — no evidence, no action).
     pub mean_agreement: Option<f32>,
-    /// Live spf per request class (`[spf_classes.len()]`; empty when the
-    /// spf actuator is off).
+    /// Live spf per deployment set: entry 0 is the default set, entry
+    /// `t + 1` quality tier `t`.
     pub spf: Vec<usize>,
-    /// Windowed mean agreement per request class, aligned with `spf`;
-    /// `None` entries mean no completions for that class in the window.
-    pub class_agreement: Vec<Option<f32>>,
+    /// Windowed mean agreement per deployment set, aligned with `spf`;
+    /// `None` entries mean the set served nothing in the window.
+    pub set_agreement: Vec<Option<f32>>,
 }
 
 /// A decision the runtime should apply (see
@@ -234,16 +245,17 @@ pub enum ControlAction {
     /// accuracy/occupation point, deterministically: the replica sample
     /// at count `r` is a pure function of `(spec, seed, r)`).
     SetReplicas(usize),
-    /// Set one request class's live ticks-per-frame. Applied to frames
+    /// Set one deployment set's live ticks-per-frame. Applied to frames
     /// via [`tn_chip::nscs::FrameInput::spf`] at serve time — no
     /// deployment rebuild, so the replica-rescale epoch swap is
     /// untouched. A frame's result is still a pure function of
     /// `(seed, seq, spf)`; what the actuator makes time-dependent is
     /// *which* spf an in-flight request is served at.
     SetSpf {
-        /// Request class index (into [`ControllerConfig::spf_classes`]).
-        class: usize,
-        /// New ticks-per-frame, inside the class's bounds.
+        /// The set: `None` for the default set, `Some(t)` for quality
+        /// tier `t` of [`crate::ServeConfig::tiers`].
+        tier: Option<usize>,
+        /// New ticks-per-frame, clamped into the set's [`SpfRange`].
         spf: usize,
     },
     /// Rebuild the default replica set as ensemble sample `sample`
@@ -273,28 +285,54 @@ pub struct Controller {
     high_streak: usize,
     /// Time of the last replica change, if any.
     last_scale_ns: Option<u64>,
-    /// Per spf class: consecutive samples with agreement below the band.
-    spf_low_streak: Vec<usize>,
-    /// Per spf class: consecutive samples with agreement above the band.
-    spf_high_streak: Vec<usize>,
-    /// Per spf class: time of the last spf change, if any.
-    last_spf_ns: Vec<Option<u64>>,
+    /// The spf actuator, per deployment set (entry 0 is the default set,
+    /// entry `t + 1` quality tier `t`).
+    spf: Vec<SpfAxis>,
+}
+
+/// The spf actuator's range and hysteresis state for one deployment set.
+#[derive(Debug, Clone)]
+struct SpfAxis {
+    /// `None`: the set's spf is fixed and never moved.
+    range: Option<SpfRange>,
+    /// Consecutive samples with agreement below the band.
+    low_streak: usize,
+    /// Consecutive samples with agreement above the band.
+    high_streak: usize,
+    /// Time of the last spf change, if any.
+    last_change_ns: Option<u64>,
+}
+
+impl SpfAxis {
+    fn reset_streaks(&mut self) {
+        self.low_streak = 0;
+        self.high_streak = 0;
+    }
 }
 
 impl Controller {
     /// A controller enforcing `cfg`, with fusion width bounded by
-    /// `kernel_batch_max` (clamped to ≥ 1).
-    pub fn new(cfg: ControllerConfig, kernel_batch_max: usize) -> Self {
-        let n_classes = cfg.spf_classes.len();
+    /// `kernel_batch_max` (clamped to ≥ 1), over the quality-tier table
+    /// `tiers` (whose [`crate::QualityTier::spf_range`]s bound the tier
+    /// sets' spf; [`ControllerConfig::spf_range`] bounds the default
+    /// set's).
+    pub fn new(cfg: ControllerConfig, kernel_batch_max: usize, tiers: &[QualityTier]) -> Self {
+        let spf = std::iter::once(cfg.spf_range)
+            .chain(tiers.iter().map(|t| t.spf_range))
+            .map(|range| SpfAxis {
+                range,
+                low_streak: 0,
+                high_streak: 0,
+                last_change_ns: None,
+            })
+            .collect();
         Self {
             cfg,
             kernel_batch_max: kernel_batch_max.max(1),
             low_streak: 0,
             high_streak: 0,
             last_scale_ns: None,
-            spf_low_streak: vec![0; n_classes],
-            spf_high_streak: vec![0; n_classes],
-            last_spf_ns: vec![None; n_classes],
+            spf,
         }
     }
 
@@ -377,71 +415,59 @@ impl Controller {
         self.last_scale_ns = Some(t_ns);
     }
 
-    /// spf per class ∈ [spf_min, spf_max] follows the class's windowed
-    /// agreement with the same dead band, streak, and cooldown hysteresis
-    /// the replica actuator uses — but tracked per class, so evidence for
-    /// one class never moves another's knob. Direction: saturated
-    /// agreement means the stochastic vote converged with samples to
-    /// spare, so spf *halves* (throughput, the paper's performance axis);
-    /// poor agreement means under-sampling, so spf *doubles*.
+    /// spf per ranged set ∈ [spf_min, spf_max] follows the set's
+    /// windowed agreement with the same dead band, streak, and cooldown
+    /// hysteresis the replica actuator uses — but tracked per set, so
+    /// evidence for one set never moves another's knob. Direction:
+    /// saturated agreement means the stochastic vote converged with
+    /// samples to spare, so spf *halves* (throughput, the paper's
+    /// performance axis); poor agreement means under-sampling, so spf
+    /// *doubles*.
     fn observe_spf(&mut self, sample: &ControlSample, actions: &mut Vec<ControlAction>) {
-        let cooldown_ns = u64::try_from(self.cfg.cooldown.as_nanos()).unwrap_or(u64::MAX);
-        for (class, bounds) in self.cfg.spf_classes.clone().iter().enumerate() {
-            let agreement = sample.class_agreement.get(class).copied().flatten();
-            let Some(agreement) = agreement else {
-                // No completions for this class in the window: no
-                // evidence, streaks reset (no stale momentum).
-                self.spf_low_streak[class] = 0;
-                self.spf_high_streak[class] = 0;
+        let cfg = &self.cfg;
+        let cooldown_ns = u64::try_from(cfg.cooldown.as_nanos()).unwrap_or(u64::MAX);
+        for (set, axis) in self.spf.iter_mut().enumerate() {
+            let Some(range) = axis.range else {
                 continue;
             };
-            let cooled = self.last_spf_ns[class]
+            let Some(agreement) = sample.set_agreement.get(set).copied().flatten() else {
+                // Nothing served on this set in the window: no evidence,
+                // streaks reset (no stale momentum).
+                axis.reset_streaks();
+                continue;
+            };
+            let cooled = axis
+                .last_change_ns
                 .is_none_or(|t0| sample.t_ns.saturating_sub(t0) >= cooldown_ns);
             if !cooled {
-                self.spf_low_streak[class] = 0;
-                self.spf_high_streak[class] = 0;
+                axis.reset_streaks();
                 continue;
             }
-            if agreement < self.cfg.agreement_low {
-                self.spf_low_streak[class] += 1;
-                self.spf_high_streak[class] = 0;
-            } else if agreement > self.cfg.agreement_high {
-                self.spf_high_streak[class] += 1;
-                self.spf_low_streak[class] = 0;
+            if agreement < cfg.agreement_low {
+                axis.low_streak += 1;
+                axis.high_streak = 0;
+            } else if agreement > cfg.agreement_high {
+                axis.high_streak += 1;
+                axis.low_streak = 0;
             } else {
-                self.spf_low_streak[class] = 0;
-                self.spf_high_streak[class] = 0;
+                axis.reset_streaks();
                 continue;
             }
-            let current = sample
-                .spf
-                .get(class)
-                .copied()
-                .unwrap_or(bounds.spf_max)
-                .max(1);
-            if self.spf_high_streak[class] >= self.cfg.scale_streak && current > bounds.spf_min
-            {
-                actions.push(ControlAction::SetSpf {
-                    class,
-                    spf: (current / 2).max(bounds.spf_min),
-                });
-                self.after_spf(class, sample.t_ns);
-            } else if self.spf_low_streak[class] >= self.cfg.scale_streak
-                && current < bounds.spf_max
-            {
-                actions.push(ControlAction::SetSpf {
-                    class,
-                    spf: (current * 2).min(bounds.spf_max),
-                });
-                self.after_spf(class, sample.t_ns);
-            }
+            let current = sample.spf.get(set).copied().unwrap_or(range.spf_max).max(1);
+            let next = if axis.high_streak >= cfg.scale_streak && current > range.spf_min {
+                (current / 2).max(range.spf_min)
+            } else if axis.low_streak >= cfg.scale_streak && current < range.spf_max {
+                (current * 2).min(range.spf_max)
+            } else {
+                continue;
+            };
+            actions.push(ControlAction::SetSpf {
+                tier: set.checked_sub(1),
+                spf: next,
+            });
+            axis.reset_streaks();
+            axis.last_change_ns = Some(sample.t_ns);
         }
-    }
-
-    fn after_spf(&mut self, class: usize, t_ns: u64) {
-        self.spf_low_streak[class] = 0;
-        self.spf_high_streak[class] = 0;
-        self.last_spf_ns[class] = Some(t_ns);
     }
 }
 
@@ -461,7 +487,7 @@ mod tests {
             max_replicas: 4,
             scale_streak: 3,
             cooldown: Duration::from_millis(100),
-            spf_classes: Vec::new(),
+            spf_range: None,
         }
     }
 
@@ -484,7 +510,7 @@ mod tests {
             replicas,
             mean_agreement: agreement,
             spf: Vec::new(),
-            class_agreement: Vec::new(),
+            set_agreement: Vec::new(),
         })
     }
 
@@ -494,7 +520,7 @@ mod tests {
         ctl: &mut Controller,
         clock: &ManualClock,
         spf: Vec<usize>,
-        class_agreement: Vec<Option<f32>>,
+        set_agreement: Vec<Option<f32>>,
     ) -> Vec<ControlAction> {
         clock.advance(ctl.config().sample_interval);
         ctl.observe(&ControlSample {
@@ -505,14 +531,14 @@ mod tests {
             replicas: 2,
             mean_agreement: Some(0.9),
             spf,
-            class_agreement,
+            set_agreement,
         })
     }
 
     #[test]
     fn kernel_batch_rises_with_queue_depth_and_falls_when_idle() {
         let clock = ManualClock::new();
-        let mut ctl = Controller::new(cfg(), 16);
+        let mut ctl = Controller::new(cfg(), 16, &[]);
         // Saturated queue: 1 → 2 → 4 → 8 → 16, then pinned at the max.
         let mut kb = 1;
         let mut widths = vec![kb];
@@ -541,7 +567,7 @@ mod tests {
     #[test]
     fn mid_band_queue_fill_leaves_kernel_batch_alone() {
         let clock = ManualClock::new();
-        let mut ctl = Controller::new(cfg(), 16);
+        let mut ctl = Controller::new(cfg(), 16, &[]);
         // 16/64 = 0.25 sits between the 0.125 and 0.5 watermarks.
         for _ in 0..10 {
             assert_eq!(step(&mut ctl, &clock, 16, 4, 1, Some(0.9)), vec![]);
@@ -551,7 +577,7 @@ mod tests {
     #[test]
     fn low_agreement_scales_replicas_up_after_streak() {
         let clock = ManualClock::new();
-        let mut ctl = Controller::new(cfg(), 8);
+        let mut ctl = Controller::new(cfg(), 8, &[]);
         // Two low samples: not yet (streak is 3).
         assert_eq!(step(&mut ctl, &clock, 16, 4, 2, Some(0.5)), vec![]);
         assert_eq!(step(&mut ctl, &clock, 16, 4, 2, Some(0.5)), vec![]);
@@ -582,7 +608,7 @@ mod tests {
     #[test]
     fn unanimous_agreement_scales_replicas_down_with_hysteresis() {
         let clock = ManualClock::new();
-        let mut ctl = Controller::new(cfg(), 8);
+        let mut ctl = Controller::new(cfg(), 8, &[]);
         assert_eq!(step(&mut ctl, &clock, 16, 4, 3, Some(1.0)), vec![]);
         assert_eq!(step(&mut ctl, &clock, 16, 4, 3, Some(1.0)), vec![]);
         assert_eq!(
@@ -603,7 +629,7 @@ mod tests {
     #[test]
     fn dead_band_and_gaps_reset_the_streak() {
         let clock = ManualClock::new();
-        let mut ctl = Controller::new(cfg(), 8);
+        let mut ctl = Controller::new(cfg(), 8, &[]);
         // low, low, in-band, low, low, low → fires only after the post-gap
         // streak completes: hysteresis, not a leaky counter.
         assert_eq!(step(&mut ctl, &clock, 16, 4, 2, Some(0.5)), vec![]);
@@ -628,7 +654,7 @@ mod tests {
         // Determinism: replay the same scripted load twice.
         let run = || {
             let clock = ManualClock::new();
-            let mut ctl = Controller::new(cfg(), 32);
+            let mut ctl = Controller::new(cfg(), 32, &[]);
             let mut log = Vec::new();
             let mut kb = 1;
             let mut replicas = 1;
@@ -640,7 +666,7 @@ mod tests {
                         ControlAction::SetKernelBatch(v) => kb = v,
                         ControlAction::SetReplicas(v) => replicas = v,
                         ControlAction::SetSpf { .. } => {
-                            unreachable!("no spf classes configured")
+                            unreachable!("no spf range configured")
                         }
                         ControlAction::Resample { .. } => {
                             unreachable!("the controller never emits Resample")
@@ -657,66 +683,64 @@ mod tests {
     }
 
     #[test]
-    fn spf_adapts_per_class_with_hysteresis_and_bounds() {
+    fn spf_adapts_per_set_with_hysteresis_and_bounds() {
         let clock = ManualClock::new();
         let mut c = cfg();
-        // Class 0: premium (tight floor). Class 1: bulk (wide range).
-        c.spf_classes = vec![SpfClass::new(4, 16), SpfClass::new(2, 64)];
-        let mut ctl = Controller::new(c, 8);
+        // Set 0 (default): tight floor. Tier 0 ("bulk"): wide range.
+        // Tier 1 ("pinned"): no range, so its spf never moves.
+        c.spf_range = Some(SpfRange::new(4, 16));
+        let tiers = [
+            QualityTier::new("bulk", 1, 8).spf_range(SpfRange::new(2, 64)),
+            QualityTier::new("pinned", 1, 8),
+        ];
+        let mut ctl = Controller::new(c, 8, &tiers);
 
-        // Saturated agreement on class 0 only: after the 3-sample streak
-        // its spf halves 16 → 8; class 1 (no evidence) is untouched.
-        let spfs = || vec![16usize, 8];
-        assert_eq!(step_spf(&mut ctl, &clock, spfs(), vec![Some(1.0), None]), vec![]);
-        assert_eq!(step_spf(&mut ctl, &clock, spfs(), vec![Some(1.0), None]), vec![]);
+        // Saturated agreement on the default set and on the unranged
+        // tier: after the 3-sample streak the default set's spf halves
+        // 16 → 8; "bulk" (no evidence) and "pinned" (no range) are
+        // untouched.
+        let saturated = || vec![Some(1.0), None, Some(1.0)];
+        let spfs = || vec![16usize, 8, 8];
+        assert_eq!(step_spf(&mut ctl, &clock, spfs(), saturated()), vec![]);
+        assert_eq!(step_spf(&mut ctl, &clock, spfs(), saturated()), vec![]);
         assert_eq!(
-            step_spf(&mut ctl, &clock, spfs(), vec![Some(1.0), None]),
-            vec![ControlAction::SetSpf { class: 0, spf: 8 }]
+            step_spf(&mut ctl, &clock, spfs(), saturated()),
+            vec![ControlAction::SetSpf { tier: None, spf: 8 }]
         );
         // Cooldown: continued saturation does nothing until it elapses.
         for _ in 0..5 {
-            assert_eq!(
-                step_spf(&mut ctl, &clock, vec![8, 8], vec![Some(1.0), None]),
-                vec![]
-            );
+            assert_eq!(step_spf(&mut ctl, &clock, vec![8, 8, 8], saturated()), vec![]);
         }
         // Past cooldown the streak rebuilds, then 8 → 4 lands on the
         // floor; further saturation can never go below spf_min.
         clock.advance(Duration::from_millis(100));
         for _ in 0..2 {
-            assert_eq!(
-                step_spf(&mut ctl, &clock, vec![8, 8], vec![Some(1.0), None]),
-                vec![]
-            );
+            assert_eq!(step_spf(&mut ctl, &clock, vec![8, 8, 8], saturated()), vec![]);
         }
         assert_eq!(
-            step_spf(&mut ctl, &clock, vec![8, 8], vec![Some(1.0), None]),
-            vec![ControlAction::SetSpf { class: 0, spf: 4 }]
+            step_spf(&mut ctl, &clock, vec![8, 8, 8], saturated()),
+            vec![ControlAction::SetSpf { tier: None, spf: 4 }]
         );
         clock.advance(Duration::from_millis(100));
         for _ in 0..6 {
-            assert_eq!(
-                step_spf(&mut ctl, &clock, vec![4, 8], vec![Some(1.0), None]),
-                vec![]
-            );
+            assert_eq!(step_spf(&mut ctl, &clock, vec![4, 8, 8], saturated()), vec![]);
         }
 
-        // Poor agreement on class 1 doubles it toward (and never past)
-        // spf_max, while class 0 sits in the dead band untouched.
+        // Poor agreement on "bulk" (and on "pinned") doubles bulk toward
+        // (and never past) spf_max, while the default set sits in the
+        // dead band untouched.
+        let poor = || vec![Some(0.9), Some(0.3), Some(0.3)];
         for _ in 0..2 {
-            assert_eq!(
-                step_spf(&mut ctl, &clock, vec![4, 32], vec![Some(0.9), Some(0.3)]),
-                vec![]
-            );
+            assert_eq!(step_spf(&mut ctl, &clock, vec![4, 32, 8], poor()), vec![]);
         }
         assert_eq!(
-            step_spf(&mut ctl, &clock, vec![4, 32], vec![Some(0.9), Some(0.3)]),
-            vec![ControlAction::SetSpf { class: 1, spf: 64 }]
+            step_spf(&mut ctl, &clock, vec![4, 32, 8], poor()),
+            vec![ControlAction::SetSpf { tier: Some(0), spf: 64 }]
         );
         clock.advance(Duration::from_millis(100));
         for _ in 0..6 {
             assert_eq!(
-                step_spf(&mut ctl, &clock, vec![4, 64], vec![Some(0.9), Some(0.3)]),
+                step_spf(&mut ctl, &clock, vec![4, 64, 8], poor()),
                 vec![],
                 "spf_max is a ceiling"
             );
@@ -726,30 +750,34 @@ mod tests {
     #[test]
     fn spf_streaks_reset_on_gaps_and_dead_band() {
         let clock = ManualClock::new();
-        let mut c = cfg();
-        c.spf_classes = vec![SpfClass::new(2, 32)];
-        let mut ctl = Controller::new(c, 8);
-        // high, high, gap (no completions), high, high, high → only the
-        // post-gap streak fires.
-        assert_eq!(step_spf(&mut ctl, &clock, vec![32], vec![Some(1.0)]), vec![]);
-        assert_eq!(step_spf(&mut ctl, &clock, vec![32], vec![Some(1.0)]), vec![]);
-        assert_eq!(step_spf(&mut ctl, &clock, vec![32], vec![None]), vec![], "gap resets");
-        assert_eq!(step_spf(&mut ctl, &clock, vec![32], vec![Some(1.0)]), vec![]);
-        assert_eq!(step_spf(&mut ctl, &clock, vec![32], vec![Some(1.0)]), vec![]);
+        let tiers = [QualityTier::new("bulk", 1, 32).spf_range(SpfRange::new(2, 32))];
+        let mut ctl = Controller::new(cfg(), 8, &tiers);
+        // On the tier's set: high, high, gap (nothing served), high,
+        // high, high → only the post-gap streak fires.
+        let on_tier = |a: Option<f32>| vec![None, a];
+        assert_eq!(step_spf(&mut ctl, &clock, vec![8, 32], on_tier(Some(1.0))), vec![]);
+        assert_eq!(step_spf(&mut ctl, &clock, vec![8, 32], on_tier(Some(1.0))), vec![]);
         assert_eq!(
-            step_spf(&mut ctl, &clock, vec![32], vec![Some(1.0)]),
-            vec![ControlAction::SetSpf { class: 0, spf: 16 }]
+            step_spf(&mut ctl, &clock, vec![8, 32], on_tier(None)),
+            vec![],
+            "gap resets"
+        );
+        assert_eq!(step_spf(&mut ctl, &clock, vec![8, 32], on_tier(Some(1.0))), vec![]);
+        assert_eq!(step_spf(&mut ctl, &clock, vec![8, 32], on_tier(Some(1.0))), vec![]);
+        assert_eq!(
+            step_spf(&mut ctl, &clock, vec![8, 32], on_tier(Some(1.0))),
+            vec![ControlAction::SetSpf { tier: Some(0), spf: 16 }]
         );
         // Dead-band samples also reset the streak.
         clock.advance(Duration::from_millis(100));
-        assert_eq!(step_spf(&mut ctl, &clock, vec![16], vec![Some(1.0)]), vec![]);
-        assert_eq!(step_spf(&mut ctl, &clock, vec![16], vec![Some(1.0)]), vec![]);
+        assert_eq!(step_spf(&mut ctl, &clock, vec![8, 16], on_tier(Some(1.0))), vec![]);
+        assert_eq!(step_spf(&mut ctl, &clock, vec![8, 16], on_tier(Some(1.0))), vec![]);
         assert_eq!(
-            step_spf(&mut ctl, &clock, vec![16], vec![Some(0.9)]),
+            step_spf(&mut ctl, &clock, vec![8, 16], on_tier(Some(0.9))),
             vec![],
             "dead band resets"
         );
-        assert_eq!(step_spf(&mut ctl, &clock, vec![16], vec![Some(1.0)]), vec![]);
+        assert_eq!(step_spf(&mut ctl, &clock, vec![8, 16], on_tier(Some(1.0))), vec![]);
     }
 
     #[test]
@@ -784,11 +812,11 @@ mod tests {
             ServeError::BadConfig(msg) if msg.contains("sample_interval")
         ));
         assert!(matches!(
-            check(|c| c.spf_classes = vec![SpfClass::new(0, 8)]),
+            check(|c| c.spf_range = Some(SpfRange::new(0, 8))),
             ServeError::BadConfig(msg) if msg.contains("spf_min")
         ));
         assert!(matches!(
-            check(|c| c.spf_classes = vec![SpfClass::new(16, 8)]),
+            check(|c| c.spf_range = Some(SpfRange::new(16, 8))),
             ServeError::BadConfig(msg) if msg.contains("spf_max")
         ));
         cfg().validate().expect("the test config itself is valid");

@@ -46,14 +46,6 @@ pub enum ServeError {
         /// The offending value.
         value: f32,
     },
-    /// The request named an spf class the runtime does not serve (see
-    /// [`crate::control::ControllerConfig::spf_classes`]).
-    UnknownClass {
-        /// The class the request asked for.
-        class: usize,
-        /// Classes the runtime serves (`0 .. classes`).
-        classes: usize,
-    },
     /// The request named a tenant model the runtime does not serve (see
     /// [`crate::SubmitRequest::model`]).
     UnknownModel {
@@ -92,12 +84,6 @@ impl std::fmt::Display for ServeError {
                 write!(
                     f,
                     "input channel {channel} = {value} outside normalized [0, 1]"
-                )
-            }
-            Self::UnknownClass { class, classes } => {
-                write!(
-                    f,
-                    "unknown request class {class}: this runtime serves classes 0..{classes}"
                 )
             }
             Self::UnknownModel { model, models } => {
@@ -147,7 +133,7 @@ mod tests {
         assert!(ServeError::QueueFull.to_string().contains("full"));
         let e = ServeError::Unavailable("no healthy shard".into());
         assert!(e.to_string().contains("unavailable") && e.to_string().contains("shard"));
-        let e = ServeError::UnknownClass { class: 3, classes: 2 };
+        let e = ServeError::UnknownModel { model: 3, models: 2 };
         assert!(e.to_string().contains('3') && e.to_string().contains('2'));
         let e = ServeError::UnknownQuality {
             quality: "turbo".into(),

@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use crate::error::ServeError;
 
-/// How a request was actually served: routing (class/model/tier), the
+/// How a request was actually served: routing (model/tier), the
 /// effective spf, and the uncertainty verdict (confidence/escalated).
 ///
 /// `#[non_exhaustive]` with accessor methods, so adding future routing or
@@ -22,7 +22,6 @@ use crate::error::ServeError;
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub struct ServedAs {
-    pub(crate) class: usize,
     pub(crate) model: usize,
     pub(crate) spf: usize,
     pub(crate) tier: Option<String>,
@@ -34,9 +33,8 @@ impl ServedAs {
     /// Routing facts for a request served with no quality tier: raw
     /// vote-margin `confidence` is filled in by the runtime, `tier` is
     /// `None`, `escalated` is `false`.
-    pub fn new(class: usize, model: usize, spf: usize) -> Self {
+    pub fn new(model: usize, spf: usize) -> Self {
         Self {
-            class,
             model,
             spf,
             tier: None,
@@ -66,20 +64,14 @@ impl ServedAs {
         self
     }
 
-    /// Request class the submission named (0 by default; drives the
-    /// controller's per-class spf actuator).
-    pub fn class(&self) -> usize {
-        self.class
-    }
-
     /// Tenant model that served the request (0 on single-model runtimes).
     pub fn model(&self) -> usize {
         self.model
     }
 
-    /// Ticks-per-frame the request was actually served at (the answering
-    /// tier's spf on tiered requests; otherwise the class's live spf at
-    /// serve time).
+    /// Ticks-per-frame the request was actually served at: the live spf
+    /// of the deployment set that answered (the escalation target's on
+    /// escalated requests) at serve time.
     pub fn spf(&self) -> usize {
         self.spf
     }
@@ -118,7 +110,7 @@ pub struct Response {
     pub replica_predictions: Vec<usize>,
     /// Fraction of replicas whose individual argmax matches `predicted`.
     pub agreement: f32,
-    /// How the request was routed and judged (class, model, spf, tier,
+    /// How the request was routed and judged (model, spf, tier,
     /// confidence, escalation). See [`ServedAs`].
     pub served: ServedAs,
     /// Index of the worker thread that served the request.
@@ -131,12 +123,6 @@ pub struct Response {
 }
 
 impl Response {
-    /// Request class the submission named. Delegates to
-    /// [`ServedAs::class`].
-    pub fn class(&self) -> usize {
-        self.served.class()
-    }
-
     /// Tenant model that served the request. Delegates to
     /// [`ServedAs::model`].
     pub fn model(&self) -> usize {
@@ -324,7 +310,7 @@ mod tests {
             votes: vec![0, 5],
             replica_predictions: vec![1, 1],
             agreement: 1.0,
-            served: ServedAs::new(0, 0, 8).with_confidence(1.0),
+            served: ServedAs::new(0, 8).with_confidence(1.0),
             worker: 0,
             ticks: 8,
             latency: Duration::from_micros(10),
@@ -333,11 +319,10 @@ mod tests {
 
     #[test]
     fn served_as_accessors_round_trip() {
-        let served = ServedAs::new(1, 2, 4)
+        let served = ServedAs::new(2, 4)
             .with_tier("fast")
             .with_confidence(0.75)
             .with_escalated(true);
-        assert_eq!(served.class(), 1);
         assert_eq!(served.model(), 2);
         assert_eq!(served.spf(), 4);
         assert_eq!(served.tier(), Some("fast"));
@@ -347,7 +332,7 @@ mod tests {
             served,
             ..dummy_response(0)
         };
-        assert_eq!((r.class(), r.model(), r.spf()), (1, 2, 4));
+        assert_eq!((r.model(), r.spf()), (2, 4));
         assert_eq!(r.tier(), Some("fast"));
         assert!(r.escalated());
     }

@@ -86,9 +86,10 @@
 //!   With [`ServeConfig::controller`] set, a [`Controller`] closes the
 //!   loop: it adapts the live fusion width within `1 ..= kernel_batch`
 //!   from queue depth, rescales replicas from the live agreement
-//!   metric, and (with [`ControllerConfig::spf_classes`] configured)
-//!   adapts each request class's ticks-per-frame within its
-//!   [`SpfClass`] bounds from that class's windowed agreement — all
+//!   metric, and moves the ticks-per-frame of every deployment set
+//!   given an [`SpfRange`] (the default set's
+//!   [`ControllerConfig::spf_range`], a tier's
+//!   [`QualityTier::spf_range`]) from that set's windowed agreement — all
 //!   with hysteresis (dead band + streak + cooldown). The control
 //!   math is pure — time arrives inside each [`ControlSample`], stamped
 //!   by a [`tn_telemetry::Clock`] — so decisions are testable with a
@@ -163,7 +164,7 @@ mod tier;
 
 pub use backend::{ServeBackend, ServeShape};
 pub use config::{Backpressure, ServeConfig, ServeConfigBuilder, TelemetryConfig};
-pub use control::{ControlAction, ControlSample, Controller, ControllerConfig, SpfClass};
+pub use control::{ControlAction, ControlSample, Controller, ControllerConfig, SpfRange};
 pub use error::ServeError;
 pub use handle::{Completer, RequestHandle, Response, ServedAs};
 pub use metrics::{joules_per_frame, MetricsSnapshot, QueueStats};

@@ -14,6 +14,11 @@ use tn_telemetry::LatencyHistogram;
 /// Fixed-point scale for accumulating agreement fractions in an atomic.
 const AGREEMENT_SCALE: f64 = 1e6;
 
+/// A `[0, 1]` fraction in fixed point ×[`AGREEMENT_SCALE`].
+fn agreement_micros(fraction: f32) -> u64 {
+    (f64::from(fraction.clamp(0.0, 1.0)) * AGREEMENT_SCALE) as u64
+}
+
 /// Shared mutable counters updated by workers and submitters.
 #[derive(Debug)]
 pub(crate) struct Metrics {
@@ -29,10 +34,11 @@ pub(crate) struct Metrics {
     /// ([`ChipCounterExport`] deltas; `chip[0]` = synaptic_ops etc. in
     /// `for_each` order).
     chip: [AtomicU64; 12],
-    /// Per request class: `[completed, agreement ×AGREEMENT_SCALE]` — the
-    /// spf actuator's evidence, windowed by the observer exactly like the
-    /// global pair.
-    class_agreement: Vec<[AtomicU64; 2]>,
+    /// Per deployment set (0 = default, `t + 1` = tier `t`): `[passes,
+    /// agreement ×AGREEMENT_SCALE]` over every pass the set served,
+    /// escalated first passes included — the spf actuator's evidence,
+    /// windowed by the observer exactly like the global pair.
+    set_agreement: Vec<[AtomicU64; 2]>,
     /// Per tenant model: `[submitted, completed, ticks,
     /// agreement ×AGREEMENT_SCALE]` — one row per packed tenant (a single
     /// row on solo runtimes), exported as `serve.model.{m}.*`.
@@ -53,7 +59,7 @@ pub(crate) struct Metrics {
 }
 
 impl Metrics {
-    pub(crate) fn new(workers: usize, spf_classes: usize, models: usize, tiers: usize) -> Self {
+    pub(crate) fn new(workers: usize, models: usize, tiers: usize) -> Self {
         Self {
             submitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
@@ -63,7 +69,7 @@ impl Metrics {
             ticks: AtomicU64::new(0),
             agreement_micros: AtomicU64::new(0),
             chip: std::array::from_fn(|_| AtomicU64::new(0)),
-            class_agreement: (0..spf_classes.max(1))
+            set_agreement: (0..=tiers)
                 .map(|_| [AtomicU64::new(0), AtomicU64::new(0)])
                 .collect(),
             per_model: (0..models.max(1))
@@ -81,7 +87,6 @@ impl Metrics {
     pub(crate) fn record_completion(
         &self,
         worker: usize,
-        class: usize,
         model: usize,
         ticks: u64,
         latency: Duration,
@@ -91,18 +96,23 @@ impl Metrics {
         self.ticks.fetch_add(ticks, Ordering::Relaxed);
         self.per_worker_frames[worker].fetch_add(1, Ordering::Relaxed);
         self.per_worker_ticks[worker].fetch_add(ticks, Ordering::Relaxed);
-        let micros = (f64::from(agreement.clamp(0.0, 1.0)) * AGREEMENT_SCALE) as u64;
+        let micros = agreement_micros(agreement);
         self.agreement_micros.fetch_add(micros, Ordering::Relaxed);
-        if let Some(pair) = self.class_agreement.get(class) {
-            pair[0].fetch_add(1, Ordering::Relaxed);
-            pair[1].fetch_add(micros, Ordering::Relaxed);
-        }
         if let Some(row) = self.per_model.get(model) {
             row[3].fetch_add(micros, Ordering::Release);
             row[2].fetch_add(ticks, Ordering::Release);
             row[1].fetch_add(1, Ordering::Release);
         }
         self.latency.record(latency);
+    }
+
+    /// Count one pass served on deployment set `set` toward that set's
+    /// agreement window.
+    pub(crate) fn record_set_agreement(&self, set: usize, agreement: f32) {
+        if let Some(pair) = self.set_agreement.get(set) {
+            pair[0].fetch_add(1, Ordering::Relaxed);
+            pair[1].fetch_add(agreement_micros(agreement), Ordering::Relaxed);
+        }
     }
 
     /// Count one accepted submission: globally, against tenant `model`
@@ -128,8 +138,7 @@ impl Metrics {
         confidence: f32,
     ) {
         if let Some(row) = self.per_tier.get(tier) {
-            let micros = (f64::from(confidence.clamp(0.0, 1.0)) * AGREEMENT_SCALE) as u64;
-            row[4].fetch_add(micros, Ordering::Release);
+            row[4].fetch_add(agreement_micros(confidence), Ordering::Release);
             row[3].fetch_add(ticks, Ordering::Release);
             row[1].fetch_add(1, Ordering::Release);
             row[2].fetch_add(u64::from(escalated), Ordering::Release);
@@ -176,17 +185,13 @@ impl Metrics {
         })
     }
 
-    /// Lifetime `(completed, agreement_sum/SCALE)` pair for one request
-    /// class (see [`Metrics::agreement_progress`]).
-    pub(crate) fn class_agreement_progress(&self, class: usize) -> (u64, u64) {
-        self.class_agreement.get(class).map_or((0, 0), |pair| {
-            (pair[0].load(Ordering::Relaxed), pair[1].load(Ordering::Relaxed))
-        })
-    }
-
-    /// Number of request classes agreement is tracked for.
-    pub(crate) fn n_classes(&self) -> usize {
-        self.class_agreement.len()
+    /// Lifetime `(passes, agreement_sum/SCALE)` pair per deployment set
+    /// (see [`Metrics::agreement_progress`]).
+    pub(crate) fn set_agreement_progress(&self) -> Vec<(u64, u64)> {
+        self.set_agreement
+            .iter()
+            .map(|pair| (pair[0].load(Ordering::Relaxed), pair[1].load(Ordering::Relaxed)))
+            .collect()
     }
 
     /// Fold a worker deployment's hardware-counter delta into the global
@@ -458,11 +463,11 @@ mod tests {
 
     #[test]
     fn quantiles_track_recorded_latencies() {
-        let m = Metrics::new(2, 2, 1, 0);
+        let m = Metrics::new(2, 1, 0);
         for _ in 0..99 {
-            m.record_completion(0, 0, 0, 8, Duration::from_micros(100), 1.0);
+            m.record_completion(0, 0, 8, Duration::from_micros(100), 1.0);
         }
-        m.record_completion(1, 1, 0, 8, Duration::from_millis(50), 0.5);
+        m.record_completion(1, 0, 8, Duration::from_millis(50), 0.5);
         let snap = m.snapshot(0, Duration::from_secs(1), 4);
         assert_eq!(snap.completed, 100);
         assert_eq!(snap.ticks, 800);
@@ -482,12 +487,12 @@ mod tests {
     fn quantiles_separate_within_one_octave() {
         // 1.0 ms and 1.9 ms share a power of two; the old power-of-two
         // buckets reported p50 == p99 == 2.097 ms for this workload.
-        let m = Metrics::new(1, 1, 1, 0);
+        let m = Metrics::new(1, 1, 0);
         for _ in 0..90 {
-            m.record_completion(0, 0, 0, 1, Duration::from_micros(1000), 1.0);
+            m.record_completion(0, 0, 1, Duration::from_micros(1000), 1.0);
         }
         for _ in 0..10 {
-            m.record_completion(0, 0, 0, 1, Duration::from_micros(1900), 1.0);
+            m.record_completion(0, 0, 1, Duration::from_micros(1900), 1.0);
         }
         let snap = m.snapshot(0, Duration::from_secs(1), 1);
         assert!(snap.p50_latency < snap.p99_latency, "quantiles degenerate");
@@ -505,11 +510,11 @@ mod tests {
         // on its 102 400 ns edge; the single 50 ms outlier is its
         // bucket's last sample, so p99 still reports that bucket's upper
         // bound (50 331 648 ns).
-        let m = Metrics::new(1, 1, 1, 0);
+        let m = Metrics::new(1, 1, 0);
         for _ in 0..99 {
-            m.record_completion(0, 0, 0, 1, Duration::from_micros(100), 1.0);
+            m.record_completion(0, 0, 1, Duration::from_micros(100), 1.0);
         }
-        m.record_completion(0, 0, 0, 1, Duration::from_millis(50), 1.0);
+        m.record_completion(0, 0, 1, Duration::from_millis(50), 1.0);
         let snap = m.snapshot(0, Duration::from_secs(1), 1);
         // lower + rank/count × width = 98 304 + 51/99 × 4 096 ≈ 100 414.
         assert_eq!(snap.p50_latency, Duration::from_nanos(100_414));
@@ -522,14 +527,14 @@ mod tests {
 
     #[test]
     fn per_model_rows_split_completions() {
-        let m = Metrics::new(1, 1, 2, 0);
+        let m = Metrics::new(1, 2, 0);
         assert_eq!(m.n_models(), 2);
         m.record_submit(0, None);
         m.record_submit(1, None);
         m.record_submit(1, None);
-        m.record_completion(0, 0, 0, 8, Duration::from_micros(10), 1.0);
-        m.record_completion(0, 0, 1, 16, Duration::from_micros(10), 0.5);
-        m.record_completion(0, 0, 1, 16, Duration::from_micros(10), 0.5);
+        m.record_completion(0, 0, 8, Duration::from_micros(10), 1.0);
+        m.record_completion(0, 1, 16, Duration::from_micros(10), 0.5);
+        m.record_completion(0, 1, 16, Duration::from_micros(10), 0.5);
         assert_eq!(m.model_progress(0), (1, 1, 8, 1_000_000));
         assert_eq!(m.model_progress(1), (2, 2, 32, 1_000_000));
         assert_eq!(m.model_progress(7), (0, 0, 0, 0), "out of range is zero");
@@ -539,7 +544,7 @@ mod tests {
 
     #[test]
     fn empty_metrics_snapshot_is_all_zero() {
-        let m = Metrics::new(1, 1, 1, 0);
+        let m = Metrics::new(1, 1, 0);
         let snap = m.snapshot(3, Duration::ZERO, 4);
         assert_eq!(snap.completed, 0);
         assert_eq!(snap.queue_depth, 3);
@@ -551,8 +556,8 @@ mod tests {
 
     #[test]
     fn display_mentions_throughput_and_energy() {
-        let m = Metrics::new(1, 1, 1, 0);
-        m.record_completion(0, 0, 0, 8, Duration::from_micros(10), 0.75);
+        let m = Metrics::new(1, 1, 0);
+        m.record_completion(0, 0, 8, Duration::from_micros(10), 0.75);
         let text = m.snapshot(0, Duration::from_secs(1), 4).to_string();
         assert!(text.contains("req/s"), "{text}");
         assert!(text.contains("energy/frame"), "{text}");

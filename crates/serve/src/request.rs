@@ -1,11 +1,9 @@
 //! The unified request type accepted by `ServeRuntime::submit`.
 //!
-//! One builder replaces the four positional `submit*` variants that had
-//! accreted (`submit`, `submit_class`, `submit_model`,
-//! `submit_model_class`): `frame` is required, everything else is
-//! optional and defaults to the runtime's defaults. The gateway's
+//! One builder for every submission: `frame` is required, everything
+//! else is optional and defaults to the runtime's defaults. The gateway's
 //! `/v1/classify` JSON body mirrors this struct key-for-key
-//! (`frame`/`model`/`class`/`quality`).
+//! (`frame`/`model`/`quality`).
 //!
 //! `From<Vec<f32>>` keeps the common one-liner working unchanged:
 //! `rt.submit(vec![0.5, 0.25])` is `rt.submit(SubmitRequest::new(...))`.
@@ -16,7 +14,6 @@
 /// use tn_serve::SubmitRequest;
 /// let req = SubmitRequest::new(vec![0.5, 0.25])
 ///     .model(0)
-///     .class(0)
 ///     .quality("fast");
 /// assert_eq!(req.quality.as_deref(), Some("fast"));
 /// ```
@@ -28,11 +25,9 @@ pub struct SubmitRequest {
     /// Tenant model on a packed runtime (default `0`, the only valid
     /// value on a solo runtime).
     pub model: usize,
-    /// Request class for the controller's per-class spf actuator
-    /// (default `0`).
-    pub class: usize,
-    /// Quality tier name; `None` serves on the runtime's default
-    /// replica set at the live spf.
+    /// Quality tier name: the operating point (replicas × spf) the
+    /// request is served at. `None` serves on the runtime's default
+    /// deployment set at its live spf.
     pub quality: Option<String>,
     /// Explicit determinism sequence number; `None` (the default) lets
     /// the runtime claim the next one. See [`SubmitRequest::at_seq`].
@@ -40,13 +35,12 @@ pub struct SubmitRequest {
 }
 
 impl SubmitRequest {
-    /// A request for `frame` with default model, class, no tier, and a
+    /// A request for `frame` with default model, no tier, and a
     /// runtime-assigned sequence number.
     pub fn new(frame: Vec<f32>) -> Self {
         Self {
             frame,
             model: 0,
-            class: 0,
             quality: None,
             seq: None,
         }
@@ -56,13 +50,6 @@ impl SubmitRequest {
     #[must_use]
     pub fn model(mut self, model: usize) -> Self {
         self.model = model;
-        self
-    }
-
-    /// Tag with request `class` for per-class spf control.
-    #[must_use]
-    pub fn class(mut self, class: usize) -> Self {
-        self.class = class;
         self
     }
 
@@ -110,13 +97,10 @@ mod tests {
     #[test]
     fn builder_defaults_and_setters() {
         let req = SubmitRequest::new(vec![1.0]);
-        assert_eq!((req.model, req.class, req.quality.as_deref()), (0, 0, None));
+        assert_eq!((req.model, req.quality.as_deref()), (0, None));
         assert_eq!(req.seq, None);
-        let req = SubmitRequest::new(vec![1.0]).model(2).class(1).quality("q");
-        assert_eq!(
-            (req.model, req.class, req.quality.as_deref()),
-            (2, 1, Some("q"))
-        );
+        let req = SubmitRequest::new(vec![1.0]).model(2).quality("q");
+        assert_eq!((req.model, req.quality.as_deref()), (2, Some("q")));
         let req = SubmitRequest::new(vec![1.0]).at_seq(41);
         assert_eq!(req.seq, Some(41));
     }

@@ -8,11 +8,12 @@
 //! point. A solo runtime is a pack with one tenant. Set 0 is the default
 //! operating point (the live replica count and ensemble sample); sets
 //! `1..` are the quality tiers, each packing every tenant at the tier's
-//! `replicas` and `sample`. Every worker owns a *clone* of each set's
-//! prototype and serves all of them from one loop: it buckets a drained
-//! micro-batch by set, chunks each set per tenant at the live (or tier)
-//! fusion width, tallies votes, and on tier sets applies calibration and
-//! escalation.
+//! `replicas` and `sample`. Each set has one live spf, which the
+//! controller moves inside the set's spf range when it has one. Every
+//! worker owns a *clone* of each set's prototype and serves all of them
+//! from one loop: it buckets a drained micro-batch by set, chunks each
+//! set per tenant at the live (or tier) fusion width, tallies votes, and
+//! on tier sets applies calibration and escalation.
 //!
 //! # Determinism contract
 //!
@@ -42,7 +43,7 @@
 //!   time-dependent is *when* the replica count changes relative to an
 //!   in-flight request stream; runtimes without a controller never
 //!   rescale and stay bit-identical end to end.
-//! * Per-class spf changes ride [`FrameInput::spf`] at serve time — a
+//! * spf changes ride [`FrameInput::spf`] at serve time — a
 //!   request's result is still a pure function of `(seed, seq, spf)` and
 //!   no deployment is rebuilt or re-sampled. What the spf actuator makes
 //!   time-dependent is *which* spf an in-flight request is served at; the
@@ -61,7 +62,7 @@ use tn_telemetry::{emit, Clock, MetricsSink, MonotonicClock, NullSink, Snapshot,
 
 use crate::backend::ServeShape;
 use crate::config::{Backpressure, ServeConfig};
-use crate::control::{ControlAction, Controller, SpfClass};
+use crate::control::{ControlAction, Controller, SpfRange};
 use crate::error::ServeError;
 use crate::handle::{pair, Completer, RequestHandle, Response, ServedAs};
 use crate::metrics::{Metrics, MetricsSnapshot};
@@ -79,8 +80,6 @@ const CALIBRATION_SALT: u64 = 0x5851_F42D_4C95_7F2D;
 #[derive(Debug)]
 struct Job {
     seq: u64,
-    /// Request class: selects which live spf serves this job.
-    class: usize,
     /// Tenant model the job is addressed to (always 0 on solo runtimes).
     model: usize,
     /// Deployment set the request asked for: 0 is the default operating
@@ -92,11 +91,15 @@ struct Job {
 }
 
 /// One deployment set: every tenant packed at one operating point, plus
-/// the prototype epoch and the tier's calibration.
+/// the prototype epoch, the live spf and the tier's calibration.
 #[derive(Debug)]
 struct DeploySet {
     /// The quality tier this set serves (`None` for the default set 0).
     tier: Option<QualityTier>,
+    /// Live ticks-per-frame (workers read it per frame).
+    spf: AtomicUsize,
+    /// Bounds the spf actuator moves `spf` in (`None`: `spf` is fixed).
+    spf_range: Option<SpfRange>,
     /// Resolved [`QualityTier::escalate_to`] as a set index (validated at
     /// build time).
     escalate_to: Option<usize>,
@@ -112,9 +115,23 @@ struct DeploySet {
 }
 
 impl DeploySet {
-    fn new(tier: Option<QualityTier>, escalate_to: Option<usize>, proto: PackedDeployment) -> Self {
+    /// A set at the operating point of `tier` (the default set's when
+    /// `None`). Its live spf starts at the configured spf, clamped into
+    /// the set's spf range.
+    fn new(
+        cfg: &ServeConfig,
+        tier: Option<QualityTier>,
+        escalate_to: Option<usize>,
+        proto: PackedDeployment,
+    ) -> Self {
+        let (spf, spf_range) = match &tier {
+            Some(t) => (t.spf, t.spf_range),
+            None => (cfg.spf, cfg.controller.as_ref().and_then(|c| c.spf_range)),
+        };
         Self {
             tier,
+            spf: AtomicUsize::new(spf_range.map_or(spf, |r| r.clamp(spf))),
+            spf_range,
             escalate_to,
             proto: Mutex::new(Arc::new(proto)),
             epoch: AtomicU64::new(0),
@@ -153,13 +170,6 @@ struct ControlState {
     replicas: AtomicUsize,
     /// Cores occupied by the default set (energy-model input).
     cores: AtomicUsize,
-    /// Live ticks-per-frame per request class (workers read per frame).
-    /// Always at least one entry; class 0 is the default class.
-    spf: Vec<AtomicUsize>,
-    /// Per-class spf bounds ([`crate::control::ControllerConfig::spf_classes`],
-    /// or a single degenerate `[cfg.spf, cfg.spf]` class when the spf
-    /// actuator is off — then no action can ever move the knob).
-    spf_bounds: Vec<SpfClass>,
     /// Replica rebuilds that failed (the action was skipped).
     rebuild_failures: AtomicU64,
     /// Deploy spec per tenant, kept so rescaling and resampling can
@@ -312,7 +322,7 @@ impl ServeRuntime {
             .map(|m| (default.model(m).n_inputs(), default.model(m).n_classes()))
             .collect();
         let cores = default.core_count();
-        let mut sets = vec![DeploySet::new(None, None, default)];
+        let mut sets = vec![DeploySet::new(&cfg, None, None, default)];
         // Each tier set is seeded exactly as a runtime *configured* at
         // (tier.replicas, tier.sample) would be — the escalate path's
         // bit-identity contract rests on this.
@@ -325,15 +335,12 @@ impl ServeRuntime {
                     .expect("escalate_to validated by ServeConfig::validate")
             });
             let proto = build_set(specs, &cfg, t.replicas, t.sample)?;
-            sets.push(DeploySet::new(Some(t.clone()), escalate_to, proto));
+            sets.push(DeploySet::new(&cfg, Some(t.clone()), escalate_to, proto));
         }
-        let (spf_bounds, spf) = spf_setup(&cfg);
         let control = Arc::new(ControlState {
             kernel_batch: AtomicUsize::new(cfg.kernel_batch),
             replicas: AtomicUsize::new(cfg.replicas),
             cores: AtomicUsize::new(cores),
-            spf,
-            spf_bounds,
             rebuild_failures: AtomicU64::new(0),
             specs: specs.to_vec(),
             sample: AtomicU64::new(0),
@@ -341,7 +348,7 @@ impl ServeRuntime {
         });
         let shape = ServeShape {
             models,
-            spf: control.spf.iter().map(|s| s.load(Ordering::Relaxed)).collect(),
+            spf: control.live_spf(),
             tiers: cfg.tiers.iter().map(|t| t.name.clone()).collect(),
             replicas: cfg.replicas,
             kernel_batch: cfg.kernel_batch,
@@ -355,12 +362,7 @@ impl ServeRuntime {
             .as_ref()
             .map(|t| Arc::new(SpanRecorder::new(t.span_ring)));
         let queue = Arc::new(BoundedQueue::new(cfg.queue_capacity));
-        let metrics = Arc::new(Metrics::new(
-            cfg.workers,
-            control.spf.len(),
-            shape.models.len(),
-            cfg.tiers.len(),
-        ));
+        let metrics = Arc::new(Metrics::new(cfg.workers, shape.models.len(), cfg.tiers.len()));
         let mut workers = Vec::with_capacity(cfg.workers);
         for w in 0..cfg.workers {
             let queue = Arc::clone(&queue);
@@ -409,12 +411,12 @@ impl ServeRuntime {
     }
 
     /// What this runtime serves, with the live replica count, fusion
-    /// width, per-class spf and cores (the controller moves those).
+    /// width, per-set spf and cores (the controller moves those).
     pub fn shape(&self) -> ServeShape {
         let control = &self.control;
         ServeShape {
             models: self.shape.models.clone(),
-            spf: control.spf.iter().map(|s| s.load(Ordering::Relaxed)).collect(),
+            spf: control.live_spf(),
             tiers: self.shape.tiers.clone(),
             replicas: control.replicas.load(Ordering::Relaxed),
             kernel_batch: control.kernel_batch.load(Ordering::Relaxed),
@@ -458,7 +460,8 @@ impl ServeRuntime {
     ///
     /// # Errors
     ///
-    /// [`ServeError::BadConfig`] for a zero knob value,
+    /// [`ServeError::BadConfig`] for a zero knob value or a `SetSpf` on
+    /// a set with no spf range (or no such tier),
     /// [`ServeError::Deploy`] if a rebuilt tenant cannot be placed,
     /// [`ServeError::Pack`] if the rebuilt tenants no longer fit one chip
     /// together (the old set keeps serving either way).
@@ -469,9 +472,8 @@ impl ServeRuntime {
     /// Submit one inference request; returns an awaitable handle.
     ///
     /// Accepts anything convertible into a [`SubmitRequest`]: a bare
-    /// `Vec<f32>` frame serves on the defaults (model 0, class 0, no
-    /// tier), and the builder names a tenant model, request class, or
-    /// quality tier:
+    /// `Vec<f32>` frame serves on the defaults (model 0, no tier), and
+    /// the builder names a tenant model or quality tier:
     ///
     /// ```
     /// # use tn_chip::nscs::{CoreDeploySpec, InputSource, NetworkDeploySpec};
@@ -490,9 +492,9 @@ impl ServeRuntime {
     /// #     output_taps: vec![(0, 0, 0), (0, 1, 1)],
     /// # };
     /// # let rt = ServeRuntime::new(&spec, ServeConfig::new(7)).expect("deploy");
-    /// let handle = rt.submit(vec![1.0, 0.0])?; // defaults: model 0, class 0
+    /// let handle = rt.submit(vec![1.0, 0.0])?; // defaults: model 0, no tier
     /// assert_eq!(handle.wait()?.predicted, 0);
-    /// let handle = rt.submit(SubmitRequest::new(vec![0.0, 1.0]).model(0).class(0))?;
+    /// let handle = rt.submit(SubmitRequest::new(vec![0.0, 1.0]).model(0))?;
     /// assert_eq!(handle.wait()?.predicted, 1);
     /// # Ok::<(), tn_serve::ServeError>(())
     /// ```
@@ -504,7 +506,7 @@ impl ServeRuntime {
     ///
     /// [`ServeError::BadInput`] / [`ServeError::InputOutOfRange`] on
     /// malformed inputs, [`ServeError::UnknownModel`] /
-    /// [`ServeError::UnknownClass`] / [`ServeError::UnknownQuality`] on
+    /// [`ServeError::UnknownQuality`] on
     /// routing to something this runtime does not serve,
     /// [`ServeError::QueueFull`] under rejecting backpressure,
     /// [`ServeError::ShuttingDown`] after shutdown began.
@@ -522,7 +524,6 @@ impl ServeRuntime {
         let SubmitRequest {
             frame: inputs,
             model,
-            class,
             quality,
             seq: seq_override,
             ..
@@ -551,7 +552,6 @@ impl ServeRuntime {
         let (handle, completer) = pair(seq);
         let job = Job {
             seq,
-            class,
             model,
             set,
             inputs,
@@ -600,10 +600,10 @@ impl ServeRuntime {
     /// held-out labelled set.
     ///
     /// Every `(frame, label)` pair is served once per tier on a clone of
-    /// that tier's deployment set (as model 0) at the tier's spf, seeded from a
-    /// calibration-only stream (disjoint from the serving seeds), and the
-    /// observed (vote margin, was-correct) pairs are fitted with binned
-    /// isotonic regression ([`CalibrationMap::fit`]). Until this runs,
+    /// that tier's deployment set (as model 0) at the tier's live spf,
+    /// seeded from a calibration-only stream (disjoint from the serving
+    /// seeds), and the observed (vote margin, was-correct) pairs are
+    /// fitted with binned isotonic regression ([`CalibrationMap::fit`]). Until this runs,
     /// tiers report the raw margin as confidence (identity map).
     ///
     /// Each tier's frames are split into contiguous ranges served on
@@ -631,7 +631,7 @@ impl ServeRuntime {
         let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
         for set in &self.control.sets[1..] {
             let proto = set.proto();
-            let spf = set.tier.as_ref().expect("sets 1.. are tiers").spf;
+            let spf = set.spf.load(Ordering::Relaxed);
             let ranges = parallel_chunks(frames.len(), threads, |range| {
                 Ok::<_, ()>(self.calibration_samples(&proto, spf, frames, range))
             })
@@ -672,7 +672,6 @@ impl ServeRuntime {
             let results = dep.run_frames(&inputs);
             for ((_, label), votes) in frames[chunk].iter().zip(results) {
                 let r = tally(
-                    0,
                     0,
                     0,
                     spf,
@@ -844,45 +843,33 @@ fn apply_action(
             control.sets[0].swap(set);
             Ok(())
         }
-        ControlAction::SetSpf { class, spf } => {
+        ControlAction::SetSpf { tier, spf } => {
             if spf == 0 {
                 return Err(ServeError::BadConfig(
                     "control action spf must be >= 1".into(),
                 ));
             }
-            let Some(slot) = control.spf.get(class) else {
-                return Err(ServeError::UnknownClass {
-                    class,
-                    classes: control.spf.len(),
-                });
+            let set = tier.map_or(Some(&control.sets[0]), |t| control.sets[1..].get(t));
+            let Some((set, range)) = set.and_then(|s| s.spf_range.map(|r| (s, r))) else {
+                return Err(ServeError::BadConfig(format!(
+                    "control action spf: {} has no spf range",
+                    tier.map_or("the default set".to_string(), |t| format!("tier {t}"))
+                )));
             };
-            // Clamp into the class's bounds: no controller decision (or
-            // manual apply_control) can push a class outside its tier.
-            // The store rides FrameInput at serve time — no prototype
-            // rebuild.
-            slot.store(control.spf_bounds[class].clamp(spf), Ordering::Relaxed);
+            // Clamp into the set's range: no controller decision (or
+            // manual apply_control) can push a set outside it. The store
+            // rides FrameInput at serve time — no prototype rebuild.
+            set.spf.store(range.clamp(spf), Ordering::Relaxed);
             Ok(())
         }
     }
 }
 
-/// One live spf slot per request class. Without configured spf classes
-/// there is a single class pinned at `cfg.spf`; with them, each class
-/// starts at `cfg.spf` clamped into its bounds.
-fn spf_setup(cfg: &ServeConfig) -> (Vec<SpfClass>, Vec<AtomicUsize>) {
-    let spf_bounds: Vec<SpfClass> = cfg
-        .controller
-        .as_ref()
-        .filter(|c| !c.spf_classes.is_empty())
-        .map_or_else(
-            || vec![SpfClass::new(cfg.spf, cfg.spf)],
-            |c| c.spf_classes.clone(),
-        );
-    let spf: Vec<AtomicUsize> = spf_bounds
-        .iter()
-        .map(|b| AtomicUsize::new(b.clamp(cfg.spf)))
-        .collect();
-    (spf_bounds, spf)
+impl ControlState {
+    /// Live spf per set (entry 0 the default set, `t + 1` tier `t`).
+    fn live_spf(&self) -> Vec<usize> {
+        self.sets.iter().map(|s| s.spf.load(Ordering::Relaxed)).collect()
+    }
 }
 
 /// Everything the observer thread needs.
@@ -906,7 +893,7 @@ fn observer_loop(ctx: &ObserverCtx) {
         .cfg
         .controller
         .clone()
-        .map(|c| Controller::new(c, ctx.cfg.kernel_batch));
+        .map(|c| Controller::new(c, ctx.cfg.kernel_batch, &ctx.cfg.tiers));
     let sample_every = ctx.cfg.controller.as_ref().map(|c| c.sample_interval);
     let export_every = ctx.cfg.telemetry.as_ref().map(|t| t.interval);
     let tick = [sample_every, export_every]
@@ -921,10 +908,7 @@ fn observer_loop(ctx: &ObserverCtx) {
 
     let mut seq = 0u64;
     let mut window_start = ctx.metrics.agreement_progress();
-    let n_classes = ctx.metrics.n_classes();
-    let mut class_window_start: Vec<(u64, u64)> = (0..n_classes)
-        .map(|c| ctx.metrics.class_agreement_progress(c))
-        .collect();
+    let mut set_window_start = ctx.metrics.set_agreement_progress();
     let start_ns = ctx.clock.now_ns();
     let mut last_sample_ns = start_ns;
     let mut last_export_ns = start_ns;
@@ -944,9 +928,7 @@ fn observer_loop(ctx: &ObserverCtx) {
         if let (Some(ctl), Some(period)) = (controller.as_mut(), sample_ns) {
             if !stopped && now_ns.saturating_sub(last_sample_ns) >= period {
                 let progress = ctx.metrics.agreement_progress();
-                let class_progress: Vec<(u64, u64)> = (0..n_classes)
-                    .map(|c| ctx.metrics.class_agreement_progress(c))
-                    .collect();
+                let set_progress = ctx.metrics.set_agreement_progress();
                 let sample = crate::control::ControlSample {
                     t_ns: now_ns,
                     queue_depth: ctx.queue.len(),
@@ -954,20 +936,15 @@ fn observer_loop(ctx: &ObserverCtx) {
                     kernel_batch: ctx.control.kernel_batch.load(Ordering::Relaxed),
                     replicas: ctx.control.replicas.load(Ordering::Relaxed),
                     mean_agreement: Metrics::window_agreement(window_start, progress),
-                    spf: ctx
-                        .control
-                        .spf
+                    spf: ctx.control.live_spf(),
+                    set_agreement: set_window_start
                         .iter()
-                        .map(|s| s.load(Ordering::Relaxed))
-                        .collect(),
-                    class_agreement: class_window_start
-                        .iter()
-                        .zip(&class_progress)
+                        .zip(&set_progress)
                         .map(|(&prev, &now)| Metrics::window_agreement(prev, now))
                         .collect(),
                 };
                 window_start = progress;
-                class_window_start = class_progress;
+                set_window_start = set_progress;
                 last_sample_ns = now_ns;
                 for action in ctl.observe(&sample) {
                     if apply_action(&ctx.control, &ctx.cfg, &action).is_err() {
@@ -1052,6 +1029,10 @@ fn assemble_snapshot(ctx: &ObserverCtx, seq: u64, now_ns: u64) -> Snapshot {
             ctx.control.cores.load(Ordering::Relaxed) as f64,
         )
         .gauge(
+            "serve.spf",
+            ctx.control.sets[0].spf.load(Ordering::Relaxed) as f64,
+        )
+        .gauge(
             "serve.mean_agreement",
             f64::from(mean_agreement.unwrap_or(0.0)),
         );
@@ -1073,7 +1054,8 @@ fn assemble_snapshot(ctx: &ObserverCtx, seq: u64, now_ns: u64) -> Snapshot {
     // Per quality tier (only on tiered runtimes): submissions and
     // completions counted against the *requested* tier, how many answers
     // took the escalate hop, ticks spent (escalation passes included),
-    // and the mean calibrated confidence of the delivered answers.
+    // the mean calibrated confidence of the delivered answers, and the
+    // tier's live spf.
     for (t, &(submitted, completed, escalated, ticks, confidence_micros)) in
         tiers.iter().enumerate()
     {
@@ -1086,18 +1068,11 @@ fn assemble_snapshot(ctx: &ObserverCtx, seq: u64, now_ns: u64) -> Snapshot {
             .counter(&format!("serve.tier.{t}.completed"), completed)
             .counter(&format!("serve.tier.{t}.escalated"), escalated)
             .counter(&format!("serve.tier.{t}.ticks"), ticks)
-            .gauge(&format!("serve.tier.{t}.mean_confidence"), mean_confidence);
-    }
-    // Live spf per request class: `serve.spf` is class 0 (the default
-    // class every plain submit lands in); further classes get suffixed
-    // gauges.
-    for (c, slot) in ctx.control.spf.iter().enumerate() {
-        let spf = slot.load(Ordering::Relaxed) as f64;
-        if c == 0 {
-            snap.gauge("serve.spf", spf);
-        } else {
-            snap.gauge(&format!("serve.spf.{c}"), spf);
-        }
+            .gauge(&format!("serve.tier.{t}.mean_confidence"), mean_confidence)
+            .gauge(
+                &format!("serve.tier.{t}.spf"),
+                ctx.control.sets[t + 1].spf.load(Ordering::Relaxed) as f64,
+            );
     }
     if let Some(spans) = &ctx.spans {
         for (stage, stats) in Stage::ALL.iter().zip(spans.stage_stats()) {
@@ -1185,24 +1160,16 @@ fn worker_loop(
                     taken[job.model] <= width
                 });
                 jobs = rest;
-                // Tier sets run at the tier's fixed spf; the default set
-                // runs each frame at its class's *live* spf — the
+                // The chunk runs at the set's *live* spf — the
                 // controller's third actuator rides FrameInput, so no
                 // deployment rebuild is involved.
-                let spfs: Vec<usize> = chunk
-                    .iter()
-                    .map(|(job, _)| match &set.tier {
-                        Some(tier) => tier.spf,
-                        None => control.spf[job.class].load(Ordering::Relaxed).max(1),
-                    })
-                    .collect();
+                let spf = set.spf.load(Ordering::Relaxed);
                 // Same per-frame derivation as the offline evaluator: the
                 // request's sequence number plays the role of the frame
                 // index.
                 let frames: Vec<PackedFrame> = chunk
                     .iter()
-                    .zip(&spfs)
-                    .map(|((job, _), &spf)| PackedFrame {
+                    .map(|(job, _)| PackedFrame {
                         model: job.model,
                         frame: FrameInput::new(&job.inputs, spf, frame_seed(cfg.seed, job.seq)),
                     })
@@ -1221,10 +1188,9 @@ fn worker_loop(
                 exports[s] = export;
                 drop(frames);
                 let vote_from = telemetry.map(|t| t.clock.now_ns());
-                for (((job, first_pass), votes), spf) in chunk.into_iter().zip(results).zip(spfs) {
+                for ((job, first_pass), votes) in chunk.into_iter().zip(results) {
                     let mut response = tally(
                         job.seq,
-                        job.class,
                         job.model,
                         spf,
                         worker,
@@ -1233,6 +1199,7 @@ fn worker_loop(
                         &votes.counts,
                         job.submitted,
                     );
+                    metrics.record_set_agreement(s, response.agreement);
                     let ticks = response.ticks + first_pass.unwrap_or(0);
                     if let Some(tier) = &set.tier {
                         let confidence = calibration.apply(vote_margin(&response.votes));
@@ -1249,7 +1216,6 @@ fn worker_loop(
                     }
                     metrics.record_completion(
                         worker,
-                        job.class,
                         job.model,
                         ticks,
                         response.latency,
@@ -1280,7 +1246,6 @@ fn worker_loop(
 #[allow(clippy::too_many_arguments)]
 fn tally(
     seq: u64,
-    class: usize,
     model: usize,
     spf: usize,
     worker: usize,
@@ -1316,7 +1281,7 @@ fn tally(
         votes: pooled,
         replica_predictions,
         agreement: agreeing as f32 / replicas.max(1) as f32,
-        served: ServedAs::new(class, model, spf).with_confidence(margin),
+        served: ServedAs::new(model, spf).with_confidence(margin),
         worker,
         ticks,
         latency: submitted.elapsed(),
@@ -1731,59 +1696,87 @@ mod tests {
         assert_eq!(rt.rebuild_failures(), 0);
     }
 
-    #[test]
-    fn submit_class_selects_live_spf_and_rejects_unknown_classes() {
-        use crate::control::{ControllerConfig, SpfClass};
-        let mut controller = ControllerConfig {
-            // Effectively never sampled: the test drives apply_control.
+    /// A controller that never samples within a test's lifetime: the
+    /// tests drive its actuators through `apply_control`.
+    fn idle_controller() -> crate::control::ControllerConfig {
+        crate::control::ControllerConfig {
             sample_interval: Duration::from_secs(3600),
-            ..ControllerConfig::default()
+            ..crate::control::ControllerConfig::default()
+        }
+    }
+
+    #[test]
+    fn set_spf_moves_one_ranged_set_and_refuses_unranged_ones() {
+        let controller = crate::control::ControllerConfig {
+            spf_range: Some(SpfRange::new(2, 32)),
+            ..idle_controller()
         };
-        controller.spf_classes = vec![SpfClass::new(2, 32), SpfClass::new(4, 64)];
         let rt = runtime(
             ServeConfig::builder(7)
                 .replicas(2)
                 .workers(1)
                 .spf(8)
                 .controller(controller)
+                .tier(QualityTier::new("bulk", 2, 8).spf_range(SpfRange::new(4, 64)))
+                .tier(QualityTier::new("pinned", 2, 8))
                 .build()
                 .expect("cfg"),
         );
-        assert_eq!(rt.shape().spf, vec![8, 8]);
-        // Unknown class is refused up front.
-        assert_eq!(
-            rt.submit(SubmitRequest::new(vec![1.0, 0.0]).class(2))
-                .unwrap_err(),
-            ServeError::UnknownClass { class: 2, classes: 2 }
-        );
-        // Default class rides at its configured spf.
+        assert_eq!(rt.shape().spf, vec![8, 8, 8]);
+        // The default set rides at its configured spf.
         let r = rt.classify(vec![1.0, 0.0]).expect("serve");
-        assert_eq!((r.class(), r.spf(), r.ticks), (0, 8, 8));
-        // Move class 1's spf; class 0 is untouched.
-        rt.apply_control(&ControlAction::SetSpf { class: 1, spf: 16 })
+        assert_eq!((r.tier(), r.spf(), r.ticks), (None, 8, 8));
+        // Move the bulk tier's spf; the default set is untouched.
+        rt.apply_control(&ControlAction::SetSpf { tier: Some(0), spf: 16 })
             .expect("set spf");
-        assert_eq!(rt.shape().spf, vec![8, 16]);
+        assert_eq!(rt.shape().spf, vec![8, 16, 8]);
         let r1 = rt
-            .submit(SubmitRequest::new(vec![0.0, 1.0]).class(1))
-            .expect("submit")
-            .wait()
+            .classify(SubmitRequest::new(vec![0.0, 1.0]).quality("bulk"))
             .expect("serve");
-        assert_eq!((r1.class(), r1.spf(), r1.ticks), (1, 16, 16));
+        assert_eq!((r1.tier(), r1.spf(), r1.ticks), (Some("bulk"), 16, 16));
         let r0 = rt.classify(vec![0.0, 1.0]).expect("serve");
-        assert_eq!((r0.class(), r0.spf(), r0.ticks), (0, 8, 8));
-        // Out-of-bounds values clamp into the class's tier; zero and
-        // unknown classes are refused.
-        rt.apply_control(&ControlAction::SetSpf { class: 0, spf: 1024 })
+        assert_eq!((r0.tier(), r0.spf(), r0.ticks), (None, 8, 8));
+        // Out-of-range values clamp into the set's range.
+        rt.apply_control(&ControlAction::SetSpf { tier: None, spf: 1024 })
             .expect("clamp");
-        assert_eq!(rt.shape().spf[0], 32, "clamped to spf_max");
+        rt.apply_control(&ControlAction::SetSpf { tier: Some(0), spf: 1 })
+            .expect("clamp");
+        assert_eq!(rt.shape().spf, vec![32, 4, 8], "clamped to spf_max / spf_min");
+        // Zero, a set without a range and an unknown tier are refused,
+        // and nothing moves.
+        for (action, needle) in [
+            (ControlAction::SetSpf { tier: None, spf: 0 }, "spf must be"),
+            (ControlAction::SetSpf { tier: Some(1), spf: 4 }, "tier 1 has no spf range"),
+            (ControlAction::SetSpf { tier: Some(9), spf: 4 }, "tier 9 has no spf range"),
+            (
+                ControlAction::SetSpf { tier: Some(usize::MAX), spf: 4 },
+                "has no spf range",
+            ),
+        ] {
+            assert!(matches!(
+                rt.apply_control(&action),
+                Err(ServeError::BadConfig(msg)) if msg.contains(needle)
+            ));
+        }
+        assert_eq!(rt.shape().spf, vec![32, 4, 8]);
+        let pinned = rt
+            .classify(SubmitRequest::new(vec![1.0, 0.0]).quality("pinned"))
+            .expect("serve");
+        assert_eq!((pinned.spf(), pinned.ticks), (8, 8));
+        rt.shutdown();
+    }
+
+    #[test]
+    fn set_spf_without_a_range_is_refused() {
+        // Without a controller no set has a range: SetSpf is an error,
+        // not a silent clamp into `[cfg.spf, cfg.spf]`.
+        let rt = runtime(ServeConfig::builder(7).spf(8).build().expect("cfg"));
         assert!(matches!(
-            rt.apply_control(&ControlAction::SetSpf { class: 0, spf: 0 }),
-            Err(ServeError::BadConfig(msg)) if msg.contains("spf")
+            rt.apply_control(&ControlAction::SetSpf { tier: None, spf: 4 }),
+            Err(ServeError::BadConfig(msg)) if msg.contains("the default set has no spf range")
         ));
-        assert!(matches!(
-            rt.apply_control(&ControlAction::SetSpf { class: 9, spf: 8 }),
-            Err(ServeError::UnknownClass { class: 9, classes: 2 })
-        ));
+        assert_eq!(rt.shape().spf, vec![8]);
+        assert_eq!(rt.classify(vec![1.0, 0.0]).expect("serve").spf(), 8);
         rt.shutdown();
     }
 
@@ -1817,22 +1810,19 @@ mod tests {
     fn spf_changes_match_a_fresh_runtime_at_that_spf() {
         // The spf actuator's determinism contract: requests served after
         // SetSpf are bit-identical to a runtime *configured* at that spf.
-        use crate::control::{ControllerConfig, SpfClass};
         let mk = |spf: usize, ctl: bool| {
             let mut b = ServeConfig::builder(31).replicas(2).workers(2).spf(spf);
             if ctl {
-                let mut controller = ControllerConfig {
-                    sample_interval: Duration::from_secs(3600),
-                    ..ControllerConfig::default()
-                };
-                controller.spf_classes = vec![SpfClass::new(2, 64)];
-                b = b.controller(controller);
+                b = b.controller(crate::control::ControllerConfig {
+                    spf_range: Some(SpfRange::new(2, 64)),
+                    ..idle_controller()
+                });
             }
             runtime(b.build().expect("cfg"))
         };
         let adapted = mk(8, true);
         adapted
-            .apply_control(&ControlAction::SetSpf { class: 0, spf: 4 })
+            .apply_control(&ControlAction::SetSpf { tier: None, spf: 4 })
             .expect("set spf");
         let got = serve_n(&adapted, 24);
         adapted.shutdown();
@@ -1840,6 +1830,45 @@ mod tests {
         let want = serve_n(&fresh, 24);
         fresh.shutdown();
         assert_eq!(got, want, "spf rides the frame, not the deployment");
+
+        // The same on a tier: a ranged tier moved to spf 4 answers, by
+        // seq, like a runtime whose tier is configured at spf 4.
+        let mk_tiered = |tier_spf: usize, ctl: bool| {
+            let mut tier = QualityTier::new("q", 3, tier_spf);
+            let mut b = ServeConfig::builder(31).replicas(2).workers(2);
+            if ctl {
+                tier = tier.spf_range(SpfRange::new(2, 64));
+                b = b.controller(idle_controller());
+            }
+            runtime(b.tier(tier).build().expect("cfg"))
+        };
+        let serve_tier = |rt: &ServeRuntime| {
+            let handles: Vec<_> = (0..24)
+                .map(|i| {
+                    let x = (i % 5) as f32 / 4.0;
+                    rt.submit(SubmitRequest::new(vec![x, 1.0 - x]).quality("q"))
+                        .expect("submit")
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| {
+                    let r = h.wait().expect("serve");
+                    (r.seq, r.spf(), r.ticks, r.predicted, r.votes, r.replica_predictions)
+                })
+                .collect::<Vec<_>>()
+        };
+        let adapted = mk_tiered(16, true);
+        adapted
+            .apply_control(&ControlAction::SetSpf { tier: Some(0), spf: 4 })
+            .expect("set tier spf");
+        let got = serve_tier(&adapted);
+        adapted.shutdown();
+        let fresh = mk_tiered(4, false);
+        let want = serve_tier(&fresh);
+        fresh.shutdown();
+        assert!(got.iter().all(|r| r.1 == 4), "served at the moved spf");
+        assert_eq!(got, want, "a tier's spf rides the frame, not the deployment");
     }
 
     #[test]
@@ -2166,7 +2195,6 @@ mod tests {
                     .collect();
                 for ((_, label), votes) in chunk.iter().zip(dep.run_frames(&inputs)) {
                     let r = tally(
-                        0,
                         0,
                         0,
                         spf,

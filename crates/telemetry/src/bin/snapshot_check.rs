@@ -12,8 +12,8 @@
 //! counter families (a packed serving run exports one per tenant).
 //! With `--tiers N`, every snapshot must carry exactly `N` quality
 //! tiers' `serve.tier.{t}.*` families, each internally consistent
-//! (escalated ≤ completed ≤ submitted) and jointly bounded by the
-//! global serve totals. Used by `scripts/verify.sh` to smoke-test
+//! (escalated ≤ completed ≤ submitted, a live `serve.tier.{t}.spf`
+//! gauge ≥ 1) and jointly bounded by the global serve totals. Used by `scripts/verify.sh` to smoke-test
 //! `serve_throughput --telemetry`.
 //!
 //! Usage: `snapshot_check <file.jsonl> [--min N] [--require-sparsity]
@@ -170,7 +170,8 @@ fn check_models(snap: &Snapshot, expected: Option<usize>, lineno: usize) {
 
 /// Per-tier counters must be internally consistent: within each
 /// `serve.tier.{t}.*` family, `escalated <= completed <= submitted`
-/// (an answer escalates at most once and only after being admitted),
+/// (an answer escalates at most once and only after being admitted)
+/// and the tier's live `serve.tier.{t}.spf` gauge is present and >= 1,
 /// and summed across tiers, submitted/completed can never exceed the
 /// global serve totals (the default tier-less path also counts there).
 /// With `expected = Some(n)`, exactly `n` tier families must be
@@ -210,6 +211,11 @@ fn check_tiers(snap: &Snapshot, expected: Option<usize>, lineno: usize) {
                 "line {lineno}: serve.tier.{t}.completed ({completed}) exceeds \
                  serve.tier.{t}.submitted ({submitted})"
             ));
+        }
+        match snap.gauges.get(&format!("serve.tier.{t}.spf")) {
+            Some(spf) if *spf >= 1.0 => {}
+            Some(spf) => fail(&format!("line {lineno}: serve.tier.{t}.spf ({spf}) is below 1")),
+            None => fail(&format!("line {lineno}: serve.tier.{t}.spf gauge missing")),
         }
         sum_submitted += submitted;
         sum_completed += completed;

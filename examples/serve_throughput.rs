@@ -8,7 +8,7 @@
 //! shows the batch-first redesign paying off: fusing queued requests
 //! into lockstep kernel lanes raises req/s without changing one vote.
 //! A final pair of cells serves the same stream at a fixed spf and with
-//! the controller's per-class spf actuator enabled, showing the energy /
+//! the controller's spf actuator enabled, showing the energy /
 //! throughput win of adapting spf while replica agreement runs high.
 //!
 //! Run with: `cargo run --release --example serve_throughput`
@@ -304,9 +304,9 @@ fn gateway_cell(
 }
 
 /// The spf actuator paying off: serve the identical request stream once
-/// at a fixed spf and once with `ControllerConfig::spf_classes` enabled.
+/// at a fixed spf and once with `ControllerConfig::spf_range` enabled.
 /// With replica agreement running high, the controller halves the
-/// class's spf toward its floor, so later requests run fewer ticks per
+/// default set's spf toward its floor, so later requests run fewer ticks per
 /// frame — more req/s and fewer joules per frame at (near-)equal
 /// accuracy. Returns the measured cell plus the final live spf.
 fn adaptive_spf_cell(
@@ -335,7 +335,7 @@ fn adaptive_spf_cell(
             // Only the spf actuator: replicas stay pinned at 1.
             min_replicas: 1,
             max_replicas: 1,
-            spf_classes: vec![SpfClass::new(spf / 2, spf)],
+            spf_range: Some(SpfRange::new(spf / 2, spf)),
             ..ControllerConfig::default()
         });
     }

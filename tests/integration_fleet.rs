@@ -13,7 +13,8 @@
 //!   survivors, still bit-identically;
 //! * a request the fleet refuses gets the solo runtime's typed error,
 //!   and claims no seq;
-//! * the aggregated heartbeat trail is a valid snapshot stream;
+//! * the aggregated heartbeat trail is a valid snapshot stream, and the
+//!   router's shape follows the live knobs the heartbeats report;
 //! * `tn-gateway` serves a fleet through `Gateway::bind_backend` over
 //!   real TCP.
 
@@ -27,8 +28,8 @@ use tn_fleet::{DispatchPolicy, FleetConfig, FleetRouter, LocalFleet, ShardServer
 use tn_gateway::{Gateway, GatewayConfig};
 use tn_serve::pipe::duplex;
 use tn_serve::{
-    ControlAction, QualityTier, Response, ServeBackend, ServeConfig, ServeRuntime, SubmitRequest,
-    TelemetryConfig,
+    ControlAction, ControllerConfig, QualityTier, Response, ServeBackend, ServeConfig,
+    ServeRuntime, SpfRange, SubmitRequest, TelemetryConfig,
 };
 use tn_telemetry::{json, LatestSink, ManualClock, MemorySink, NullSink, Snapshot};
 
@@ -64,16 +65,19 @@ fn serve_cfg() -> ServeConfig {
         .expect("valid config")
 }
 
+/// What [`identity_key`] extracts.
+type IdentityKey = (u64, usize, Vec<u64>, Vec<usize>, u32, Option<String>, usize, usize);
+
 /// Everything in a [`Response`] that the determinism contract covers —
 /// `worker` and `latency` are explicitly *not* part of it.
-fn identity_key(r: &Response) -> (u64, usize, Vec<u64>, Vec<usize>, u32, usize, usize, usize) {
+fn identity_key(r: &Response) -> IdentityKey {
     (
         r.seq,
         r.predicted,
         r.votes.clone(),
         r.replica_predictions.clone(),
         r.agreement.to_bits(),
-        r.class(),
+        r.tier().map(str::to_string),
         r.model(),
         r.spf(),
     )
@@ -159,7 +163,7 @@ fn three_class_spec() -> NetworkDeploySpec {
 fn fleet_rejects_mixed_fault_requests_with_the_solo_error() {
     // Requests that break two admission rules at once: the fleet must
     // name the same fault a solo runtime names (the runtime's check
-    // order: model, class, quality, width, range), and a rejected
+    // order: model, quality, width, range), and a rejected
     // request claims no seq on either side.
     let cfg = ServeConfig::builder(61)
         .replicas(2)
@@ -172,7 +176,7 @@ fn fleet_rejects_mixed_fault_requests_with_the_solo_error() {
     let fleet =
         LocalFleet::launch(&fractional_spec(), 2, FleetConfig::new(cfg)).expect("launch fleet");
     let cases = [
-        ("bad width + unknown class", SubmitRequest::new(vec![0.5]).class(9)),
+        ("bad width + out-of-range input", SubmitRequest::new(vec![1.5])),
         (
             "out-of-range input + unknown quality",
             SubmitRequest::new(vec![0.5, 1.5]).quality("turbo"),
@@ -180,12 +184,12 @@ fn fleet_rejects_mixed_fault_requests_with_the_solo_error() {
         ("bad width + unknown quality", SubmitRequest::new(vec![0.5]).quality("turbo")),
         ("unknown model + bad width", SubmitRequest::new(vec![0.5]).model(1)),
         (
-            "out-of-range input + unknown class",
-            SubmitRequest::new(vec![-0.5, 0.5]).class(1),
+            "unknown model + out-of-range input",
+            SubmitRequest::new(vec![-0.5, 0.5]).model(1),
         ),
         (
-            "unknown class + unknown quality",
-            SubmitRequest::new(vec![0.5, 0.5]).class(2).quality("turbo"),
+            "unknown model + unknown quality",
+            SubmitRequest::new(vec![0.5, 0.5]).model(2).quality("turbo"),
         ),
     ];
     for (what, request) in cases {
@@ -600,7 +604,7 @@ fn gateway_serves_a_fleet_backend_over_tcp() {
         payload,
         "{\"schema\":\"tn-gateway/1\",\"model\":{\"n_inputs\":2,\"n_classes\":2,\"replicas\":3},\
          \"models\":[{\"id\":0,\"n_inputs\":2,\"n_classes\":2}],\"packed\":false,\"tiers\":[],\
-         \"serve\":{\"workers\":2,\"spf\":[8],\"seed\":77,\"queue_capacity\":256,\"batch_max\":16,\
+         \"serve\":{\"workers\":2,\"spf\":8,\"seed\":77,\"queue_capacity\":256,\"batch_max\":16,\
          \"kernel_batch\":8,\"backpressure\":\"block\",\"connectivity\":\"IndependentPerCopy\",\
          \"telemetry\":true}}",
         "the fleet's /v1/config body, byte for byte"
@@ -617,4 +621,83 @@ fn gateway_serves_a_fleet_backend_over_tcp() {
     assert!(final_metrics.completed >= 1);
     let (router_metrics, _) = fleet.shutdown();
     assert!(router_metrics.completed >= 1);
+}
+
+#[test]
+fn fleet_shape_follows_the_shards_live_knobs() {
+    // The router reads the live fusion width and every set's spf from
+    // the shard heartbeats, so `shape()` and the gateway's /v1/config
+    // show what the shards actually serve, not the connect-time values.
+    let cfg = ServeConfig::builder(77)
+        .replicas(2)
+        .workers(1)
+        .spf(8)
+        .controller(ControllerConfig {
+            // Never samples: the knobs move only through apply_control.
+            sample_interval: Duration::from_secs(3600),
+            spf_range: Some(SpfRange::new(2, 32)),
+            ..ControllerConfig::default()
+        })
+        .tier(QualityTier::new("q", 1, 8).spf_range(SpfRange::new(4, 64)))
+        .telemetry(TelemetryConfig {
+            interval: Duration::from_millis(2),
+            span_ring: 64,
+        })
+        .build()
+        .expect("valid config");
+    let latest = Arc::new(LatestSink::tee(Arc::new(NullSink)));
+    let fleet = LocalFleet::launch_with_sink(
+        &fractional_spec(),
+        2,
+        FleetConfig::new(cfg),
+        Arc::clone(&latest) as Arc<_>,
+    )
+    .expect("launch fleet");
+    let gw = Gateway::bind_backend(
+        "127.0.0.1:0",
+        fleet.router_arc(),
+        GatewayConfig::default(),
+        Arc::clone(&latest),
+    )
+    .expect("bind gateway over fleet");
+    assert_eq!((fleet.router().shape().kernel_batch, fleet.router().shape().spf), (8, vec![8, 8]));
+    for i in 0..fleet.n_shards() {
+        let rt = fleet.shard(i).runtime();
+        rt.apply_control(&ControlAction::SetSpf { tier: None, spf: 4 })
+            .expect("default spf");
+        rt.apply_control(&ControlAction::SetSpf { tier: Some(0), spf: 16 })
+            .expect("tier spf");
+        rt.apply_control(&ControlAction::SetKernelBatch(3))
+            .expect("kernel batch");
+    }
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while (fleet.router().shape().kernel_batch, fleet.router().shape().spf) != (3, vec![4, 16]) {
+        assert!(Instant::now() < deadline, "heartbeats never carried the new knobs");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+
+    let mut client = TcpStream::connect(gw.local_addr()).expect("connect");
+    client
+        .write_all(b"GET /v1/config HTTP/1.1\r\nConnection: close\r\n\r\n")
+        .expect("send config");
+    let mut reply = String::new();
+    client.read_to_string(&mut reply).expect("receive");
+    assert!(reply.starts_with("HTTP/1.1 200 OK"), "{reply}");
+    let v = json::parse(reply.split("\r\n\r\n").nth(1).expect("body")).expect("valid JSON");
+    let serve = v.get("serve").expect("serve");
+    assert_eq!(serve.get("spf").and_then(|s| s.as_u64()), Some(4));
+    assert_eq!(serve.get("kernel_batch").and_then(|k| k.as_u64()), Some(3));
+    let tier = &v.get("tiers").and_then(|t| t.as_array()).expect("tiers")[0];
+    assert_eq!(tier.get("spf").and_then(|s| s.as_u64()), Some(16));
+
+    // Answers carry the moved spf too.
+    let r = fleet
+        .router()
+        .submit_request(SubmitRequest::new(request_inputs(0)).quality("q"))
+        .expect("submit")
+        .wait()
+        .expect("answer");
+    assert_eq!((r.tier(), r.spf()), (Some("q"), 16));
+    gw.shutdown();
+    fleet.shutdown();
 }

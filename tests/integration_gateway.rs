@@ -588,7 +588,7 @@ fn packed_gateway_routes_models_and_rejects_unknown_ids() {
         config_resp.body,
         "{\"schema\":\"tn-gateway/1\",\"model\":{\"n_inputs\":2,\"n_classes\":2,\"replicas\":2},\
          \"models\":[{\"id\":0,\"n_inputs\":2,\"n_classes\":2},{\"id\":1,\"n_inputs\":3,\"n_classes\":2}],\
-         \"packed\":true,\"tiers\":[],\"serve\":{\"workers\":2,\"spf\":[8],\"seed\":23,\
+         \"packed\":true,\"tiers\":[],\"serve\":{\"workers\":2,\"spf\":8,\"seed\":23,\
          \"queue_capacity\":256,\"batch_max\":16,\"kernel_batch\":8,\"backpressure\":\"reject\",\
          \"connectivity\":\"IndependentPerCopy\",\"telemetry\":false}}"
     );
@@ -736,7 +736,7 @@ fn tiered_gateway_serves_quality_keys_and_structured_errors() {
          \"tiers\":[{\"name\":\"fast\",\"replicas\":1,\"spf\":2,\"kernel_batch\":0,\
          \"confidence_target\":2,\"escalate_to\":\"certain\"},{\"name\":\"certain\",\"replicas\":4,\
          \"spf\":8,\"kernel_batch\":0,\"confidence_target\":0,\"escalate_to\":null}],\
-         \"serve\":{\"workers\":2,\"spf\":[8],\"seed\":83,\"queue_capacity\":256,\"batch_max\":16,\
+         \"serve\":{\"workers\":2,\"spf\":8,\"seed\":83,\"queue_capacity\":256,\"batch_max\":16,\
          \"kernel_batch\":8,\"backpressure\":\"reject\",\"connectivity\":\"IndependentPerCopy\",\
          \"telemetry\":false}}"
     );
@@ -798,6 +798,45 @@ fn http_errors_keep_the_connection_serving() {
             .and_then(JsonValue::as_str),
         Some("bad_input")
     );
+    drop(client);
+    let snap = gw.shutdown();
+    assert_eq!(snap.completed, 1);
+}
+
+#[test]
+fn retired_class_field_is_refused_naming_quality() {
+    // Request classes folded into quality tiers: a body still carrying
+    // "class" gets a 400 that names "quality" instead of being served at
+    // an operating point the client did not ask for, and the connection
+    // keeps serving.
+    let gw = Gateway::bind(
+        "127.0.0.1:0",
+        &fractional_spec(),
+        ServeConfig::new(7),
+        GatewayConfig::default(),
+    )
+    .expect("bind");
+    let mut client = TcpStream::connect(gw.local_addr()).expect("connect");
+    let body = "{\"frame\":[0.25,0.75],\"class\":0}";
+    client
+        .write_all(
+            format!("POST /v1/classify HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}", body.len())
+                .as_bytes(),
+        )
+        .expect("classed request");
+    client
+        .write_all(&classify_request(&request_inputs(0)))
+        .expect("valid");
+    let responses = read_responses(&mut client, 2);
+    assert_eq!(responses.iter().map(|r| r.status).collect::<Vec<_>>(), vec![400, 200]);
+    let error = responses[0].json();
+    let error = error.get("error").expect("error object");
+    assert_eq!(error.get("code").and_then(JsonValue::as_str), Some("bad_request"));
+    let message = error.get("message").and_then(JsonValue::as_str).expect("message");
+    assert!(message.contains("\"class\"") && message.contains("\"quality\""), "{message}");
+    let answer = responses[1].json();
+    assert!(answer.get("class").is_none(), "responses carry no request class");
+    assert_eq!(answer.get("seq").and_then(JsonValue::as_u64), Some(0), "the 400 claimed no seq");
     drop(client);
     let snap = gw.shutdown();
     assert_eq!(snap.completed, 1);

@@ -123,9 +123,10 @@ fn rescaled_runtime_serves_like_a_fresh_one() {
 
 #[test]
 fn rescale_stays_bit_identical_with_spf_actuator_enabled() {
-    // ISSUE 7 acceptance: the spf actuator rides `FrameInput` at serve
-    // time and never rebuilds the deployment, so replica rescaling keeps
-    // its bit-identical contract with spf classes configured and moved.
+    // The spf actuator rides `FrameInput` at serve time and never
+    // rebuilds a deployment, so replica rescaling keeps its
+    // bit-identical contract with a ranged default set and a ranged tier
+    // both moved.
     let spec = fractional_spec();
     let cfg = |replicas: usize| {
         ServeConfig::builder(47)
@@ -135,32 +136,35 @@ fn rescale_stays_bit_identical_with_spf_actuator_enabled() {
                 // Decisions come only from apply_control below; the
                 // sampling loop never fires within the test's lifetime.
                 sample_interval: Duration::from_secs(3600),
-                spf_classes: vec![SpfClass::new(2, 32), SpfClass::new(4, 64)],
+                spf_range: Some(SpfRange::new(2, 32)),
                 ..ControllerConfig::default()
             })
+            .tier(QualityTier::new("q", 2, 8).spf_range(SpfRange::new(4, 64)))
             .build()
             .expect("cfg")
     };
-    let serve_all = |rt: &ServeRuntime| -> Vec<(u64, usize, usize, Vec<u64>, u64)> {
+    type Key = (u64, Option<String>, usize, Vec<u64>, u64);
+    let serve_all = |rt: &ServeRuntime| -> Vec<Key> {
         let handles: Vec<_> = (0..32)
             .map(|i| {
-                rt.submit(SubmitRequest::new(frame(spec.n_inputs, i)).class(i % 2))
-                    .expect("submit")
+                let request = SubmitRequest::new(frame(spec.n_inputs, i));
+                let request = if i % 2 == 1 { request.quality("q") } else { request };
+                rt.submit(request).expect("submit")
             })
             .collect();
         handles
             .into_iter()
             .map(|h| {
                 let r = h.wait().expect("serve");
-                (r.seq, r.class(), r.spf(), r.votes, r.ticks)
+                (r.seq, r.tier().map(str::to_string), r.spf(), r.votes, r.ticks)
             })
             .collect()
     };
     let actuate = |rt: &ServeRuntime| {
-        rt.apply_control(&ControlAction::SetSpf { class: 0, spf: 4 })
-            .expect("spf class 0");
-        rt.apply_control(&ControlAction::SetSpf { class: 1, spf: 16 })
-            .expect("spf class 1");
+        rt.apply_control(&ControlAction::SetSpf { tier: None, spf: 4 })
+            .expect("default set spf");
+        rt.apply_control(&ControlAction::SetSpf { tier: Some(0), spf: 16 })
+            .expect("tier spf");
     };
     let scaled = serve_spec(&spec, cfg(1)).expect("serve");
     scaled
@@ -177,10 +181,11 @@ fn rescale_stays_bit_identical_with_spf_actuator_enabled() {
     fresh.shutdown();
     assert_eq!(got, want);
     assert!(
-        got.iter()
-            .all(|(seq, class, spf, ..)| *class == (*seq as usize) % 2
-                && *spf == if *class == 0 { 4 } else { 16 }),
-        "responses must carry the class's actuated spf"
+        got.iter().all(|(seq, tier, spf, ..)| {
+            let on_tier = seq % 2 == 1;
+            tier.is_some() == on_tier && *spf == if on_tier { 16 } else { 4 }
+        }),
+        "responses must carry their own set's actuated spf"
     );
 }
 
