@@ -129,7 +129,7 @@ pub fn encode_hello(shape: &ServeShape) -> String {
         models.join(","),
         shape.replicas,
         shape.kernel_batch,
-        json_usizes(&shape.spf),
+        shape.spf,
         json_strings(&shape.tiers),
         shape.queue_capacity,
         shape.cores,
@@ -137,7 +137,7 @@ pub fn encode_hello(shape: &ServeShape) -> String {
 }
 
 /// Parse a Hello frame payload, refusing foreign schemas and shards that
-/// serve no model.
+/// serve no model or announce a zero spf.
 ///
 /// # Errors
 ///
@@ -155,9 +155,13 @@ pub fn parse_hello(text: &str) -> Result<ServeShape, String> {
     if models.is_empty() {
         return Err("\"models\" is empty".to_string());
     }
+    let spf = get_usize(&v, "spf")?;
+    if spf == 0 {
+        return Err("\"spf\" must be >= 1".to_string());
+    }
     Ok(ServeShape {
         models,
-        spf: usize_array(&v, "spf")?,
+        spf,
         tiers: string_array(&v, "tiers")?,
         replicas: get_usize(&v, "replicas")?,
         kernel_batch: get_usize(&v, "kernel_batch")?,
@@ -509,7 +513,7 @@ mod tests {
     fn hello_round_trips_and_checks_schema() {
         let shape = ServeShape {
             models: vec![(4, 3), (2, 2)],
-            spf: vec![8, 2, 16],
+            spf: 8,
             tiers: vec!["fast".to_string(), "certain".to_string()],
             replicas: 2,
             kernel_batch: 8,
@@ -521,9 +525,16 @@ mod tests {
         assert!(parse_hello(foreign).expect_err("schema").contains("tn-fleet/3"));
         let empty = encode_hello(&ServeShape {
             models: Vec::new(),
-            ..shape
+            ..shape.clone()
         });
         assert!(parse_hello(&empty).expect_err("no models").contains("models"));
+        // The default set's spf is one value >= 1; a list (the retired
+        // per-class shape) or a zero is refused at the handshake.
+        let good = encode_hello(&shape);
+        for bad in ["\"spf\":[]", "\"spf\":[8]", "\"spf\":0"] {
+            let hello = good.replace("\"spf\":8", bad);
+            assert!(parse_hello(&hello).expect_err(bad).contains("spf"), "{bad}");
+        }
     }
 
     #[test]

@@ -182,6 +182,13 @@ struct Shard {
     /// so energy attribution follows the fleet through rescales even on
     /// shards running without telemetry.
     cores: AtomicU64,
+    /// Live fusion width this shard reported: seeded from the Hello,
+    /// overwritten by every heartbeat's `serve.kernel_batch` gauge (each
+    /// shard's own controller moves it).
+    kernel_batch: AtomicUsize,
+    /// Live default-set spf, tracked like `kernel_batch` from the
+    /// `serve.spf` gauge.
+    spf: AtomicUsize,
     /// Router-side accepted-not-answered count (live, unlike the gauge).
     in_flight: AtomicU64,
     latest: Mutex<Option<Snapshot>>,
@@ -222,10 +229,6 @@ struct Inner {
     shards: Vec<Shard>,
     next_seq: AtomicU64,
     live_replicas: AtomicUsize,
-    /// The fusion width and per-set spf (set 0 the default, `t + 1`
-    /// tier `t`) of the latest heartbeat that reported them.
-    live_kernel_batch: AtomicUsize,
-    live_spf: Vec<AtomicUsize>,
     shutting_down: AtomicBool,
     roll: Mutex<Roll>,
     /// Signalled on swap progress and membership changes; dispatchers
@@ -315,6 +318,7 @@ impl FleetRouter {
                 .and_then(parse_hello)
                 .map_err(|e| ServeError::BadConfig(format!("shard {i} hello: {e}")))?;
             let shard_cores = h.cores as u64;
+            let (kernel_batch, spf) = (h.kernel_batch, h.spf);
             match &shape {
                 None => shape = Some(h),
                 Some(first) if *first != h => {
@@ -337,6 +341,8 @@ impl FleetRouter {
                 fresh: FreshnessTracker::new(max_age_ns, now),
                 queue_fill: AtomicU64::new(0f64.to_bits()),
                 cores: AtomicU64::new(shard_cores),
+                kernel_batch: AtomicUsize::new(kernel_batch),
+                spf: AtomicUsize::new(spf),
                 in_flight: AtomicU64::new(0),
                 latest: Mutex::new(None),
                 ack: Mutex::new(None),
@@ -349,8 +355,6 @@ impl FleetRouter {
         let n_shards = shards.len();
         let inner = Arc::new(Inner {
             live_replicas: AtomicUsize::new(shape.replicas),
-            live_kernel_batch: AtomicUsize::new(shape.kernel_batch),
-            live_spf: shape.spf.iter().map(|&s| AtomicUsize::new(s)).collect(),
             shape,
             shards,
             next_seq: AtomicU64::new(0),
@@ -599,17 +603,11 @@ impl Inner {
         if let Some(cores) = gauge("serve.cores") {
             shard.cores.store(cores as u64, Ordering::Relaxed);
         }
-        if let Some(kb) = gauge("serve.kernel_batch") {
-            self.live_kernel_batch.store(kb, Ordering::Relaxed);
+        if let Some(kb) = gauge("serve.kernel_batch").filter(|&kb| kb >= 1) {
+            shard.kernel_batch.store(kb, Ordering::Relaxed);
         }
-        for (s, slot) in self.live_spf.iter().enumerate() {
-            let key = match s {
-                0 => "serve.spf".to_string(),
-                s => format!("serve.tier.{}.spf", s - 1),
-            };
-            if let Some(spf) = gauge(&key) {
-                slot.store(spf, Ordering::Relaxed);
-            }
+        if let Some(spf) = gauge("serve.spf").filter(|&spf| spf >= 1) {
+            shard.spf.store(spf, Ordering::Relaxed);
         }
         self.sink.export(&snap);
         *shard.latest.lock().expect("latest lock") = Some(snap);
@@ -1116,14 +1114,26 @@ impl ServeBackend for FleetRouter {
     }
 
     /// The shards' common shape with the live replica count (tracked by
-    /// rolling rescales) and the fusion width and per-set spf of the
-    /// latest shard heartbeat.
+    /// rolling rescales). Each shard's controller moves its own fusion
+    /// width and default-set spf, so those report the largest value any
+    /// connected shard's latest heartbeat carried: the widest fusion and
+    /// the most ticks per frame a request may meet. With no shard
+    /// connected they fall back to the connect-time values.
     fn shape(&self) -> ServeShape {
         let inner = &self.inner;
+        let live = |knob: fn(&Shard) -> &AtomicUsize, connect_time: usize| {
+            inner
+                .shards
+                .iter()
+                .filter(|s| s.alive.load(Ordering::Relaxed))
+                .map(|s| knob(s).load(Ordering::Relaxed))
+                .max()
+                .unwrap_or(connect_time)
+        };
         ServeShape {
             replicas: inner.live_replicas.load(Ordering::Relaxed),
-            kernel_batch: inner.live_kernel_batch.load(Ordering::Relaxed),
-            spf: inner.live_spf.iter().map(|s| s.load(Ordering::Relaxed)).collect(),
+            kernel_batch: live(|s| &s.kernel_batch, inner.shape.kernel_batch),
+            spf: live(|s| &s.spf, inner.shape.spf),
             ..inner.shape.clone()
         }
     }

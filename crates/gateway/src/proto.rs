@@ -55,7 +55,9 @@ pub(crate) fn parse_classify_frame(value: &JsonValue) -> Result<SubmitRequest, S
         })
         .collect::<Result<_, _>>()?;
     if value.get("class").is_some() {
-        return Err("\"class\" is no longer accepted; name an operating point with \"quality\"".into());
+        return Err(
+            "\"class\" is no longer accepted; name an operating point with \"quality\"".into(),
+        );
     }
     let model = match value.get("model") {
         None => 0,
@@ -139,7 +141,8 @@ pub(crate) fn health_json() -> String {
 /// Render the `/v1/config` body from one [`ServeBackend::shape`] read
 /// plus the serve config: the shape supplies the models and the *live*
 /// values of the knobs the adaptive controller can move (`replicas`,
-/// `kernel_batch`, and the default set's and each tier's `spf`).
+/// `kernel_batch`, and the default set's `spf`); each tier reports its
+/// configured, fixed operating point.
 ///
 /// `"model"` stays tenant 0 (backward compatible); the `"models"` array
 /// lists every packed tenant (a single entry on solo runtimes), and
@@ -151,7 +154,7 @@ pub(crate) fn config_json(rt: &dyn ServeBackend) -> String {
         format!("{{\"id\":{m},\"n_inputs\":{i},\"n_classes\":{c}}}")
     }));
     let cfg = rt.config();
-    let tiers = join(cfg.tiers.iter().zip(&shape.spf[1..]).map(|(t, spf)| {
+    let tiers = join(cfg.tiers.iter().map(|t| {
         let escalate = match &t.escalate_to {
             Some(name) => format!("\"{}\"", escape(name)),
             None => "null".to_string(),
@@ -161,7 +164,7 @@ pub(crate) fn config_json(rt: &dyn ServeBackend) -> String {
              \"confidence_target\":{},\"escalate_to\":{escalate}}}",
             escape(&t.name),
             t.replicas,
-            spf,
+            t.spf,
             t.kernel_batch,
             json_f64(f64::from(t.confidence_target)),
         )
@@ -176,7 +179,7 @@ pub(crate) fn config_json(rt: &dyn ServeBackend) -> String {
         shape.replicas,
         shape.models.len() > 1,
         cfg.workers,
-        shape.spf[0],
+        shape.spf,
         cfg.seed,
         cfg.queue_capacity,
         cfg.batch_max,

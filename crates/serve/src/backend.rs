@@ -34,10 +34,9 @@ pub struct ServeShape {
     /// `(n_inputs, n_classes)` per tenant model (one entry on solo
     /// runtimes).
     pub models: Vec<(usize, usize)>,
-    /// Live ticks-per-frame per deployment set: entry 0 is the default
-    /// set, entry `t + 1` quality tier `t` (so `tiers.len() + 1`
-    /// entries).
-    pub spf: Vec<usize>,
+    /// Live ticks-per-frame of the default deployment set (each quality
+    /// tier serves at its configured spf).
+    pub spf: usize,
     /// Quality tier names, in config order.
     pub tiers: Vec<String>,
     /// Replica count of the default deployment set.
@@ -119,7 +118,7 @@ pub trait ServeBackend: Send + Sync + std::fmt::Debug {
     fn joules_per_frame(&self) -> f64;
 
     /// What the backend serves, with the live replica count, fusion
-    /// width and per-set spf (and, on a runtime, the live cores).
+    /// width and default-set spf (and, on a runtime, the live cores).
     fn shape(&self) -> ServeShape;
 
     /// The serving configuration (initial knob values; the live values
@@ -180,7 +179,7 @@ mod tests {
     fn admit_checks_model_quality_width_then_range() {
         let shape = ServeShape {
             models: vec![(2, 2)],
-            spf: vec![8, 2],
+            spf: 8,
             tiers: vec!["fast".to_string()],
             replicas: 1,
             kernel_batch: 1,

@@ -4,7 +4,7 @@ use std::time::Duration;
 
 use tn_chip::nscs::ConnectivityMode;
 
-use crate::control::ControllerConfig;
+use crate::control::{ControllerConfig, SpfRange};
 use crate::error::ServeError;
 use crate::tier::{validate_tiers, QualityTier};
 
@@ -119,10 +119,10 @@ pub struct ServeConfig {
     /// set, an observer thread runs a [`crate::Controller`] that adapts
     /// the live fusion width within `1 ..= kernel_batch` from queue depth
     /// and the replica count within the configured bounds from the live
-    /// vote-agreement metric, and moves the spf of every deployment set
-    /// that has an spf range ([`ControllerConfig::spf_range`],
-    /// [`QualityTier::spf_range`]). With `None`, results are bit-identical
-    /// to a runtime without the control machinery.
+    /// vote-agreement metric, and the default set's spf within
+    /// [`ControllerConfig::spf_range`] when one is set. With `None`,
+    /// results are bit-identical to a runtime without the control
+    /// machinery.
     pub controller: Option<ControllerConfig>,
     /// Periodic snapshot export (`None` = no observer exports, the
     /// default). See [`TelemetryConfig`].
@@ -205,15 +205,13 @@ impl ServeConfig {
             telemetry.validate()?;
         }
         validate_tiers(&self.tiers)?;
-        if self.controller.is_none() {
-            if let Some(t) = self.tiers.iter().find(|t| t.spf_range.is_some()) {
-                return Err(ServeError::BadConfig(format!(
-                    "tier {:?}: an spf_range needs a controller",
-                    t.name
-                )));
-            }
-        }
         Ok(())
+    }
+
+    /// The default set's spf range (`None` without a controller or when
+    /// the controller has no [`ControllerConfig::spf_range`]).
+    pub(crate) fn spf_range(&self) -> Option<SpfRange> {
+        self.controller.as_ref().and_then(|c| c.spf_range)
     }
 }
 
@@ -328,7 +326,6 @@ impl ServeConfigBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::control::SpfRange;
 
     #[test]
     fn builder_chains_and_builds() {
@@ -457,15 +454,5 @@ mod tests {
                 .build(),
             Err(ServeError::BadConfig(msg)) if msg.contains("missing")
         ));
-        let ranged = || QualityTier::new("fast", 1, 2).spf_range(SpfRange::new(1, 8));
-        assert!(matches!(
-            ServeConfig::builder(1).tier(ranged()).build(),
-            Err(ServeError::BadConfig(msg)) if msg.contains("needs a controller")
-        ));
-        ServeConfig::builder(1)
-            .tier(ranged())
-            .controller(ControllerConfig::default())
-            .build()
-            .expect("a ranged tier under a controller is valid");
     }
 }

@@ -24,21 +24,20 @@
 //!   out-of-band samples), and a post-change cooldown
 //!   ([`ControllerConfig::cooldown`]) so one decision's effect is observed
 //!   before the next. Bounds: `min_replicas ..= max_replicas`.
-//! * **spf per deployment set from agreement** — ticks-per-frame is the
-//!   paper's performance axis (its 6.5× speedup knob). Every deployment
-//!   set with an [`SpfRange`] — the default set through
-//!   [`ControllerConfig::spf_range`], a quality tier through
-//!   [`crate::QualityTier::spf_range`] — has its live spf driven from its
-//!   own windowed agreement. When that saturates above
-//!   [`ControllerConfig::agreement_high`], the stochastic vote has
-//!   converged and the set is over-sampling: spf halves toward
-//!   [`SpfRange::spf_min`]. When agreement falls below
+//! * **the default set's spf from agreement** — ticks-per-frame is the
+//!   paper's performance axis (its 6.5× speedup knob). With
+//!   [`ControllerConfig::spf_range`] set, the default deployment set's
+//!   live spf follows the windowed agreement of the requests it serves.
+//!   When that saturates above [`ControllerConfig::agreement_high`], the
+//!   stochastic vote has converged and the set is over-sampling: spf
+//!   halves toward [`SpfRange::spf_min`]. When agreement falls below
 //!   [`ControllerConfig::agreement_low`] the vote is under-sampled and spf
-//!   doubles toward [`SpfRange::spf_max`]. Each set carries its own
+//!   doubles toward [`SpfRange::spf_max`]. The spf axis has its own
 //!   streak counters and cooldown clock (the *same* hysteresis machinery
-//!   replicas use), so a bursty tier cannot steal another's evidence.
-//!   The actuator rides [`tn_chip::nscs::FrameInput::spf`] — no
-//!   deployment rebuild — so the epoch-swapped replica-rescale path stays
+//!   replicas use). Quality tiers keep their configured spf: a client
+//!   picks a different (replicas, spf) point by naming a tier. The
+//!   actuator rides [`tn_chip::nscs::FrameInput::spf`] — no deployment
+//!   rebuild — so the epoch-swapped replica-rescale path stays
 //!   bit-identical to a fresh runtime.
 //!
 //! # Determinism
@@ -52,15 +51,14 @@
 use std::time::Duration;
 
 use crate::error::ServeError;
-use crate::tier::QualityTier;
 
-/// Bounds for the spf (ticks-per-frame) actuator on one deployment set:
-/// the default set ([`ControllerConfig::spf_range`]) or a quality tier
-/// ([`crate::QualityTier::spf_range`]).
+/// Bounds for the spf (ticks-per-frame) actuator on the default
+/// deployment set ([`ControllerConfig::spf_range`]).
 ///
 /// The controller moves the set's live spf multiplicatively inside
 /// `[spf_min, spf_max]`; frames always run at the spf their set held at
-/// serve time. A set starts at its configured spf clamped into the range.
+/// serve time. The set starts at [`crate::ServeConfig::spf`] clamped into
+/// the range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpfRange {
     /// Floor for the set's ticks-per-frame (≥ 1). The throughput end:
@@ -82,17 +80,16 @@ impl SpfRange {
         spf.clamp(self.spf_min, self.spf_max)
     }
 
-    /// Check `1 <= spf_min <= spf_max`; `owner` names the set in the
-    /// error.
-    pub(crate) fn validate(&self, owner: &str) -> Result<(), ServeError> {
+    /// Check `1 <= spf_min <= spf_max`.
+    fn validate(&self) -> Result<(), ServeError> {
         if self.spf_min == 0 {
-            return Err(ServeError::BadConfig(format!(
-                "{owner} spf_range: spf_min must be >= 1"
-            )));
+            return Err(ServeError::BadConfig(
+                "controller spf_range: spf_min must be >= 1".into(),
+            ));
         }
         if self.spf_min > self.spf_max {
             return Err(ServeError::BadConfig(format!(
-                "{owner} spf_range: spf_min ({}) must not exceed spf_max ({})",
+                "controller spf_range: spf_min ({}) must not exceed spf_max ({})",
                 self.spf_min, self.spf_max
             )));
         }
@@ -126,12 +123,11 @@ pub struct ControllerConfig {
     /// Minimum time between replica changes (lets the previous decision's
     /// effect show up in the agreement window before acting again).
     pub cooldown: Duration,
-    /// spf bounds of the default deployment set (`None` = the default
-    /// set's spf stays at [`crate::ServeConfig::spf`]). Quality tiers
-    /// carry their own [`crate::QualityTier::spf_range`]. Every ranged
-    /// set gets independent streak + cooldown state reusing the same
-    /// `agreement_low`/`agreement_high` band, `scale_streak`, and
-    /// `cooldown` the replica actuator uses.
+    /// spf bounds of the default deployment set (`None` = the spf
+    /// actuator is off and the default set stays at
+    /// [`crate::ServeConfig::spf`]). The spf axis gets its own streak +
+    /// cooldown state reusing the same `agreement_low`/`agreement_high`
+    /// band, `scale_streak`, and `cooldown` the replica actuator uses.
     pub spf_range: Option<SpfRange>,
 }
 
@@ -199,7 +195,7 @@ impl ControllerConfig {
             ));
         }
         if let Some(range) = &self.spf_range {
-            range.validate("controller")?;
+            range.validate()?;
         }
         Ok(())
     }
@@ -225,12 +221,11 @@ pub struct ControlSample {
     /// sample; `None` when no requests completed in the window (the
     /// controller then leaves replicas alone — no evidence, no action).
     pub mean_agreement: Option<f32>,
-    /// Live spf per deployment set: entry 0 is the default set, entry
-    /// `t + 1` quality tier `t`.
-    pub spf: Vec<usize>,
-    /// Windowed mean agreement per deployment set, aligned with `spf`;
-    /// `None` entries mean the set served nothing in the window.
-    pub set_agreement: Vec<Option<f32>>,
+    /// Live spf of the default deployment set.
+    pub spf: usize,
+    /// Mean agreement of the passes the default set served in the window
+    /// (the spf actuator's evidence); `None` when it served none.
+    pub spf_agreement: Option<f32>,
 }
 
 /// A decision the runtime should apply (see
@@ -245,19 +240,14 @@ pub enum ControlAction {
     /// accuracy/occupation point, deterministically: the replica sample
     /// at count `r` is a pure function of `(spec, seed, r)`).
     SetReplicas(usize),
-    /// Set one deployment set's live ticks-per-frame. Applied to frames
-    /// via [`tn_chip::nscs::FrameInput::spf`] at serve time — no
-    /// deployment rebuild, so the replica-rescale epoch swap is
-    /// untouched. A frame's result is still a pure function of
-    /// `(seed, seq, spf)`; what the actuator makes time-dependent is
-    /// *which* spf an in-flight request is served at.
-    SetSpf {
-        /// The set: `None` for the default set, `Some(t)` for quality
-        /// tier `t` of [`crate::ServeConfig::tiers`].
-        tier: Option<usize>,
-        /// New ticks-per-frame, clamped into the set's [`SpfRange`].
-        spf: usize,
-    },
+    /// Set the default deployment set's live ticks-per-frame, clamped
+    /// into [`ControllerConfig::spf_range`]. Applied to frames via
+    /// [`tn_chip::nscs::FrameInput::spf`] at serve time — no deployment
+    /// rebuild, so the replica-rescale epoch swap is untouched. A frame's
+    /// result is still a pure function of `(seed, seq, spf)`; what the
+    /// actuator makes time-dependent is *which* spf an in-flight request
+    /// is served at.
+    SetSpf(usize),
     /// Rebuild the default replica set as ensemble sample `sample`
     /// (fresh Bernoulli synapse draws from the same trained
     /// probabilities; `0` restores the original build). Applied through
@@ -279,60 +269,90 @@ pub struct Controller {
     cfg: ControllerConfig,
     /// Ceiling for the fusion width (the configured `kernel_batch`).
     kernel_batch_max: usize,
-    /// Consecutive samples with agreement below the band.
-    low_streak: usize,
-    /// Consecutive samples with agreement above the band.
-    high_streak: usize,
-    /// Time of the last replica change, if any.
-    last_scale_ns: Option<u64>,
-    /// The spf actuator, per deployment set (entry 0 is the default set,
-    /// entry `t + 1` quality tier `t`).
-    spf: Vec<SpfAxis>,
+    /// Hysteresis state of the replica actuator.
+    replicas: Hysteresis,
+    /// Hysteresis state of the default set's spf actuator.
+    spf: Hysteresis,
 }
 
-/// The spf actuator's range and hysteresis state for one deployment set.
-#[derive(Debug, Clone)]
-struct SpfAxis {
-    /// `None`: the set's spf is fixed and never moved.
-    range: Option<SpfRange>,
+/// Which side of the agreement band a completed streak lies on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Band {
+    Low,
+    High,
+}
+
+/// Dead band, streak and cooldown over one windowed agreement signal —
+/// the hysteresis both agreement-driven actuators share.
+#[derive(Debug, Clone, Default)]
+struct Hysteresis {
     /// Consecutive samples with agreement below the band.
     low_streak: usize,
     /// Consecutive samples with agreement above the band.
     high_streak: usize,
-    /// Time of the last spf change, if any.
+    /// Time of the last change this axis made, if any.
     last_change_ns: Option<u64>,
 }
 
-impl SpfAxis {
-    fn reset_streaks(&mut self) {
+impl Hysteresis {
+    /// Feed one window's agreement; returns the side of the band once
+    /// `scale_streak` consecutive out-of-band samples have landed past
+    /// the cooldown.
+    fn observe(
+        &mut self,
+        cfg: &ControllerConfig,
+        t_ns: u64,
+        agreement: Option<f32>,
+    ) -> Option<Band> {
+        let cooldown_ns = u64::try_from(cfg.cooldown.as_nanos()).unwrap_or(u64::MAX);
+        let cooled = self
+            .last_change_ns
+            .is_none_or(|t0| t_ns.saturating_sub(t0) >= cooldown_ns);
+        match agreement {
+            Some(a) if cooled && a < cfg.agreement_low => {
+                self.low_streak += 1;
+                self.high_streak = 0;
+            }
+            Some(a) if cooled && a > cfg.agreement_high => {
+                self.high_streak += 1;
+                self.low_streak = 0;
+            }
+            // No completions (no evidence), a sample inside the cooldown
+            // (the previous change's effect is still arriving, so the
+            // evidence is stale) or one inside the dead band (the whole
+            // point of hysteresis): the streak rebuilds from zero.
+            _ => {
+                self.low_streak = 0;
+                self.high_streak = 0;
+                return None;
+            }
+        }
+        if self.low_streak >= cfg.scale_streak {
+            Some(Band::Low)
+        } else if self.high_streak >= cfg.scale_streak {
+            Some(Band::High)
+        } else {
+            None
+        }
+    }
+
+    /// Record a change made at `t_ns`: streaks reset, the cooldown starts.
+    fn changed(&mut self, t_ns: u64) {
         self.low_streak = 0;
         self.high_streak = 0;
+        self.last_change_ns = Some(t_ns);
     }
 }
 
 impl Controller {
     /// A controller enforcing `cfg`, with fusion width bounded by
-    /// `kernel_batch_max` (clamped to ≥ 1), over the quality-tier table
-    /// `tiers` (whose [`crate::QualityTier::spf_range`]s bound the tier
-    /// sets' spf; [`ControllerConfig::spf_range`] bounds the default
-    /// set's).
-    pub fn new(cfg: ControllerConfig, kernel_batch_max: usize, tiers: &[QualityTier]) -> Self {
-        let spf = std::iter::once(cfg.spf_range)
-            .chain(tiers.iter().map(|t| t.spf_range))
-            .map(|range| SpfAxis {
-                range,
-                low_streak: 0,
-                high_streak: 0,
-                last_change_ns: None,
-            })
-            .collect();
+    /// `kernel_batch_max` (clamped to ≥ 1).
+    pub fn new(cfg: ControllerConfig, kernel_batch_max: usize) -> Self {
         Self {
             cfg,
             kernel_batch_max: kernel_batch_max.max(1),
-            low_streak: 0,
-            high_streak: 0,
-            last_scale_ns: None,
-            spf,
+            replicas: Hysteresis::default(),
+            spf: Hysteresis::default(),
         }
     }
 
@@ -367,107 +387,34 @@ impl Controller {
     /// Replicas ∈ [min, max] follow agreement with dead band, streak, and
     /// cooldown hysteresis.
     fn observe_agreement(&mut self, sample: &ControlSample, actions: &mut Vec<ControlAction>) {
-        let Some(agreement) = sample.mean_agreement else {
-            // No completions this window: no evidence either way. Streaks
-            // reset so stale momentum cannot trigger a scale later.
-            self.low_streak = 0;
-            self.high_streak = 0;
-            return;
+        let next = match self.replicas.observe(&self.cfg, sample.t_ns, sample.mean_agreement) {
+            Some(Band::Low) if sample.replicas < self.cfg.max_replicas => sample.replicas + 1,
+            Some(Band::High) if sample.replicas > self.cfg.min_replicas => sample.replicas - 1,
+            _ => return,
         };
-        let cooldown_ns = u64::try_from(self.cfg.cooldown.as_nanos()).unwrap_or(u64::MAX);
-        let cooled = self
-            .last_scale_ns
-            .is_none_or(|t0| sample.t_ns.saturating_sub(t0) >= cooldown_ns);
-        if !cooled {
-            // Inside the cooldown the previous change's effect is still
-            // arriving in the agreement window; evidence gathered now is
-            // stale, so the streak rebuilds from zero afterwards.
-            self.low_streak = 0;
-            self.high_streak = 0;
-            return;
-        }
-        if agreement < self.cfg.agreement_low {
-            self.low_streak += 1;
-            self.high_streak = 0;
-        } else if agreement > self.cfg.agreement_high {
-            self.high_streak += 1;
-            self.low_streak = 0;
-        } else {
-            // Inside the dead band: the whole point of hysteresis.
-            self.low_streak = 0;
-            self.high_streak = 0;
-            return;
-        }
-        if self.low_streak >= self.cfg.scale_streak && sample.replicas < self.cfg.max_replicas {
-            actions.push(ControlAction::SetReplicas(sample.replicas + 1));
-            self.after_scale(sample.t_ns);
-        } else if self.high_streak >= self.cfg.scale_streak
-            && sample.replicas > self.cfg.min_replicas
-        {
-            actions.push(ControlAction::SetReplicas(sample.replicas - 1));
-            self.after_scale(sample.t_ns);
-        }
+        actions.push(ControlAction::SetReplicas(next));
+        self.replicas.changed(sample.t_ns);
     }
 
-    fn after_scale(&mut self, t_ns: u64) {
-        self.low_streak = 0;
-        self.high_streak = 0;
-        self.last_scale_ns = Some(t_ns);
-    }
-
-    /// spf per ranged set ∈ [spf_min, spf_max] follows the set's
+    /// The default set's spf ∈ [spf_min, spf_max] follows that set's
     /// windowed agreement with the same dead band, streak, and cooldown
-    /// hysteresis the replica actuator uses — but tracked per set, so
-    /// evidence for one set never moves another's knob. Direction:
+    /// hysteresis the replica actuator uses, on its own state. Direction:
     /// saturated agreement means the stochastic vote converged with
     /// samples to spare, so spf *halves* (throughput, the paper's
     /// performance axis); poor agreement means under-sampling, so spf
     /// *doubles*.
     fn observe_spf(&mut self, sample: &ControlSample, actions: &mut Vec<ControlAction>) {
-        let cfg = &self.cfg;
-        let cooldown_ns = u64::try_from(cfg.cooldown.as_nanos()).unwrap_or(u64::MAX);
-        for (set, axis) in self.spf.iter_mut().enumerate() {
-            let Some(range) = axis.range else {
-                continue;
-            };
-            let Some(agreement) = sample.set_agreement.get(set).copied().flatten() else {
-                // Nothing served on this set in the window: no evidence,
-                // streaks reset (no stale momentum).
-                axis.reset_streaks();
-                continue;
-            };
-            let cooled = axis
-                .last_change_ns
-                .is_none_or(|t0| sample.t_ns.saturating_sub(t0) >= cooldown_ns);
-            if !cooled {
-                axis.reset_streaks();
-                continue;
-            }
-            if agreement < cfg.agreement_low {
-                axis.low_streak += 1;
-                axis.high_streak = 0;
-            } else if agreement > cfg.agreement_high {
-                axis.high_streak += 1;
-                axis.low_streak = 0;
-            } else {
-                axis.reset_streaks();
-                continue;
-            }
-            let current = sample.spf.get(set).copied().unwrap_or(range.spf_max).max(1);
-            let next = if axis.high_streak >= cfg.scale_streak && current > range.spf_min {
-                (current / 2).max(range.spf_min)
-            } else if axis.low_streak >= cfg.scale_streak && current < range.spf_max {
-                (current * 2).min(range.spf_max)
-            } else {
-                continue;
-            };
-            actions.push(ControlAction::SetSpf {
-                tier: set.checked_sub(1),
-                spf: next,
-            });
-            axis.reset_streaks();
-            axis.last_change_ns = Some(sample.t_ns);
-        }
+        let Some(range) = self.cfg.spf_range else {
+            return;
+        };
+        let current = sample.spf.max(1);
+        let next = match self.spf.observe(&self.cfg, sample.t_ns, sample.spf_agreement) {
+            Some(Band::High) if current > range.spf_min => (current / 2).max(range.spf_min),
+            Some(Band::Low) if current < range.spf_max => (current * 2).min(range.spf_max),
+            _ => return,
+        };
+        actions.push(ControlAction::SetSpf(next));
+        self.spf.changed(sample.t_ns);
     }
 }
 
@@ -509,8 +456,8 @@ mod tests {
             kernel_batch: kb,
             replicas,
             mean_agreement: agreement,
-            spf: Vec::new(),
-            set_agreement: Vec::new(),
+            spf: 8,
+            spf_agreement: agreement,
         })
     }
 
@@ -519,8 +466,8 @@ mod tests {
     fn step_spf(
         ctl: &mut Controller,
         clock: &ManualClock,
-        spf: Vec<usize>,
-        set_agreement: Vec<Option<f32>>,
+        spf: usize,
+        spf_agreement: Option<f32>,
     ) -> Vec<ControlAction> {
         clock.advance(ctl.config().sample_interval);
         ctl.observe(&ControlSample {
@@ -531,14 +478,14 @@ mod tests {
             replicas: 2,
             mean_agreement: Some(0.9),
             spf,
-            set_agreement,
+            spf_agreement,
         })
     }
 
     #[test]
     fn kernel_batch_rises_with_queue_depth_and_falls_when_idle() {
         let clock = ManualClock::new();
-        let mut ctl = Controller::new(cfg(), 16, &[]);
+        let mut ctl = Controller::new(cfg(), 16);
         // Saturated queue: 1 → 2 → 4 → 8 → 16, then pinned at the max.
         let mut kb = 1;
         let mut widths = vec![kb];
@@ -567,7 +514,7 @@ mod tests {
     #[test]
     fn mid_band_queue_fill_leaves_kernel_batch_alone() {
         let clock = ManualClock::new();
-        let mut ctl = Controller::new(cfg(), 16, &[]);
+        let mut ctl = Controller::new(cfg(), 16);
         // 16/64 = 0.25 sits between the 0.125 and 0.5 watermarks.
         for _ in 0..10 {
             assert_eq!(step(&mut ctl, &clock, 16, 4, 1, Some(0.9)), vec![]);
@@ -577,7 +524,7 @@ mod tests {
     #[test]
     fn low_agreement_scales_replicas_up_after_streak() {
         let clock = ManualClock::new();
-        let mut ctl = Controller::new(cfg(), 8, &[]);
+        let mut ctl = Controller::new(cfg(), 8);
         // Two low samples: not yet (streak is 3).
         assert_eq!(step(&mut ctl, &clock, 16, 4, 2, Some(0.5)), vec![]);
         assert_eq!(step(&mut ctl, &clock, 16, 4, 2, Some(0.5)), vec![]);
@@ -608,7 +555,7 @@ mod tests {
     #[test]
     fn unanimous_agreement_scales_replicas_down_with_hysteresis() {
         let clock = ManualClock::new();
-        let mut ctl = Controller::new(cfg(), 8, &[]);
+        let mut ctl = Controller::new(cfg(), 8);
         assert_eq!(step(&mut ctl, &clock, 16, 4, 3, Some(1.0)), vec![]);
         assert_eq!(step(&mut ctl, &clock, 16, 4, 3, Some(1.0)), vec![]);
         assert_eq!(
@@ -629,7 +576,7 @@ mod tests {
     #[test]
     fn dead_band_and_gaps_reset_the_streak() {
         let clock = ManualClock::new();
-        let mut ctl = Controller::new(cfg(), 8, &[]);
+        let mut ctl = Controller::new(cfg(), 8);
         // low, low, in-band, low, low, low → fires only after the post-gap
         // streak completes: hysteresis, not a leaky counter.
         assert_eq!(step(&mut ctl, &clock, 16, 4, 2, Some(0.5)), vec![]);
@@ -654,7 +601,7 @@ mod tests {
         // Determinism: replay the same scripted load twice.
         let run = || {
             let clock = ManualClock::new();
-            let mut ctl = Controller::new(cfg(), 32, &[]);
+            let mut ctl = Controller::new(cfg(), 32);
             let mut log = Vec::new();
             let mut kb = 1;
             let mut replicas = 1;
@@ -665,9 +612,7 @@ mod tests {
                     match action {
                         ControlAction::SetKernelBatch(v) => kb = v,
                         ControlAction::SetReplicas(v) => replicas = v,
-                        ControlAction::SetSpf { .. } => {
-                            unreachable!("no spf range configured")
-                        }
+                        ControlAction::SetSpf(_) => unreachable!("no spf range configured"),
                         ControlAction::Resample { .. } => {
                             unreachable!("the controller never emits Resample")
                         }
@@ -683,101 +628,92 @@ mod tests {
     }
 
     #[test]
-    fn spf_adapts_per_set_with_hysteresis_and_bounds() {
+    fn spf_adapts_with_hysteresis_and_bounds() {
         let clock = ManualClock::new();
         let mut c = cfg();
-        // Set 0 (default): tight floor. Tier 0 ("bulk"): wide range.
-        // Tier 1 ("pinned"): no range, so its spf never moves.
         c.spf_range = Some(SpfRange::new(4, 16));
-        let tiers = [
-            QualityTier::new("bulk", 1, 8).spf_range(SpfRange::new(2, 64)),
-            QualityTier::new("pinned", 1, 8),
-        ];
-        let mut ctl = Controller::new(c, 8, &tiers);
+        let mut ctl = Controller::new(c, 8);
 
-        // Saturated agreement on the default set and on the unranged
-        // tier: after the 3-sample streak the default set's spf halves
-        // 16 → 8; "bulk" (no evidence) and "pinned" (no range) are
-        // untouched.
-        let saturated = || vec![Some(1.0), None, Some(1.0)];
-        let spfs = || vec![16usize, 8, 8];
-        assert_eq!(step_spf(&mut ctl, &clock, spfs(), saturated()), vec![]);
-        assert_eq!(step_spf(&mut ctl, &clock, spfs(), saturated()), vec![]);
+        // Saturated agreement: after the 3-sample streak spf halves
+        // 16 → 8.
+        assert_eq!(step_spf(&mut ctl, &clock, 16, Some(1.0)), vec![]);
+        assert_eq!(step_spf(&mut ctl, &clock, 16, Some(1.0)), vec![]);
         assert_eq!(
-            step_spf(&mut ctl, &clock, spfs(), saturated()),
-            vec![ControlAction::SetSpf { tier: None, spf: 8 }]
+            step_spf(&mut ctl, &clock, 16, Some(1.0)),
+            vec![ControlAction::SetSpf(8)]
         );
         // Cooldown: continued saturation does nothing until it elapses.
         for _ in 0..5 {
-            assert_eq!(step_spf(&mut ctl, &clock, vec![8, 8, 8], saturated()), vec![]);
+            assert_eq!(step_spf(&mut ctl, &clock, 8, Some(1.0)), vec![]);
         }
         // Past cooldown the streak rebuilds, then 8 → 4 lands on the
         // floor; further saturation can never go below spf_min.
         clock.advance(Duration::from_millis(100));
         for _ in 0..2 {
-            assert_eq!(step_spf(&mut ctl, &clock, vec![8, 8, 8], saturated()), vec![]);
+            assert_eq!(step_spf(&mut ctl, &clock, 8, Some(1.0)), vec![]);
         }
         assert_eq!(
-            step_spf(&mut ctl, &clock, vec![8, 8, 8], saturated()),
-            vec![ControlAction::SetSpf { tier: None, spf: 4 }]
+            step_spf(&mut ctl, &clock, 8, Some(1.0)),
+            vec![ControlAction::SetSpf(4)]
         );
         clock.advance(Duration::from_millis(100));
         for _ in 0..6 {
-            assert_eq!(step_spf(&mut ctl, &clock, vec![4, 8, 8], saturated()), vec![]);
+            assert_eq!(step_spf(&mut ctl, &clock, 4, Some(1.0)), vec![], "spf_min is a floor");
         }
 
-        // Poor agreement on "bulk" (and on "pinned") doubles bulk toward
-        // (and never past) spf_max, while the default set sits in the
-        // dead band untouched.
-        let poor = || vec![Some(0.9), Some(0.3), Some(0.3)];
+        // Poor agreement doubles spf back toward (and never past) spf_max.
         for _ in 0..2 {
-            assert_eq!(step_spf(&mut ctl, &clock, vec![4, 32, 8], poor()), vec![]);
+            assert_eq!(step_spf(&mut ctl, &clock, 4, Some(0.3)), vec![]);
         }
         assert_eq!(
-            step_spf(&mut ctl, &clock, vec![4, 32, 8], poor()),
-            vec![ControlAction::SetSpf { tier: Some(0), spf: 64 }]
+            step_spf(&mut ctl, &clock, 4, Some(0.3)),
+            vec![ControlAction::SetSpf(8)]
+        );
+        clock.advance(Duration::from_millis(100));
+        for _ in 0..2 {
+            assert_eq!(step_spf(&mut ctl, &clock, 8, Some(0.3)), vec![]);
+        }
+        assert_eq!(
+            step_spf(&mut ctl, &clock, 8, Some(0.3)),
+            vec![ControlAction::SetSpf(16)]
         );
         clock.advance(Duration::from_millis(100));
         for _ in 0..6 {
-            assert_eq!(
-                step_spf(&mut ctl, &clock, vec![4, 64, 8], poor()),
-                vec![],
-                "spf_max is a ceiling"
-            );
+            assert_eq!(step_spf(&mut ctl, &clock, 16, Some(0.3)), vec![], "spf_max is a ceiling");
+        }
+
+        // Without a range the spf actuator is off whatever the evidence.
+        let mut fixed = Controller::new(cfg(), 8);
+        for agreement in [Some(1.0), Some(0.3)] {
+            for _ in 0..6 {
+                assert_eq!(step_spf(&mut fixed, &clock, 16, agreement), vec![]);
+            }
         }
     }
 
     #[test]
     fn spf_streaks_reset_on_gaps_and_dead_band() {
         let clock = ManualClock::new();
-        let tiers = [QualityTier::new("bulk", 1, 32).spf_range(SpfRange::new(2, 32))];
-        let mut ctl = Controller::new(cfg(), 8, &tiers);
-        // On the tier's set: high, high, gap (nothing served), high,
-        // high, high → only the post-gap streak fires.
-        let on_tier = |a: Option<f32>| vec![None, a];
-        assert_eq!(step_spf(&mut ctl, &clock, vec![8, 32], on_tier(Some(1.0))), vec![]);
-        assert_eq!(step_spf(&mut ctl, &clock, vec![8, 32], on_tier(Some(1.0))), vec![]);
+        let mut c = cfg();
+        c.spf_range = Some(SpfRange::new(2, 32));
+        let mut ctl = Controller::new(c, 8);
+        // high, high, gap (the default set served nothing), high, high,
+        // high → only the post-gap streak fires.
+        assert_eq!(step_spf(&mut ctl, &clock, 32, Some(1.0)), vec![]);
+        assert_eq!(step_spf(&mut ctl, &clock, 32, Some(1.0)), vec![]);
+        assert_eq!(step_spf(&mut ctl, &clock, 32, None), vec![], "gap resets");
+        assert_eq!(step_spf(&mut ctl, &clock, 32, Some(1.0)), vec![]);
+        assert_eq!(step_spf(&mut ctl, &clock, 32, Some(1.0)), vec![]);
         assert_eq!(
-            step_spf(&mut ctl, &clock, vec![8, 32], on_tier(None)),
-            vec![],
-            "gap resets"
-        );
-        assert_eq!(step_spf(&mut ctl, &clock, vec![8, 32], on_tier(Some(1.0))), vec![]);
-        assert_eq!(step_spf(&mut ctl, &clock, vec![8, 32], on_tier(Some(1.0))), vec![]);
-        assert_eq!(
-            step_spf(&mut ctl, &clock, vec![8, 32], on_tier(Some(1.0))),
-            vec![ControlAction::SetSpf { tier: Some(0), spf: 16 }]
+            step_spf(&mut ctl, &clock, 32, Some(1.0)),
+            vec![ControlAction::SetSpf(16)]
         );
         // Dead-band samples also reset the streak.
         clock.advance(Duration::from_millis(100));
-        assert_eq!(step_spf(&mut ctl, &clock, vec![8, 16], on_tier(Some(1.0))), vec![]);
-        assert_eq!(step_spf(&mut ctl, &clock, vec![8, 16], on_tier(Some(1.0))), vec![]);
-        assert_eq!(
-            step_spf(&mut ctl, &clock, vec![8, 16], on_tier(Some(0.9))),
-            vec![],
-            "dead band resets"
-        );
-        assert_eq!(step_spf(&mut ctl, &clock, vec![8, 16], on_tier(Some(1.0))), vec![]);
+        assert_eq!(step_spf(&mut ctl, &clock, 16, Some(1.0)), vec![]);
+        assert_eq!(step_spf(&mut ctl, &clock, 16, Some(1.0)), vec![]);
+        assert_eq!(step_spf(&mut ctl, &clock, 16, Some(0.9)), vec![], "dead band resets");
+        assert_eq!(step_spf(&mut ctl, &clock, 16, Some(1.0)), vec![]);
     }
 
     #[test]

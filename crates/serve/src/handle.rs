@@ -69,9 +69,9 @@ impl ServedAs {
         self.model
     }
 
-    /// Ticks-per-frame the request was actually served at: the live spf
-    /// of the deployment set that answered (the escalation target's on
-    /// escalated requests) at serve time.
+    /// Ticks-per-frame the request was actually served at: the spf the
+    /// answering deployment set (the escalation target on escalated
+    /// requests) held at serve time.
     pub fn spf(&self) -> usize {
         self.spf
     }

@@ -86,11 +86,10 @@
 //!   With [`ServeConfig::controller`] set, a [`Controller`] closes the
 //!   loop: it adapts the live fusion width within `1 ..= kernel_batch`
 //!   from queue depth, rescales replicas from the live agreement
-//!   metric, and moves the ticks-per-frame of every deployment set
-//!   given an [`SpfRange`] (the default set's
-//!   [`ControllerConfig::spf_range`], a tier's
-//!   [`QualityTier::spf_range`]) from that set's windowed agreement — all
-//!   with hysteresis (dead band + streak + cooldown). The control
+//!   metric, and moves the default set's ticks-per-frame within an
+//!   [`SpfRange`] ([`ControllerConfig::spf_range`]) from that set's
+//!   windowed agreement — all with hysteresis (dead band + streak +
+//!   cooldown); quality tiers keep their configured spf. The control
 //!   math is pure — time arrives inside each [`ControlSample`], stamped
 //!   by a [`tn_telemetry::Clock`] — so decisions are testable with a
 //!   scripted clock. With both options off (the default), the runtime is

@@ -34,11 +34,10 @@ pub(crate) struct Metrics {
     /// ([`ChipCounterExport`] deltas; `chip[0]` = synaptic_ops etc. in
     /// `for_each` order).
     chip: [AtomicU64; 12],
-    /// Per deployment set (0 = default, `t + 1` = tier `t`): `[passes,
-    /// agreement ×AGREEMENT_SCALE]` over every pass the set served,
-    /// escalated first passes included — the spf actuator's evidence,
+    /// `[passes, agreement ×AGREEMENT_SCALE]` over every pass the
+    /// default deployment set served — the spf actuator's evidence,
     /// windowed by the observer exactly like the global pair.
-    set_agreement: Vec<[AtomicU64; 2]>,
+    spf_agreement: [AtomicU64; 2],
     /// Per tenant model: `[submitted, completed, ticks,
     /// agreement ×AGREEMENT_SCALE]` — one row per packed tenant (a single
     /// row on solo runtimes), exported as `serve.model.{m}.*`.
@@ -69,9 +68,7 @@ impl Metrics {
             ticks: AtomicU64::new(0),
             agreement_micros: AtomicU64::new(0),
             chip: std::array::from_fn(|_| AtomicU64::new(0)),
-            set_agreement: (0..=tiers)
-                .map(|_| [AtomicU64::new(0), AtomicU64::new(0)])
-                .collect(),
+            spf_agreement: [AtomicU64::new(0), AtomicU64::new(0)],
             per_model: (0..models.max(1))
                 .map(|_| std::array::from_fn(|_| AtomicU64::new(0)))
                 .collect(),
@@ -106,13 +103,11 @@ impl Metrics {
         self.latency.record(latency);
     }
 
-    /// Count one pass served on deployment set `set` toward that set's
-    /// agreement window.
-    pub(crate) fn record_set_agreement(&self, set: usize, agreement: f32) {
-        if let Some(pair) = self.set_agreement.get(set) {
-            pair[0].fetch_add(1, Ordering::Relaxed);
-            pair[1].fetch_add(agreement_micros(agreement), Ordering::Relaxed);
-        }
+    /// Count one pass served on the default deployment set toward the
+    /// spf actuator's agreement window.
+    pub(crate) fn record_spf_agreement(&self, agreement: f32) {
+        self.spf_agreement[0].fetch_add(1, Ordering::Relaxed);
+        self.spf_agreement[1].fetch_add(agreement_micros(agreement), Ordering::Relaxed);
     }
 
     /// Count one accepted submission: globally, against tenant `model`
@@ -185,13 +180,13 @@ impl Metrics {
         })
     }
 
-    /// Lifetime `(passes, agreement_sum/SCALE)` pair per deployment set
-    /// (see [`Metrics::agreement_progress`]).
-    pub(crate) fn set_agreement_progress(&self) -> Vec<(u64, u64)> {
-        self.set_agreement
-            .iter()
-            .map(|pair| (pair[0].load(Ordering::Relaxed), pair[1].load(Ordering::Relaxed)))
-            .collect()
+    /// Lifetime `(passes, agreement_sum/SCALE)` pair of the default
+    /// deployment set (see [`Metrics::agreement_progress`]).
+    pub(crate) fn spf_agreement_progress(&self) -> (u64, u64) {
+        (
+            self.spf_agreement[0].load(Ordering::Relaxed),
+            self.spf_agreement[1].load(Ordering::Relaxed),
+        )
     }
 
     /// Fold a worker deployment's hardware-counter delta into the global

@@ -27,7 +27,7 @@ pub struct SubmitRequest {
     pub model: usize,
     /// Quality tier name: the operating point (replicas × spf) the
     /// request is served at. `None` serves on the runtime's default
-    /// deployment set at its live spf.
+    /// deployment set at its live spf (which the controller may move).
     pub quality: Option<String>,
     /// Explicit determinism sequence number; `None` (the default) lets
     /// the runtime claim the next one. See [`SubmitRequest::at_seq`].

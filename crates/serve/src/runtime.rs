@@ -8,8 +8,9 @@
 //! point. A solo runtime is a pack with one tenant. Set 0 is the default
 //! operating point (the live replica count and ensemble sample); sets
 //! `1..` are the quality tiers, each packing every tenant at the tier's
-//! `replicas` and `sample`. Each set has one live spf, which the
-//! controller moves inside the set's spf range when it has one. Every
+//! `replicas` and `sample`. Each set has one live spf slot: a tier's
+//! holds the tier's spf, the default set's is what the controller's spf
+//! actuator moves (within [`crate::ControllerConfig::spf_range`]). Every
 //! worker owns a *clone* of each set's prototype and serves all of them
 //! from one loop: it buckets a drained micro-batch by set, chunks each
 //! set per tenant at the live (or tier) fusion width, tallies votes, and
@@ -62,7 +63,7 @@ use tn_telemetry::{emit, Clock, MetricsSink, MonotonicClock, NullSink, Snapshot,
 
 use crate::backend::ServeShape;
 use crate::config::{Backpressure, ServeConfig};
-use crate::control::{ControlAction, Controller, SpfRange};
+use crate::control::{ControlAction, Controller};
 use crate::error::ServeError;
 use crate::handle::{pair, Completer, RequestHandle, Response, ServedAs};
 use crate::metrics::{Metrics, MetricsSnapshot};
@@ -96,10 +97,9 @@ struct Job {
 struct DeploySet {
     /// The quality tier this set serves (`None` for the default set 0).
     tier: Option<QualityTier>,
-    /// Live ticks-per-frame (workers read it per frame).
+    /// Live ticks-per-frame (workers read it per frame; only the
+    /// default set's ever moves).
     spf: AtomicUsize,
-    /// Bounds the spf actuator moves `spf` in (`None`: `spf` is fixed).
-    spf_range: Option<SpfRange>,
     /// Resolved [`QualityTier::escalate_to`] as a set index (validated at
     /// build time).
     escalate_to: Option<usize>,
@@ -116,22 +116,21 @@ struct DeploySet {
 
 impl DeploySet {
     /// A set at the operating point of `tier` (the default set's when
-    /// `None`). Its live spf starts at the configured spf, clamped into
-    /// the set's spf range.
+    /// `None`). The default set's live spf starts at the configured spf
+    /// clamped into the controller's spf range, a tier's at its own spf.
     fn new(
         cfg: &ServeConfig,
         tier: Option<QualityTier>,
         escalate_to: Option<usize>,
         proto: PackedDeployment,
     ) -> Self {
-        let (spf, spf_range) = match &tier {
-            Some(t) => (t.spf, t.spf_range),
-            None => (cfg.spf, cfg.controller.as_ref().and_then(|c| c.spf_range)),
+        let spf = match &tier {
+            Some(t) => t.spf,
+            None => cfg.spf_range().map_or(cfg.spf, |r| r.clamp(cfg.spf)),
         };
         Self {
             tier,
-            spf: AtomicUsize::new(spf_range.map_or(spf, |r| r.clamp(spf))),
-            spf_range,
+            spf: AtomicUsize::new(spf),
             escalate_to,
             proto: Mutex::new(Arc::new(proto)),
             epoch: AtomicU64::new(0),
@@ -348,7 +347,7 @@ impl ServeRuntime {
         });
         let shape = ServeShape {
             models,
-            spf: control.live_spf(),
+            spf: control.spf(),
             tiers: cfg.tiers.iter().map(|t| t.name.clone()).collect(),
             replicas: cfg.replicas,
             kernel_batch: cfg.kernel_batch,
@@ -411,12 +410,12 @@ impl ServeRuntime {
     }
 
     /// What this runtime serves, with the live replica count, fusion
-    /// width, per-set spf and cores (the controller moves those).
+    /// width, default-set spf and cores (the controller moves those).
     pub fn shape(&self) -> ServeShape {
         let control = &self.control;
         ServeShape {
             models: self.shape.models.clone(),
-            spf: control.live_spf(),
+            spf: control.spf(),
             tiers: self.shape.tiers.clone(),
             replicas: control.replicas.load(Ordering::Relaxed),
             kernel_batch: control.kernel_batch.load(Ordering::Relaxed),
@@ -460,8 +459,8 @@ impl ServeRuntime {
     ///
     /// # Errors
     ///
-    /// [`ServeError::BadConfig`] for a zero knob value or a `SetSpf` on
-    /// a set with no spf range (or no such tier),
+    /// [`ServeError::BadConfig`] for a zero knob value or a `SetSpf`
+    /// without a [`crate::ControllerConfig::spf_range`],
     /// [`ServeError::Deploy`] if a rebuilt tenant cannot be placed,
     /// [`ServeError::Pack`] if the rebuilt tenants no longer fit one chip
     /// together (the old set keeps serving either way).
@@ -600,10 +599,10 @@ impl ServeRuntime {
     /// held-out labelled set.
     ///
     /// Every `(frame, label)` pair is served once per tier on a clone of
-    /// that tier's deployment set (as model 0) at the tier's live spf,
-    /// seeded from a calibration-only stream (disjoint from the serving
-    /// seeds), and the observed (vote margin, was-correct) pairs are
-    /// fitted with binned isotonic regression ([`CalibrationMap::fit`]). Until this runs,
+    /// that tier's deployment set (as model 0) at the tier's spf, seeded from a
+    /// calibration-only stream (disjoint from the serving seeds), and the
+    /// observed (vote margin, was-correct) pairs are fitted with binned
+    /// isotonic regression ([`CalibrationMap::fit`]). Until this runs,
     /// tiers report the raw margin as confidence (identity map).
     ///
     /// Each tier's frames are split into contiguous ranges served on
@@ -843,32 +842,30 @@ fn apply_action(
             control.sets[0].swap(set);
             Ok(())
         }
-        ControlAction::SetSpf { tier, spf } => {
+        ControlAction::SetSpf(spf) => {
             if spf == 0 {
                 return Err(ServeError::BadConfig(
                     "control action spf must be >= 1".into(),
                 ));
             }
-            let set = tier.map_or(Some(&control.sets[0]), |t| control.sets[1..].get(t));
-            let Some((set, range)) = set.and_then(|s| s.spf_range.map(|r| (s, r))) else {
-                return Err(ServeError::BadConfig(format!(
-                    "control action spf: {} has no spf range",
-                    tier.map_or("the default set".to_string(), |t| format!("tier {t}"))
-                )));
+            let Some(range) = cfg.spf_range() else {
+                return Err(ServeError::BadConfig(
+                    "control action spf: the controller has no spf_range".into(),
+                ));
             };
-            // Clamp into the set's range: no controller decision (or
-            // manual apply_control) can push a set outside it. The store
-            // rides FrameInput at serve time — no prototype rebuild.
-            set.spf.store(range.clamp(spf), Ordering::Relaxed);
+            // Clamp into the range: no controller decision (or manual
+            // apply_control) can push the default set outside it. The
+            // store rides FrameInput at serve time — no prototype rebuild.
+            control.sets[0].spf.store(range.clamp(spf), Ordering::Relaxed);
             Ok(())
         }
     }
 }
 
 impl ControlState {
-    /// Live spf per set (entry 0 the default set, `t + 1` tier `t`).
-    fn live_spf(&self) -> Vec<usize> {
-        self.sets.iter().map(|s| s.spf.load(Ordering::Relaxed)).collect()
+    /// The default set's live spf.
+    fn spf(&self) -> usize {
+        self.sets[0].spf.load(Ordering::Relaxed)
     }
 }
 
@@ -893,7 +890,7 @@ fn observer_loop(ctx: &ObserverCtx) {
         .cfg
         .controller
         .clone()
-        .map(|c| Controller::new(c, ctx.cfg.kernel_batch, &ctx.cfg.tiers));
+        .map(|c| Controller::new(c, ctx.cfg.kernel_batch));
     let sample_every = ctx.cfg.controller.as_ref().map(|c| c.sample_interval);
     let export_every = ctx.cfg.telemetry.as_ref().map(|t| t.interval);
     let tick = [sample_every, export_every]
@@ -908,7 +905,7 @@ fn observer_loop(ctx: &ObserverCtx) {
 
     let mut seq = 0u64;
     let mut window_start = ctx.metrics.agreement_progress();
-    let mut set_window_start = ctx.metrics.set_agreement_progress();
+    let mut spf_window_start = ctx.metrics.spf_agreement_progress();
     let start_ns = ctx.clock.now_ns();
     let mut last_sample_ns = start_ns;
     let mut last_export_ns = start_ns;
@@ -928,7 +925,7 @@ fn observer_loop(ctx: &ObserverCtx) {
         if let (Some(ctl), Some(period)) = (controller.as_mut(), sample_ns) {
             if !stopped && now_ns.saturating_sub(last_sample_ns) >= period {
                 let progress = ctx.metrics.agreement_progress();
-                let set_progress = ctx.metrics.set_agreement_progress();
+                let spf_progress = ctx.metrics.spf_agreement_progress();
                 let sample = crate::control::ControlSample {
                     t_ns: now_ns,
                     queue_depth: ctx.queue.len(),
@@ -936,15 +933,11 @@ fn observer_loop(ctx: &ObserverCtx) {
                     kernel_batch: ctx.control.kernel_batch.load(Ordering::Relaxed),
                     replicas: ctx.control.replicas.load(Ordering::Relaxed),
                     mean_agreement: Metrics::window_agreement(window_start, progress),
-                    spf: ctx.control.live_spf(),
-                    set_agreement: set_window_start
-                        .iter()
-                        .zip(&set_progress)
-                        .map(|(&prev, &now)| Metrics::window_agreement(prev, now))
-                        .collect(),
+                    spf: ctx.control.spf(),
+                    spf_agreement: Metrics::window_agreement(spf_window_start, spf_progress),
                 };
                 window_start = progress;
-                set_window_start = set_progress;
+                spf_window_start = spf_progress;
                 last_sample_ns = now_ns;
                 for action in ctl.observe(&sample) {
                     if apply_action(&ctx.control, &ctx.cfg, &action).is_err() {
@@ -1030,7 +1023,7 @@ fn assemble_snapshot(ctx: &ObserverCtx, seq: u64, now_ns: u64) -> Snapshot {
         )
         .gauge(
             "serve.spf",
-            ctx.control.sets[0].spf.load(Ordering::Relaxed) as f64,
+            ctx.control.spf() as f64,
         )
         .gauge(
             "serve.mean_agreement",
@@ -1055,7 +1048,7 @@ fn assemble_snapshot(ctx: &ObserverCtx, seq: u64, now_ns: u64) -> Snapshot {
     // completions counted against the *requested* tier, how many answers
     // took the escalate hop, ticks spent (escalation passes included),
     // the mean calibrated confidence of the delivered answers, and the
-    // tier's live spf.
+    // tier's spf.
     for (t, &(submitted, completed, escalated, ticks, confidence_micros)) in
         tiers.iter().enumerate()
     {
@@ -1199,7 +1192,9 @@ fn worker_loop(
                         &votes.counts,
                         job.submitted,
                     );
-                    metrics.record_set_agreement(s, response.agreement);
+                    if s == 0 {
+                        metrics.record_spf_agreement(response.agreement);
+                    }
                     let ticks = response.ticks + first_pass.unwrap_or(0);
                     if let Some(tier) = &set.tier {
                         let confidence = calibration.apply(vote_margin(&response.votes));
@@ -1292,6 +1287,7 @@ fn tally(
 mod tests {
     use super::*;
     use crate::config::TelemetryConfig;
+    use crate::control::SpfRange;
     use tn_chip::nscs::{CoreDeploySpec, InputSource};
     use tn_telemetry::MemorySink;
 
@@ -1706,7 +1702,7 @@ mod tests {
     }
 
     #[test]
-    fn set_spf_moves_one_ranged_set_and_refuses_unranged_ones() {
+    fn set_spf_moves_the_default_set_and_leaves_tiers_fixed() {
         let controller = crate::control::ControllerConfig {
             spf_range: Some(SpfRange::new(2, 32)),
             ..idle_controller()
@@ -1717,67 +1713,56 @@ mod tests {
                 .workers(1)
                 .spf(8)
                 .controller(controller)
-                .tier(QualityTier::new("bulk", 2, 8).spf_range(SpfRange::new(4, 64)))
-                .tier(QualityTier::new("pinned", 2, 8))
+                .tier(QualityTier::new("bulk", 2, 4))
                 .build()
                 .expect("cfg"),
         );
-        assert_eq!(rt.shape().spf, vec![8, 8, 8]);
+        assert_eq!(rt.shape().spf, 8);
         // The default set rides at its configured spf.
         let r = rt.classify(vec![1.0, 0.0]).expect("serve");
         assert_eq!((r.tier(), r.spf(), r.ticks), (None, 8, 8));
-        // Move the bulk tier's spf; the default set is untouched.
-        rt.apply_control(&ControlAction::SetSpf { tier: Some(0), spf: 16 })
-            .expect("set spf");
-        assert_eq!(rt.shape().spf, vec![8, 16, 8]);
+        // Move the default set's spf; the tier keeps its own.
+        rt.apply_control(&ControlAction::SetSpf(16)).expect("set spf");
+        assert_eq!(rt.shape().spf, 16);
+        let r0 = rt.classify(vec![0.0, 1.0]).expect("serve");
+        assert_eq!((r0.tier(), r0.spf(), r0.ticks), (None, 16, 16));
         let r1 = rt
             .classify(SubmitRequest::new(vec![0.0, 1.0]).quality("bulk"))
             .expect("serve");
-        assert_eq!((r1.tier(), r1.spf(), r1.ticks), (Some("bulk"), 16, 16));
-        let r0 = rt.classify(vec![0.0, 1.0]).expect("serve");
-        assert_eq!((r0.tier(), r0.spf(), r0.ticks), (None, 8, 8));
-        // Out-of-range values clamp into the set's range.
-        rt.apply_control(&ControlAction::SetSpf { tier: None, spf: 1024 })
-            .expect("clamp");
-        rt.apply_control(&ControlAction::SetSpf { tier: Some(0), spf: 1 })
-            .expect("clamp");
-        assert_eq!(rt.shape().spf, vec![32, 4, 8], "clamped to spf_max / spf_min");
-        // Zero, a set without a range and an unknown tier are refused,
-        // and nothing moves.
-        for (action, needle) in [
-            (ControlAction::SetSpf { tier: None, spf: 0 }, "spf must be"),
-            (ControlAction::SetSpf { tier: Some(1), spf: 4 }, "tier 1 has no spf range"),
-            (ControlAction::SetSpf { tier: Some(9), spf: 4 }, "tier 9 has no spf range"),
-            (
-                ControlAction::SetSpf { tier: Some(usize::MAX), spf: 4 },
-                "has no spf range",
-            ),
-        ] {
-            assert!(matches!(
-                rt.apply_control(&action),
-                Err(ServeError::BadConfig(msg)) if msg.contains(needle)
-            ));
-        }
-        assert_eq!(rt.shape().spf, vec![32, 4, 8]);
-        let pinned = rt
-            .classify(SubmitRequest::new(vec![1.0, 0.0]).quality("pinned"))
-            .expect("serve");
-        assert_eq!((pinned.spf(), pinned.ticks), (8, 8));
+        assert_eq!((r1.tier(), r1.spf(), r1.ticks), (Some("bulk"), 4, 4));
+        // Out-of-range values clamp into the range.
+        rt.apply_control(&ControlAction::SetSpf(1024)).expect("clamp");
+        assert_eq!(rt.shape().spf, 32, "clamped to spf_max");
+        rt.apply_control(&ControlAction::SetSpf(1)).expect("clamp");
+        assert_eq!(rt.shape().spf, 2, "clamped to spf_min");
+        // Zero is refused and nothing moves.
+        assert!(matches!(
+            rt.apply_control(&ControlAction::SetSpf(0)),
+            Err(ServeError::BadConfig(msg)) if msg.contains("spf must be")
+        ));
+        assert_eq!(rt.shape().spf, 2);
         rt.shutdown();
     }
 
     #[test]
     fn set_spf_without_a_range_is_refused() {
-        // Without a controller no set has a range: SetSpf is an error,
-        // not a silent clamp into `[cfg.spf, cfg.spf]`.
-        let rt = runtime(ServeConfig::builder(7).spf(8).build().expect("cfg"));
-        assert!(matches!(
-            rt.apply_control(&ControlAction::SetSpf { tier: None, spf: 4 }),
-            Err(ServeError::BadConfig(msg)) if msg.contains("the default set has no spf range")
-        ));
-        assert_eq!(rt.shape().spf, vec![8]);
-        assert_eq!(rt.classify(vec![1.0, 0.0]).expect("serve").spf(), 8);
-        rt.shutdown();
+        // Without an spf range — no controller, or a controller without
+        // one — SetSpf is an error, not a silent clamp into
+        // `[cfg.spf, cfg.spf]`.
+        for controller in [None, Some(idle_controller())] {
+            let mut b = ServeConfig::builder(7).spf(8);
+            if let Some(c) = controller {
+                b = b.controller(c);
+            }
+            let rt = runtime(b.build().expect("cfg"));
+            assert!(matches!(
+                rt.apply_control(&ControlAction::SetSpf(4)),
+                Err(ServeError::BadConfig(msg)) if msg.contains("no spf_range")
+            ));
+            assert_eq!(rt.shape().spf, 8);
+            assert_eq!(rt.classify(vec![1.0, 0.0]).expect("serve").spf(), 8);
+            rt.shutdown();
+        }
     }
 
     #[test]
@@ -1821,9 +1806,7 @@ mod tests {
             runtime(b.build().expect("cfg"))
         };
         let adapted = mk(8, true);
-        adapted
-            .apply_control(&ControlAction::SetSpf { tier: None, spf: 4 })
-            .expect("set spf");
+        adapted.apply_control(&ControlAction::SetSpf(4)).expect("set spf");
         let got = serve_n(&adapted, 24);
         adapted.shutdown();
         let fresh = mk(4, false);
@@ -1831,44 +1814,49 @@ mod tests {
         fresh.shutdown();
         assert_eq!(got, want, "spf rides the frame, not the deployment");
 
-        // The same on a tier: a ranged tier moved to spf 4 answers, by
-        // seq, like a runtime whose tier is configured at spf 4.
-        let mk_tiered = |tier_spf: usize, ctl: bool| {
-            let mut tier = QualityTier::new("q", 3, tier_spf);
-            let mut b = ServeConfig::builder(31).replicas(2).workers(2);
+        // On a tiered runtime only the default set moves: its answers
+        // match a runtime configured at the new spf, and the tier's
+        // answers keep the tier's own spf — by seq, bit for bit.
+        let mk_tiered = |spf: usize, ctl: bool| {
+            let mut b = ServeConfig::builder(31).replicas(2).workers(2).spf(spf);
             if ctl {
-                tier = tier.spf_range(SpfRange::new(2, 64));
-                b = b.controller(idle_controller());
+                b = b.controller(crate::control::ControllerConfig {
+                    spf_range: Some(SpfRange::new(2, 64)),
+                    ..idle_controller()
+                });
             }
-            runtime(b.tier(tier).build().expect("cfg"))
+            runtime(b.tier(QualityTier::new("q", 3, 16)).build().expect("cfg"))
         };
-        let serve_tier = |rt: &ServeRuntime| {
+        let serve_mixed = |rt: &ServeRuntime| {
             let handles: Vec<_> = (0..24)
                 .map(|i| {
                     let x = (i % 5) as f32 / 4.0;
-                    rt.submit(SubmitRequest::new(vec![x, 1.0 - x]).quality("q"))
-                        .expect("submit")
+                    let request = SubmitRequest::new(vec![x, 1.0 - x]);
+                    let request = if i % 2 == 1 { request.quality("q") } else { request };
+                    rt.submit(request).expect("submit")
                 })
                 .collect();
             handles
                 .into_iter()
                 .map(|h| {
                     let r = h.wait().expect("serve");
-                    (r.seq, r.spf(), r.ticks, r.predicted, r.votes, r.replica_predictions)
+                    let tier = r.tier().map(str::to_string);
+                    (r.seq, tier, r.spf(), r.ticks, r.predicted, r.votes, r.replica_predictions)
                 })
                 .collect::<Vec<_>>()
         };
-        let adapted = mk_tiered(16, true);
-        adapted
-            .apply_control(&ControlAction::SetSpf { tier: Some(0), spf: 4 })
-            .expect("set tier spf");
-        let got = serve_tier(&adapted);
+        let adapted = mk_tiered(8, true);
+        adapted.apply_control(&ControlAction::SetSpf(4)).expect("set spf");
+        let got = serve_mixed(&adapted);
         adapted.shutdown();
         let fresh = mk_tiered(4, false);
-        let want = serve_tier(&fresh);
+        let want = serve_mixed(&fresh);
         fresh.shutdown();
-        assert!(got.iter().all(|r| r.1 == 4), "served at the moved spf");
-        assert_eq!(got, want, "a tier's spf rides the frame, not the deployment");
+        assert!(
+            got.iter().all(|r| r.2 == if r.1.is_some() { 16 } else { 4 }),
+            "default answers at the moved spf, tier answers at the tier's"
+        );
+        assert_eq!(got, want, "spf rides the frame, not the deployment");
     }
 
     #[test]

@@ -18,7 +18,6 @@
 //! (pool-adjacent-violators), so reported confidence always orders the
 //! same way margins do.
 
-use crate::control::SpfRange;
 use crate::error::ServeError;
 
 /// One named serving tier: a (replicas, spf, kernel_batch) operating
@@ -32,13 +31,10 @@ pub struct QualityTier {
     pub name: String,
     /// Replica copies pooled per request on this tier.
     pub replicas: usize,
-    /// Spikes per frame on this tier: the tier's live spf starts here
-    /// (clamped into [`QualityTier::spf_range`] when one is set).
+    /// Spikes per frame on this tier (fixed: the controller's spf
+    /// actuator moves only the default set, see
+    /// [`crate::ControllerConfig::spf_range`]).
     pub spf: usize,
-    /// Bounds inside which the controller's spf actuator moves this
-    /// tier's live spf from the tier's own agreement window (`None` = the
-    /// spf stays fixed). Needs [`crate::ServeConfig::controller`].
-    pub spf_range: Option<SpfRange>,
     /// Kernel fusion width for this tier's batches; `0` inherits the
     /// runtime's `kernel_batch`.
     pub kernel_batch: usize,
@@ -63,20 +59,11 @@ impl QualityTier {
             name: name.into(),
             replicas,
             spf,
-            spf_range: None,
             kernel_batch: 0,
             confidence_target: 0.0,
             escalate_to: None,
             sample: 0,
         }
-    }
-
-    /// Let the controller move this tier's spf inside `range` (see
-    /// [`QualityTier::spf_range`]).
-    #[must_use]
-    pub fn spf_range(mut self, range: SpfRange) -> Self {
-        self.spf_range = Some(range);
-        self
     }
 
     /// Set this tier's kernel fusion width (`0` inherits the runtime's).
@@ -136,9 +123,6 @@ pub(crate) fn validate_tiers(tiers: &[QualityTier]) -> Result<(), ServeError> {
                 "tier {:?}: spf must be >= 1",
                 t.name
             )));
-        }
-        if let Some(range) = &t.spf_range {
-            range.validate(&format!("tier {:?}", t.name))?;
         }
         if let Some(target) = &t.escalate_to {
             if *target == t.name {
@@ -401,9 +385,5 @@ mod tests {
         assert!(validate_tiers(&self_loop).is_err());
         let unnamed = vec![QualityTier::new("", 1, 2)];
         assert!(validate_tiers(&unnamed).is_err());
-        let empty_range = vec![QualityTier::new("a", 1, 2).spf_range(SpfRange::new(0, 4))];
-        assert!(validate_tiers(&empty_range).is_err());
-        let inverted = vec![QualityTier::new("a", 1, 2).spf_range(SpfRange::new(8, 4))];
-        assert!(validate_tiers(&inverted).is_err());
     }
 }

@@ -12,9 +12,9 @@
 //! counter families (a packed serving run exports one per tenant).
 //! With `--tiers N`, every snapshot must carry exactly `N` quality
 //! tiers' `serve.tier.{t}.*` families, each internally consistent
-//! (escalated ≤ completed ≤ submitted, a live `serve.tier.{t}.spf`
-//! gauge ≥ 1) and jointly bounded by the global serve totals. Used by `scripts/verify.sh` to smoke-test
-//! `serve_throughput --telemetry`.
+//! (escalated ≤ completed ≤ submitted, a `serve.tier.{t}.spf` gauge
+//! ≥ 1) and jointly bounded by the global serve totals. Used by
+//! `scripts/verify.sh` to smoke-test `serve_throughput --telemetry`.
 //!
 //! Usage: `snapshot_check <file.jsonl> [--min N] [--require-sparsity]
 //! [--models N] [--tiers N]` (pass `-` to read stdin). Exits non-zero
@@ -171,7 +171,7 @@ fn check_models(snap: &Snapshot, expected: Option<usize>, lineno: usize) {
 /// Per-tier counters must be internally consistent: within each
 /// `serve.tier.{t}.*` family, `escalated <= completed <= submitted`
 /// (an answer escalates at most once and only after being admitted)
-/// and the tier's live `serve.tier.{t}.spf` gauge is present and >= 1,
+/// and the tier's `serve.tier.{t}.spf` gauge is present and >= 1,
 /// and summed across tiers, submitted/completed can never exceed the
 /// global serve totals (the default tier-less path also counts there).
 /// With `expected = Some(n)`, exactly `n` tier families must be

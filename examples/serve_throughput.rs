@@ -351,7 +351,7 @@ fn adaptive_spf_cell(
     let mut correct = 0u64;
     let mut agreement_sum = 0.0f32;
     loop {
-        let lowered = rt.shape().spf[0] < spf;
+        let lowered = rt.shape().spf < spf;
         let handles: Vec<_> = (served..served + n_requests)
             .map(|i| rt.submit(data.test_x.row(i % n_test).to_vec()))
             .collect::<Result<_, _>>()?;
@@ -368,7 +368,7 @@ fn adaptive_spf_cell(
         }
     }
     let wall = t0.elapsed();
-    let final_spf = rt.shape().spf[0];
+    let final_spf = rt.shape().spf;
     let snap = rt.shutdown();
     assert_eq!(snap.completed, served as u64, "drain served everything");
     Ok((

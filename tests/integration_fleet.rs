@@ -625,9 +625,10 @@ fn gateway_serves_a_fleet_backend_over_tcp() {
 
 #[test]
 fn fleet_shape_follows_the_shards_live_knobs() {
-    // The router reads the live fusion width and every set's spf from
-    // the shard heartbeats, so `shape()` and the gateway's /v1/config
-    // show what the shards actually serve, not the connect-time values.
+    // The router tracks each shard's fusion width and default-set spf
+    // from its heartbeats, and `shape()` (with the gateway's /v1/config)
+    // reports the largest value any connected shard serves at — not the
+    // connect-time values, and not whichever heartbeat came last.
     let cfg = ServeConfig::builder(77)
         .replicas(2)
         .workers(1)
@@ -638,7 +639,7 @@ fn fleet_shape_follows_the_shards_live_knobs() {
             spf_range: Some(SpfRange::new(2, 32)),
             ..ControllerConfig::default()
         })
-        .tier(QualityTier::new("q", 1, 8).spf_range(SpfRange::new(4, 64)))
+        .tier(QualityTier::new("q", 1, 8))
         .telemetry(TelemetryConfig {
             interval: Duration::from_millis(2),
             span_ring: 64,
@@ -660,21 +661,36 @@ fn fleet_shape_follows_the_shards_live_knobs() {
         Arc::clone(&latest),
     )
     .expect("bind gateway over fleet");
-    assert_eq!((fleet.router().shape().kernel_batch, fleet.router().shape().spf), (8, vec![8, 8]));
-    for i in 0..fleet.n_shards() {
+    let knobs = || {
+        let shape = fleet.router().shape();
+        (shape.kernel_batch, shape.spf)
+    };
+    let wait_for = |want: (usize, usize)| {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while knobs() != want {
+            assert!(Instant::now() < deadline, "shape stuck at {:?}, want {want:?}", knobs());
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    };
+    assert_eq!(knobs(), (8, 8));
+    // Shards moved apart: every heartbeat keeps its own shard's values,
+    // so the shape settles on the larger of each knob, whatever order
+    // the heartbeats arrive in.
+    for (i, (kb, spf)) in [(3, 16), (2, 4)].into_iter().enumerate() {
         let rt = fleet.shard(i).runtime();
-        rt.apply_control(&ControlAction::SetSpf { tier: None, spf: 4 })
-            .expect("default spf");
-        rt.apply_control(&ControlAction::SetSpf { tier: Some(0), spf: 16 })
-            .expect("tier spf");
-        rt.apply_control(&ControlAction::SetKernelBatch(3))
-            .expect("kernel batch");
+        rt.apply_control(&ControlAction::SetSpf(spf)).expect("default spf");
+        rt.apply_control(&ControlAction::SetKernelBatch(kb)).expect("kernel batch");
     }
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while (fleet.router().shape().kernel_batch, fleet.router().shape().spf) != (3, vec![4, 16]) {
-        assert!(Instant::now() < deadline, "heartbeats never carried the new knobs");
+    wait_for((3, 16));
+    for _ in 0..20 {
+        assert_eq!(knobs(), (3, 16), "heartbeat order must not move the shape");
         std::thread::sleep(Duration::from_millis(2));
     }
+    // Both shards at one point: the shape follows it down.
+    let rt = fleet.shard(0).runtime();
+    rt.apply_control(&ControlAction::SetSpf(4)).expect("default spf");
+    rt.apply_control(&ControlAction::SetKernelBatch(2)).expect("kernel batch");
+    wait_for((2, 4));
 
     let mut client = TcpStream::connect(gw.local_addr()).expect("connect");
     client
@@ -686,18 +702,21 @@ fn fleet_shape_follows_the_shards_live_knobs() {
     let v = json::parse(reply.split("\r\n\r\n").nth(1).expect("body")).expect("valid JSON");
     let serve = v.get("serve").expect("serve");
     assert_eq!(serve.get("spf").and_then(|s| s.as_u64()), Some(4));
-    assert_eq!(serve.get("kernel_batch").and_then(|k| k.as_u64()), Some(3));
+    assert_eq!(serve.get("kernel_batch").and_then(|k| k.as_u64()), Some(2));
     let tier = &v.get("tiers").and_then(|t| t.as_array()).expect("tiers")[0];
-    assert_eq!(tier.get("spf").and_then(|s| s.as_u64()), Some(16));
+    assert_eq!(tier.get("spf").and_then(|s| s.as_u64()), Some(8), "tiers keep their spf");
 
-    // Answers carry the moved spf too.
-    let r = fleet
-        .router()
-        .submit_request(SubmitRequest::new(request_inputs(0)).quality("q"))
-        .expect("submit")
-        .wait()
-        .expect("answer");
-    assert_eq!((r.tier(), r.spf()), (Some("q"), 16));
+    // Answers carry the moved spf on the default set and the tier's own
+    // on the tier.
+    let answer = |request: SubmitRequest| {
+        let r = fleet.router().submit_request(request).expect("submit").wait().expect("answer");
+        (r.tier().map(str::to_string), r.spf())
+    };
+    assert_eq!(answer(SubmitRequest::new(request_inputs(0))), (None, 4));
+    assert_eq!(
+        answer(SubmitRequest::new(request_inputs(1)).quality("q")),
+        (Some("q".to_string()), 8)
+    );
     gw.shutdown();
     fleet.shutdown();
 }

@@ -358,62 +358,6 @@ fn escalated_answers_are_bit_identical_to_direct_certain_submission() {
 }
 
 #[test]
-fn escalated_answers_follow_the_target_tiers_live_spf() {
-    // Escalation re-runs on the target tier at the spf that tier holds
-    // *now*: after the controller's spf actuator moves `certain` from 8
-    // to 16, escalated and direct answers both carry spf 16 and equal a
-    // fresh runtime whose `certain` tier is configured at spf 16.
-    type Answer = (u64, usize, Vec<u64>, usize, u64, bool);
-    let spec = fractional_spec();
-    let cfg = |certain_spf: usize, ranged: bool| {
-        let mut certain = QualityTier::new("certain", 4, certain_spf);
-        let mut b = ServeConfig::builder(67).replicas(1).workers(2);
-        if ranged {
-            certain = certain.spf_range(SpfRange::new(4, 64));
-            b = b.controller(ControllerConfig {
-                sample_interval: Duration::from_secs(3600),
-                ..ControllerConfig::default()
-            });
-        }
-        b.tier(QualityTier::new("fast", 1, 2).confidence_target(2.0).escalate_to("certain"))
-            .tier(certain)
-            .build()
-            .expect("cfg")
-    };
-    let serve_all = |rt: &ServeRuntime, quality: &str| -> Vec<Answer> {
-        let handles: Vec<_> = (0..24)
-            .map(|i| {
-                rt.submit(SubmitRequest::new(request_inputs(i)).quality(quality).at_seq(i as u64))
-                    .expect("submit")
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                let r = h.wait().expect("serve");
-                (r.seq, r.predicted, r.votes.clone(), r.spf(), r.ticks, r.served.escalated())
-            })
-            .collect()
-    };
-    let moved = ServeRuntime::new(&spec, cfg(8, true)).expect("runtime");
-    moved
-        .apply_control(&ControlAction::SetSpf { tier: Some(1), spf: 16 })
-        .expect("move certain's spf");
-    let escalated = serve_all(&moved, "fast");
-    let direct = serve_all(&moved, "certain");
-    moved.shutdown();
-    let fresh = ServeRuntime::new(&spec, cfg(16, false)).expect("runtime");
-    let fresh_direct = serve_all(&fresh, "certain");
-    fresh.shutdown();
-    assert!(escalated.iter().all(|a| a.3 == 16 && a.5), "escalated at the live spf");
-    assert_eq!(direct, fresh_direct, "a moved tier answers like one configured there");
-    let strip = |answers: &[Answer]| -> Vec<(u64, usize, Vec<u64>, usize)> {
-        answers.iter().map(|a| (a.0, a.1, a.2.clone(), a.3)).collect()
-    };
-    assert_eq!(strip(&escalated), strip(&direct), "escalated ≡ direct at the live spf");
-}
-
-#[test]
 fn calibrated_confidence_is_monotone_in_vote_margin() {
     // The calibration map is isotonic by construction; observed end to
     // end: sorting served responses by raw vote margin must never invert

@@ -125,8 +125,8 @@ fn rescaled_runtime_serves_like_a_fresh_one() {
 fn rescale_stays_bit_identical_with_spf_actuator_enabled() {
     // The spf actuator rides `FrameInput` at serve time and never
     // rebuilds a deployment, so replica rescaling keeps its
-    // bit-identical contract with a ranged default set and a ranged tier
-    // both moved.
+    // bit-identical contract with the default set's spf moved while a
+    // tier keeps its own.
     let spec = fractional_spec();
     let cfg = |replicas: usize| {
         ServeConfig::builder(47)
@@ -139,7 +139,7 @@ fn rescale_stays_bit_identical_with_spf_actuator_enabled() {
                 spf_range: Some(SpfRange::new(2, 32)),
                 ..ControllerConfig::default()
             })
-            .tier(QualityTier::new("q", 2, 8).spf_range(SpfRange::new(4, 64)))
+            .tier(QualityTier::new("q", 2, 16))
             .build()
             .expect("cfg")
     };
@@ -161,10 +161,8 @@ fn rescale_stays_bit_identical_with_spf_actuator_enabled() {
             .collect()
     };
     let actuate = |rt: &ServeRuntime| {
-        rt.apply_control(&ControlAction::SetSpf { tier: None, spf: 4 })
+        rt.apply_control(&ControlAction::SetSpf(4))
             .expect("default set spf");
-        rt.apply_control(&ControlAction::SetSpf { tier: Some(0), spf: 16 })
-            .expect("tier spf");
     };
     let scaled = serve_spec(&spec, cfg(1)).expect("serve");
     scaled
@@ -185,7 +183,7 @@ fn rescale_stays_bit_identical_with_spf_actuator_enabled() {
             let on_tier = seq % 2 == 1;
             tier.is_some() == on_tier && *spf == if on_tier { 16 } else { 4 }
         }),
-        "responses must carry their own set's actuated spf"
+        "responses must carry their own set's spf"
     );
 }
 
