@@ -1,9 +1,11 @@
 //! Criterion microbenchmarks of the training substrate: matmul kernels,
-//! the Tea core-layer forward/backward, one full bench-1 training step,
-//! and the erf special function.
+//! the Tea core-layer forward/backward, one full bench-1 training step and
+//! its SGD update alone, synthetic digit generation, and the erf special
+//! function.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;
+use tn_data::mnist_synth::{self, MnistSynthConfig};
 use tn_learn::layer::LayerGrads;
 use tn_learn::prelude::*;
 use truenorth::testbench::{RunScale, TestBench};
@@ -80,6 +82,33 @@ fn bench_train_step(c: &mut Criterion) {
             out.loss
         })
     });
+    // The update alone: momentum and the clamped weight step over bench
+    // 1's 4 × 65 536 weights, from one batch's gradients.
+    grads.iter_mut().for_each(LayerGrads::clear);
+    net.loss_and_grads(
+        &data.train_x,
+        &data.train_y,
+        &cfg.penalty,
+        cfg.score_scale,
+        &mut grads,
+    );
+    group.bench_function("sgd_step_bench1", |b| {
+        b.iter(|| opt.step(net.layers_mut(), &grads, 0))
+    });
+    group.finish();
+}
+
+/// Bench 1's default data set-up, 1200 training plus 300 test digits, as
+/// one 1500-digit draw.
+fn bench_data(c: &mut Criterion) {
+    let mut group = c.benchmark_group("data");
+    group
+        .sample_size(10)
+        .measurement_time(Duration::from_secs(3));
+    let cfg = MnistSynthConfig::default();
+    group.bench_function("mnist_generate_1500", |b| {
+        b.iter(|| mnist_synth::generate(1500, 77, &cfg))
+    });
     group.finish();
 }
 
@@ -127,6 +156,7 @@ criterion_group!(
     bench_matmul,
     bench_tn_layer,
     bench_train_step,
+    bench_data,
     bench_erf,
     bench_penalty
 );

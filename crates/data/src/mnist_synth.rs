@@ -14,6 +14,7 @@ use crate::dataset::Dataset;
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
+use std::thread;
 
 /// Image side length (matches MNIST).
 pub const IMAGE_SIDE: usize = 28;
@@ -168,34 +169,76 @@ impl Default for MnistSynthConfig {
     }
 }
 
-/// Render one digit image with the given RNG.
-fn render_digit(digit: usize, cfg: &MnistSynthConfig, rng: &mut StdRng) -> Vec<f32> {
+/// Every random draw of one image, made on the generator's one RNG
+/// before any image is rendered. No draw depends on the rendering, so the
+/// images can then be rendered in any order, on any thread.
+#[derive(Debug)]
+struct DigitDraws {
+    shift_x: f32,
+    shift_y: f32,
+    scale: f32,
+    theta: f32,
+    shear: f32,
+    intensity: f32,
+    /// Stroke half-width in glyph cells (pen thickness).
+    stroke: f32,
+    /// `(pixel, amplitude)` of every speckled pixel, in pixel order.
+    speckles: Vec<(usize, f32)>,
+}
+
+impl DigitDraws {
+    /// One image's draws, in the order the dataset's bits depend on: the
+    /// affine, intensity and stroke draws, then per pixel (row-major) the
+    /// speckle gate and, when it fires, the speckle amplitude.
+    fn draw(cfg: &MnistSynthConfig, rng: &mut StdRng) -> Self {
+        let shift_x = rng.gen_range(-cfg.max_shift..=cfg.max_shift);
+        let shift_y = rng.gen_range(-cfg.max_shift..=cfg.max_shift);
+        let scale = 1.0 + rng.gen_range(-cfg.scale_jitter..=cfg.scale_jitter);
+        let theta = rng.gen_range(-cfg.max_rotation..=cfg.max_rotation);
+        let shear = rng.gen_range(-cfg.max_shear..=cfg.max_shear);
+        let intensity = rng.gen_range(cfg.min_intensity..=1.0);
+        let stroke = rng.gen_range(0.50..0.72);
+        let mut speckles = Vec::new();
+        if cfg.speckle_prob > 0.0 {
+            for pixel in 0..IMAGE_PIXELS {
+                if rng.gen::<f32>() < cfg.speckle_prob {
+                    speckles.push((pixel, rng.gen_range(0.0..=cfg.speckle_amp)));
+                }
+            }
+        }
+        Self {
+            shift_x,
+            shift_y,
+            scale,
+            theta,
+            shear,
+            intensity,
+            stroke,
+            speckles,
+        }
+    }
+}
+
+/// Render one digit image from its draws into `img` (`IMAGE_PIXELS` long).
+fn render_digit(digit: usize, cfg: &MnistSynthConfig, d: &DigitDraws, img: &mut [f32]) {
     let glyph = &GLYPHS[digit];
-    let shift_x: f32 = rng.gen_range(-cfg.max_shift..=cfg.max_shift);
-    let shift_y: f32 = rng.gen_range(-cfg.max_shift..=cfg.max_shift);
-    let scale: f32 = 1.0 + rng.gen_range(-cfg.scale_jitter..=cfg.scale_jitter);
-    let theta: f32 = rng.gen_range(-cfg.max_rotation..=cfg.max_rotation);
-    let shear: f32 = rng.gen_range(-cfg.max_shear..=cfg.max_shear);
-    let intensity: f32 = rng.gen_range(cfg.min_intensity..=1.0);
-    // Stroke half-width in glyph cells; varies per sample (pen thickness).
-    let stroke: f32 = rng.gen_range(0.50..0.72);
+    let (sin_t, cos_t) = d.theta.sin_cos();
+    let cell = 2.9_f32 * d.scale; // glyph cell size in pixels
+    let cx = IMAGE_SIDE as f32 / 2.0 + d.shift_x;
+    let cy = IMAGE_SIDE as f32 / 2.0 + d.shift_y;
 
-    let (sin_t, cos_t) = theta.sin_cos();
-    let cell = 2.9_f32 * scale; // glyph cell size in pixels
-    let cx = IMAGE_SIDE as f32 / 2.0 + shift_x;
-    let cy = IMAGE_SIDE as f32 / 2.0 + shift_y;
-
-    let mut img = vec![0.0_f32; IMAGE_PIXELS];
     // Precompute glyph stroke cell centers.
-    let mut strokes: Vec<(f32, f32)> = Vec::new();
+    let (mut stroke_x, mut stroke_y) = (Vec::new(), Vec::new());
     for gy in 0..7 {
         for gx in 0..5 {
             if glyph[gy * 5 + gx] == 1 {
-                strokes.push((gx as f32 - 2.0, gy as f32 - 3.0));
+                stroke_x.push(gx as f32 - 2.0);
+                stroke_y.push(gy as f32 - 3.0);
             }
         }
     }
 
+    let mut speckles = d.speckles.iter().peekable();
     const SS: usize = 2; // supersampling factor per axis
     for py in 0..IMAGE_SIDE {
         for px in 0..IMAGE_SIDE {
@@ -205,22 +248,21 @@ fn render_digit(digit: usize, cfg: &MnistSynthConfig, rng: &mut StdRng) -> Vec<f
                     let fx = px as f32 + (sx as f32 + 0.5) / SS as f32 - cx;
                     let fy = py as f32 + (sy as f32 + 0.5) / SS as f32 - cy;
                     // Inverse affine: unshear, unrotate, unscale.
-                    let ux = fx - shear * fy;
+                    let ux = fx - d.shear * fy;
                     let uy = fy;
                     let rx = cos_t * ux + sin_t * uy;
                     let ry = -sin_t * ux + cos_t * uy;
                     let gx = rx / cell;
                     let gy = ry / cell;
-                    // Distance to nearest stroke cell center (Chebyshev).
-                    let mut inside = false;
-                    for &(sx0, sy0) in &strokes {
-                        let dx = (gx - sx0).abs();
-                        let dy = (gy - sy0).abs();
-                        if dx.max(dy) <= stroke {
-                            inside = true;
-                            break;
-                        }
-                    }
+                    // Within a stroke cell's Chebyshev radius of any stroke
+                    // cell center; every cell is tested (no early exit), so
+                    // the test vectorizes.
+                    let inside = stroke_x
+                        .iter()
+                        .zip(&stroke_y)
+                        .fold(false, |hit, (&sx0, &sy0)| {
+                            hit | ((gx - sx0).abs().max((gy - sy0).abs()) <= d.stroke)
+                        });
                     if inside {
                         acc += 1.0;
                     }
@@ -228,20 +270,23 @@ fn render_digit(digit: usize, cfg: &MnistSynthConfig, rng: &mut StdRng) -> Vec<f
             }
             let coverage = acc / (SS * SS) as f32;
             let sharpened = (0.5 + cfg.edge_sharpness * (coverage - 0.5)).clamp(0.0, 1.0);
-            let mut v = intensity * sharpened;
-            if cfg.speckle_prob > 0.0 && rng.gen::<f32>() < cfg.speckle_prob {
-                v += rng.gen_range(0.0..=cfg.speckle_amp);
+            let mut v = d.intensity * sharpened;
+            let pixel = py * IMAGE_SIDE + px;
+            if let Some((_, amp)) = speckles.next_if(|&&(at, _)| at == pixel) {
+                v += amp;
             }
-            img[py * IMAGE_SIDE + px] = v.clamp(0.0, 1.0);
+            img[pixel] = v.clamp(0.0, 1.0);
         }
     }
-    img
 }
 
 /// Generate a synthetic MNIST-like dataset of `n` samples.
 ///
 /// Classes are balanced round-robin and the whole set is deterministic in
-/// `(n, seed, cfg)`.
+/// `(n, seed, cfg)`. Every random draw is made first, serially on one RNG;
+/// the images are then rendered on scoped threads (one contiguous run of
+/// images per available CPU), each into its own slot, so the set does not
+/// depend on the thread count.
 ///
 /// # Examples
 ///
@@ -256,13 +301,27 @@ fn render_digit(digit: usize, cfg: &MnistSynthConfig, rng: &mut StdRng) -> Vec<f
 /// ```
 pub fn generate(n: usize, seed: u64, cfg: &MnistSynthConfig) -> Dataset {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut features = Vec::with_capacity(n * IMAGE_PIXELS);
-    let mut labels = Vec::with_capacity(n);
-    for i in 0..n {
-        let digit = i % N_CLASSES;
-        features.extend(render_digit(digit, cfg, &mut rng));
-        labels.push(digit);
-    }
+    let draws: Vec<DigitDraws> = (0..n).map(|_| DigitDraws::draw(cfg, &mut rng)).collect();
+    let labels: Vec<usize> = (0..n).map(|i| i % N_CLASSES).collect();
+    let mut features = vec![0.0_f32; n * IMAGE_PIXELS];
+    let threads = thread::available_parallelism().map_or(1, usize::from);
+    let per_thread = n.div_ceil(threads).max(1);
+    let render_run = |images: &mut [f32], first: usize| {
+        for (i, img) in images.chunks_mut(IMAGE_PIXELS).enumerate() {
+            render_digit(labels[first + i], cfg, &draws[first + i], img);
+        }
+    };
+    thread::scope(|s| {
+        let mut runs = features.chunks_mut(per_thread * IMAGE_PIXELS).enumerate();
+        let own = runs.next();
+        for (t, images) in runs {
+            s.spawn(move || render_run(images, t * per_thread));
+        }
+        // The calling thread renders the first run itself.
+        if let Some((_, images)) = own {
+            render_run(images, 0);
+        }
+    });
     let mut ds = Dataset::from_flat(features, IMAGE_PIXELS, labels, N_CLASSES)
         .expect("generator produces consistent shapes");
     // Interleave classes randomly so mini-batches are not class-periodic.

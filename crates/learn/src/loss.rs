@@ -145,11 +145,15 @@ impl Readout {
             .map(|c| self.neurons_per_class(c) as f32)
             .collect();
         let mut dz = Matrix::zeros(b, self.assignment.len());
+        // One division per class, then a gather: every neuron of a class
+        // gets the same quotient.
+        let mut per_class = vec![0.0_f32; self.n_classes];
         for r in 0..b {
-            let ds = dscores.row(r);
-            let dr = dz.row_mut(r);
-            for (j, &class) in self.assignment.iter().enumerate() {
-                dr[j] = ds[class] / counts[class];
+            for ((q, &d), &n) in per_class.iter_mut().zip(dscores.row(r)).zip(&counts) {
+                *q = d / n;
+            }
+            for (d, &class) in dz.row_mut(r).iter_mut().zip(&self.assignment) {
+                *d = per_class[class];
             }
         }
         dz

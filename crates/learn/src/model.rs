@@ -140,6 +140,9 @@ impl Network {
     /// One training step's forward+backward: returns the data loss output
     /// and fills `grads` (data gradient + penalty subgradient).
     ///
+    /// Each weight's penalty subgradient is added right after its data
+    /// gradient, inside the same per-core task of a TrueNorth layer.
+    ///
     /// `score_scale` is the softmax inverse temperature (see
     /// [`softmax_cross_entropy`]).
     pub fn loss_and_grads(
@@ -157,15 +160,12 @@ impl Network {
         let out = softmax_cross_entropy(&scores, labels, score_scale);
         let mut dz = self.readout.backward(&out.dscores);
         for (i, layer) in self.layers.iter().enumerate().rev() {
-            let delta = layer.backward_params(&caches[i], &dz, &mut grads[i]);
+            let delta = layer.backward_params(&caches[i], &dz, penalty, &mut grads[i]);
             // Layer 0's input gradient would be dL/d(pixels), which no
             // parameter depends on: skip it.
             if i > 0 {
                 dz = layer.backward_input(&caches[i], &delta);
             }
-        }
-        for (layer, g) in self.layers.iter().zip(grads.iter_mut()) {
-            layer.accumulate_penalty(penalty, g);
         }
         out
     }
@@ -255,10 +255,13 @@ mod tests {
         let before = net
             .loss_and_grads(&x, &labels, &Penalty::None, 4.0, &mut grads)
             .loss;
-        // Manual gradient step.
-        for (layer, g) in net.layers.iter_mut().zip(&grads) {
-            layer.apply_step(g, 0.5);
-        }
+        // One plain gradient step.
+        let sgd = crate::optimizer::SgdConfig {
+            learning_rate: 0.5,
+            momentum: 0.0,
+            schedule: crate::optimizer::LrSchedule::Constant,
+        };
+        crate::optimizer::Sgd::new(sgd, &net.layers).step(&mut net.layers, &grads, 0);
         let mut grads2 = net.zero_grads();
         let after = net
             .loss_and_grads(&x, &labels, &Penalty::None, 4.0, &mut grads2)
@@ -343,23 +346,82 @@ mod tests {
             dz = net.layers[i].backward(&caches[i], &dz, &mut reference[i]);
         }
         assert_eq!(dz.shape(), x.shape(), "reference computed layer 0's dX");
-        for (layer, g) in net.layers.iter().zip(reference.iter_mut()) {
-            layer.accumulate_penalty(&penalty, g);
-        }
+        add_penalty_after_backward(&net, &penalty, &mut reference);
 
         assert_eq!(out.loss.to_bits(), ref_out.loss.to_bits());
-        let bits = |gs: &[LayerGrads]| -> Vec<u32> {
-            gs.iter()
-                .flat_map(|g| {
-                    g.weights
-                        .iter()
-                        .flat_map(|w| w.as_slice().iter().copied())
-                        .chain(g.biases.iter().flatten().copied())
-                })
-                .map(f32::to_bits)
-                .collect()
-        };
-        assert_eq!(bits(&grads), bits(&reference));
+        assert_eq!(grad_bits(&grads), grad_bits(&reference));
+    }
+
+    /// Every gradient bit, weights then biases, layer by layer.
+    fn grad_bits(gs: &[LayerGrads]) -> Vec<u32> {
+        gs.iter()
+            .flat_map(|g| {
+                g.weights
+                    .iter()
+                    .flat_map(|w| w.as_slice().iter().copied())
+                    .chain(g.biases.iter().flatten().copied())
+            })
+            .map(f32::to_bits)
+            .collect()
+    }
+
+    /// The penalty as a serial pass over every layer's weights once the
+    /// whole backward pass has finished.
+    fn add_penalty_after_backward(net: &Network, penalty: &Penalty, grads: &mut [LayerGrads]) {
+        for (layer, g) in net.layers.iter().zip(grads) {
+            match layer {
+                Layer::Dense(d) => penalty.accumulate_gradient(&d.weights, &mut g.weights[0]),
+                Layer::TnCore(t) => {
+                    for (core, gw) in t.cores.iter().zip(&mut g.weights) {
+                        penalty.accumulate_gradient(&core.weights, gw);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The penalty added inside each core's gradient task gives the bits
+    /// of adding it after the whole backward pass, on a stack of a
+    /// three-core TrueNorth layer and a dense layer.
+    #[test]
+    fn loss_and_grads_adds_the_biasing_penalty_with_the_serial_bits() {
+        let tn = TnCoreLayer::new(
+            8,
+            vec![vec![0, 1, 2, 3, 4], vec![3, 4, 5, 6], vec![7, 6, 1, 0]],
+            4,
+            9,
+        );
+        let dense = DenseLayer::new(12, 3, Activation::Sigmoid, 10);
+        let net = Network::new(
+            vec![Layer::TnCore(tn), Layer::Dense(dense)],
+            Readout::identity(3),
+        );
+        let x = Matrix::from_rows(&[
+            &[0.0, 0.9, 0.5, 0.3, 1.0, 0.0, 0.2, 0.7],
+            &[0.8, 0.2, 0.0, 0.7, 0.1, 0.6, 0.0, 0.0],
+            &[0.3, 0.0, 0.4, 1.0, 0.0, 0.2, 0.9, 0.5],
+        ]);
+        let labels = [2usize, 0, 1];
+        let penalty = Penalty::biasing(0.05);
+        let mut grads = net.zero_grads();
+        net.loss_and_grads(&x, &labels, &penalty, 8.0, &mut grads);
+
+        let caches = net.forward_cached(&x);
+        let scores = net.readout.merge(&caches[1].output);
+        let ref_out = softmax_cross_entropy(&scores, &labels, 8.0);
+        let mut reference = net.zero_grads();
+        let mut dz = net.readout.backward(&ref_out.dscores);
+        for i in (0..net.layers.len()).rev() {
+            dz = net.layers[i].backward(&caches[i], &dz, &mut reference[i]);
+        }
+        let unpenalized = reference.clone();
+        add_penalty_after_backward(&net, &penalty, &mut reference);
+
+        assert_eq!(grad_bits(&grads), grad_bits(&reference));
+        // The penalty did reach both layers' weights.
+        for (g, u) in grads.iter().zip(&unpenalized) {
+            assert_ne!(g.weights[0], u.weights[0]);
+        }
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! layers.
 
 use crate::layer::{Layer, LayerGrads};
+use crate::matrix::Matrix;
 use serde::{Deserialize, Serialize};
+use std::sync::Mutex;
 
 /// Learning-rate schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -96,8 +98,9 @@ impl Sgd {
 
     /// Apply one SGD(+momentum) step to every layer from its gradients.
     ///
-    /// `v ← m·v + g; θ ← θ − lr·v`. TrueNorth weights are re-projected into
-    /// `[−1, 1]` by [`Layer::apply_step`].
+    /// `v ← v·m + g; θ ← θ − lr·v`, one fused pass per parameter block;
+    /// TrueNorth weights are re-projected into `[−1, 1]` in the same pass.
+    /// A TrueNorth layer's cores step as one task each on `crate::pool`.
     ///
     /// # Panics
     ///
@@ -112,16 +115,38 @@ impl Sgd {
             .rate_at(epoch, self.config.learning_rate);
         let m = self.config.momentum;
         for ((layer, g), v) in layers.iter_mut().zip(grads).zip(&mut self.velocity) {
-            for (vw, gw) in v.weights.iter_mut().zip(&g.weights) {
-                vw.scale(m);
-                vw.add_assign(gw);
-            }
-            for (vb, gb) in v.biases.iter_mut().zip(&g.biases) {
-                for (x, &y) in vb.iter_mut().zip(gb) {
-                    *x = m * *x + y;
+            match layer {
+                Layer::Dense(d) => {
+                    Block {
+                        weights: &mut d.weights,
+                        bias: &mut d.bias,
+                        v_weights: &mut v.weights[0],
+                        v_bias: &mut v.biases[0],
+                    }
+                    .step(&g.weights[0], &g.biases[0], m, lr, f32::INFINITY);
+                }
+                Layer::TnCore(t) => {
+                    // Task k alone locks slot k: the lock only hands its
+                    // `&mut`s across.
+                    let slots: Vec<Mutex<Block<'_>>> = t
+                        .cores
+                        .iter_mut()
+                        .zip(v.weights.iter_mut().zip(v.biases.iter_mut()))
+                        .map(|(core, (v_weights, v_bias))| {
+                            Mutex::new(Block {
+                                weights: &mut core.weights,
+                                bias: &mut core.bias,
+                                v_weights,
+                                v_bias,
+                            })
+                        })
+                        .collect();
+                    crate::pool::map(slots.len(), |k| {
+                        let mut params = slots[k].lock().expect("only task k locks slot k");
+                        params.step(&g.weights[k], &g.biases[k], m, lr, 1.0);
+                    });
                 }
             }
-            layer.apply_step(v, lr);
         }
     }
 
@@ -129,6 +154,43 @@ impl Sgd {
     pub fn reset(&mut self) {
         for v in &mut self.velocity {
             v.clear();
+        }
+    }
+}
+
+/// One layer's (or one core's) parameters and their velocity buffers.
+struct Block<'a> {
+    weights: &'a mut Matrix,
+    bias: &'a mut [f32],
+    v_weights: &'a mut Matrix,
+    v_bias: &'a mut [f32],
+}
+
+impl Block<'_> {
+    /// One fused momentum step, clamping weights into `[−bound, bound]`
+    /// (an infinite bound clamps nothing). Each element takes the
+    /// roundings of the separate passes `v ← v·m; v ← v + g;
+    /// w ← w + (−lr)·v; w ← clamp(w)` in that order, and each bias those
+    /// of `v ← m·v + g; b ← b − lr·v`.
+    fn step(&mut self, g_weights: &Matrix, g_bias: &[f32], m: f32, lr: f32, bound: f32) {
+        assert_eq!(
+            self.weights.shape(),
+            g_weights.shape(),
+            "gradient shape mismatch"
+        );
+        for ((w, v), &g) in self
+            .weights
+            .as_mut_slice()
+            .iter_mut()
+            .zip(self.v_weights.as_mut_slice())
+            .zip(g_weights.as_slice())
+        {
+            *v = *v * m + g;
+            *w = (*w + -lr * *v).clamp(-bound, bound);
+        }
+        for ((b, v), &g) in self.bias.iter_mut().zip(self.v_bias.iter_mut()).zip(g_bias) {
+            *v = m * *v + g;
+            *b -= lr * *v;
         }
     }
 }
@@ -205,6 +267,118 @@ mod tests {
         opt.step(&mut layers, &zero_grad, 0);
         // With zero gradient and cleared velocity, nothing moves.
         assert_eq!(weight(&layers), w_before);
+    }
+
+    /// The unfused reference step: four whole-buffer passes per block
+    /// (`scale`, `add_assign`, `axpy`, `clamp_in_place`), layer by layer
+    /// and core by core on one thread.
+    fn four_pass_step(
+        layers: &mut [Layer],
+        velocity: &mut [LayerGrads],
+        grads: &[LayerGrads],
+        m: f32,
+        lr: f32,
+    ) {
+        for ((layer, g), v) in layers.iter_mut().zip(grads).zip(velocity) {
+            for (vw, gw) in v.weights.iter_mut().zip(&g.weights) {
+                vw.scale(m);
+                vw.add_assign(gw);
+            }
+            for (vb, gb) in v.biases.iter_mut().zip(&g.biases) {
+                for (x, &y) in vb.iter_mut().zip(gb) {
+                    *x = m * *x + y;
+                }
+            }
+            let blocks: Vec<(&mut Matrix, &mut Vec<f32>, bool)> = match layer {
+                Layer::Dense(d) => vec![(&mut d.weights, &mut d.bias, false)],
+                Layer::TnCore(t) => t
+                    .cores
+                    .iter_mut()
+                    .map(|c| (&mut c.weights, &mut c.bias, true))
+                    .collect(),
+            };
+            for (k, (w, bias, clamp)) in blocks.into_iter().enumerate() {
+                w.axpy(-lr, &v.weights[k]);
+                if clamp {
+                    w.clamp_in_place(-1.0, 1.0);
+                }
+                for (b, g) in bias.iter_mut().zip(&v.biases[k]) {
+                    *b -= lr * g;
+                }
+            }
+        }
+    }
+
+    fn param_bits(layers: &[Layer]) -> Vec<u32> {
+        let mut out = Vec::new();
+        for layer in layers {
+            let blocks: Vec<(&Matrix, &Vec<f32>)> = match layer {
+                Layer::Dense(d) => vec![(&d.weights, &d.bias)],
+                Layer::TnCore(t) => t.cores.iter().map(|c| (&c.weights, &c.bias)).collect(),
+            };
+            for (w, b) in blocks {
+                out.extend(w.as_slice().iter().chain(b).map(|v| v.to_bits()));
+            }
+        }
+        out
+    }
+
+    /// Several momentum steps over a five-core TrueNorth layer (cores
+    /// stepped on the pool) and a dense layer: the fused step leaves every
+    /// weight and bias bit-equal to the four-pass serial reference,
+    /// clamped weights and decayed rates included.
+    #[test]
+    fn pooled_fused_step_matches_the_four_pass_reference_bits() {
+        use crate::layer::TnCoreLayer;
+        use crate::matrix::reference::edge_matrix;
+
+        let maps = (0..5).map(|k| (k..k + 7).collect()).collect();
+        let mut layers = vec![
+            Layer::TnCore(TnCoreLayer::new(12, maps, 37, 3)),
+            Layer::Dense(DenseLayer::new(185, 10, Activation::Identity, 4)),
+        ];
+        let cfg = SgdConfig {
+            learning_rate: 0.4,
+            momentum: 0.9,
+            schedule: LrSchedule::StepDecay {
+                gamma: 0.5,
+                every: 2,
+            },
+        };
+        let mut reference = layers.clone();
+        let mut ref_velocity: Vec<LayerGrads> =
+            reference.iter().map(LayerGrads::zeros_like).collect();
+        let mut opt = Sgd::new(cfg, &layers);
+        for step in 0..6u64 {
+            let grads: Vec<LayerGrads> = layers
+                .iter()
+                .enumerate()
+                .map(|(i, layer)| {
+                    let mut g = LayerGrads::zeros_like(layer);
+                    for (k, w) in g.weights.iter_mut().enumerate() {
+                        let seed = step * 1000 + i as u64 * 100 + k as u64;
+                        *w = edge_matrix(w.rows(), w.cols(), seed);
+                    }
+                    for (k, b) in g.biases.iter_mut().enumerate() {
+                        let seed = step * 1000 + i as u64 * 100 + 50 + k as u64;
+                        *b = edge_matrix(1, b.len(), seed).into_vec();
+                    }
+                    g
+                })
+                .collect();
+            let epoch = step as usize;
+            opt.step(&mut layers, &grads, epoch);
+            let lr = cfg.schedule.rate_at(epoch, cfg.learning_rate);
+            four_pass_step(&mut reference, &mut ref_velocity, &grads, cfg.momentum, lr);
+            assert_eq!(param_bits(&layers), param_bits(&reference), "step {step}");
+        }
+        let Layer::TnCore(t) = &layers[0] else {
+            unreachable!()
+        };
+        assert!(
+            t.weights_iter().any(|w| w.abs() == 1.0),
+            "some weights reached the clamp"
+        );
     }
 
     #[test]

@@ -20,10 +20,11 @@
 //!   task code. Concurrent trainers therefore never oversubscribe the CPUs
 //!   and never share a region.
 //! * **Spin, then park.** After a region, helpers spin for [`SPIN`], which
-//!   covers a training step's serial gap between two regions (readout, SGD
-//!   step) without paying the ~1 ms it costs to wake a halted vCPU. Then
-//!   they park on a condvar without a timeout, re-checking the region epoch
-//!   on every wake-up. Each spin turn yields the CPU, so a spinning helper
+//!   covers a training step's serial gaps between its three regions
+//!   (forward, parameter gradients, SGD step): the readout and loss, and
+//!   the next batch's gather. That avoids the ~1 ms it costs to wake a
+//!   halted vCPU. Then they park on a condvar without a timeout,
+//!   re-checking the region epoch on every wake-up. Each spin turn yields the CPU, so a spinning helper
 //!   (or a caller spinning for its last task) never starves a concurrent
 //!   trainer's thread: with busy-waiting instead, two bench-1 trainers at
 //!   once (perfbench `packed_pair`, 2-vCPU VM) set up 20–24 % slower than

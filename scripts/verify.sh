@@ -34,6 +34,11 @@ if ! timeout 300 cargo test --release -q -p truenorth --test integration_golden_
   echo "FAIL: release golden-bits suite failed or ran past 300 s (a lost pool wake-up?)" >&2
   exit 1
 fi
+# The register-tiled Tea kernels, the fused SGD step and the parallel
+# digit renderer are pinned against their serial references by tn-learn's
+# and tn-data's own tests (proptests included); the tiles keep their
+# accumulators in vector registers only under release codegen.
+cargo test --release -q -p tn-learn -p tn-data
 
 echo "== kernel equivalence under release codegen =="
 # Tier 1 runs the kernel suite in the debug profile; the bit-plane and
