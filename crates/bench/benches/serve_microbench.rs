@@ -8,11 +8,13 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::io::{Read, Write};
+use std::sync::Arc;
 use std::time::Duration;
 use tn_chip::nscs::{CoreDeploySpec, Deployment, FrameInput, InputSource, NetworkDeploySpec};
 use tn_fleet::msg::{encode_req, parse_req};
 use tn_gateway::{Gateway, GatewayConfig};
 use tn_serve::{BoundedQueue, ServeConfig, ServeRuntime, SubmitRequest};
+use tn_telemetry::NullSink;
 
 /// A 16-input / 4-class single-core spec. `polarized` drives every
 /// weight magnitude to 1 (what probability-biased training produces);
@@ -63,6 +65,7 @@ fn bench_serve_requests(c: &mut Criterion) {
                     .spf(8)
                     .build()
                     .expect("cfg"),
+                Arc::new(NullSink),
             )
             .expect("runtime");
             let inputs = frame(spec.n_inputs);
@@ -177,6 +180,7 @@ fn bench_gateway_roundtrip(c: &mut Criterion) {
             .build()
             .expect("cfg"),
         GatewayConfig::default(),
+        Arc::new(NullSink),
     )
     .expect("bind");
     let mut stream = std::net::TcpStream::connect(gw.local_addr()).expect("connect");

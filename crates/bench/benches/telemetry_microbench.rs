@@ -118,7 +118,7 @@ fn bench_observer_overhead(c: &mut Criterion) {
     ];
     for (label, cfg) in variants {
         let sink = Arc::new(MemorySink::new());
-        let rt = ServeRuntime::new_with_sink(&spec, cfg, sink as Arc<dyn MetricsSink>)
+        let rt = ServeRuntime::new(&spec, cfg, sink as Arc<dyn MetricsSink>)
             .expect("runtime");
         group.bench_function(label, |b| {
             b.iter(|| rt.classify(inputs.clone()).expect("serve"))

@@ -1,7 +1,8 @@
 //! Scoped-thread fan-out built on `std::thread::scope`:
 //! [`parallel_chunks`] splits an index range across workers that each
-//! produce a result (the offline evaluator / experiment-harness shape;
-//! re-exported as `truenorth::cross_thread::parallel_chunks`). It runs
+//! produce a result (the shape of the offline evaluator, the energy
+//! analysis, tier calibration and deployment sampling, which all call it
+//! from here). It runs
 //! inline when a single thread suffices, keeping single-threaded
 //! determinism trivially identical to the parallel path.
 

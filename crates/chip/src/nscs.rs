@@ -108,6 +108,15 @@ pub struct NetworkDeploySpec {
     pub output_taps: Vec<(usize, usize, usize)>,
 }
 
+/// One spec is a one-tenant deployment set, so every constructor that
+/// takes `impl AsRef<[NetworkDeploySpec]>` accepts `&spec` as well as a
+/// slice of tenants.
+impl AsRef<[NetworkDeploySpec]> for NetworkDeploySpec {
+    fn as_ref(&self) -> &[NetworkDeploySpec] {
+        std::slice::from_ref(self)
+    }
+}
+
 /// Errors from deployment.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DeployError {

@@ -9,7 +9,7 @@
 //! surfaces, Fig. 8's boost map, and both Table 2 ladders are produced
 //! without re-simulating each cell.
 
-use crate::cross_thread::parallel_chunks;
+use tn_chip::exec::parallel_chunks;
 use tn_chip::nscs::{ConnectivityMode, DeployError, Deployment, NetworkDeploySpec};
 use tn_chip::prng::frame_seed;
 use tn_learn::matrix::Matrix;

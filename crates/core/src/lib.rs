@@ -29,10 +29,11 @@
 //! * [`experiment`] — one runner per table/figure;
 //! * [`power`] — energy-per-frame accounting (extension);
 //! * [`report`] — CSV artifacts for EXPERIMENTS.md;
-//! * [`serving`] — glue onto `tn-serve`, the persistent multi-threaded
-//!   inference runtime (replica pools, batching, backpressure, metrics),
-//!   and onto [`gateway`] (`tn-gateway`), the std-only HTTP/TCP serving
-//!   front-end that puts a runtime on an open port.
+//! * [`serving`] — from a trained or persisted model to a server: one
+//!   spec loader, then one constructor per server type — `tn-serve`'s
+//!   multi-threaded inference runtime (replica pools, batching,
+//!   backpressure, metrics), [`gateway`] (`tn-gateway`, the std-only
+//!   HTTP/TCP front-end) and [`fleet`] (`tn-fleet`, sharded scale-out).
 //!
 //! ## Quickstart
 //!
@@ -65,7 +66,6 @@
 
 pub mod arch;
 pub mod cooptimize;
-pub mod cross_thread;
 pub mod deploy;
 pub mod eval;
 pub mod experiment;
@@ -91,12 +91,7 @@ pub mod prelude {
         table3_row, train_model, DuplicationStudy, ExperimentError, TrainedModel,
     };
     pub use crate::power::{analyze_energy, EnergyAnalysis};
-    pub use crate::serving::{
-        fleet_network, fleet_persisted, fleet_persisted_with_sink, gateway_network,
-        gateway_network_with_sink, gateway_spec, serve_network, serve_network_with_sink,
-        serve_packed_networks, serve_packed_specs, serve_packed_specs_with_sink, serve_persisted,
-        serve_persisted_with_sink, serve_spec, serve_spec_with_sink, ServingError,
-    };
+    pub use crate::serving::{load_spec, ServingError};
     pub use crate::surface::{AccuracySurface, BoostSurface};
     pub use crate::tea::{
         connection_probability, spike_probability, sum_moments, synaptic_variance, SumMoments,
@@ -114,4 +109,5 @@ pub mod prelude {
         ServeConfigBuilder, ServeError, ServeRuntime, ServedAs, SpfRange, SubmitRequest,
         TelemetryConfig,
     };
+    pub use tn_telemetry::{MetricsSink, NullSink};
 }

@@ -9,9 +9,9 @@
 //! so a biased copy can cost more energy per frame even while needing far
 //! fewer copies — the co-optimization is genuinely multi-objective.
 
-use crate::cross_thread::parallel_chunks;
 use serde::{Deserialize, Serialize};
 use tn_chip::energy::EnergyReport;
+use tn_chip::exec::parallel_chunks;
 use tn_chip::nscs::{ConnectivityMode, DeployError, Deployment, NetworkDeploySpec};
 use tn_chip::prng::frame_seed;
 use tn_learn::loss::argmax;

@@ -1,35 +1,95 @@
-//! Glue from trained (or persisted) models to the `tn-serve` runtime.
+//! From a trained or persisted model to a running server.
 //!
-//! `tn-serve` itself depends only on `tn-chip` — it serves any
-//! [`NetworkDeploySpec`]. This module closes the loop for the common
-//! workflows: spin up a runtime straight from a trained
-//! [`Network`], or from a model file written by
-//! [`tn_learn::persist::save_network`].
+//! Serving takes two steps. First resolve the model to a hardware spec:
+//! [`extract_spec`] for a trained [`Network`](tn_learn::model::Network),
+//! [`load_spec`] for a model file written by
+//! [`tn_learn::persist::save_network`]. Then hand the spec to the server
+//! you want; each has one constructor:
 //!
-//! Runtimes built here tick replicas on the compiled fast path
-//! ([`tn_chip::kernel::CompiledChip`]) — the deployment compiles its chip
-//! at build time and the interpreter remains only as the reference
-//! implementation the kernel is proven bit-identical to.
+//! | server | constructor |
+//! |---|---|
+//! | in-process runtime | [`ServeRuntime::new`]`(specs, cfg, sink)` |
+//! | HTTP/TCP front-end | [`Gateway::bind`]`(addr, specs, serve_cfg, gw_cfg, sink)` |
+//! | in-process sharded fleet | [`LocalFleet::launch`]`(specs, n_shards, cfg, sink)` |
+//! | one fleet shard on a connection | [`ShardServer::host`]`(specs, cfg, conn)` |
+//! | fleet router over shard connections | [`FleetRouter::connect`]`(conns, cfg, sink)` |
+//! | gateway over a runtime or router you built | [`Gateway::bind_backend`] |
 //!
-//! The `gateway_*` functions put the same runtimes on the network via
-//! `tn-gateway`, the std-only HTTP/TCP front-end: [`gateway_network`] is
-//! the one-call path from a trained [`Network`] to an open port.
+//! `specs` is `&spec` for one model or a slice of specs, which deploy as
+//! the tenants of one packed chip. `sink` receives the telemetry
+//! snapshots; pass a [`NullSink`](tn_telemetry::NullSink) to discard
+//! them. Every server ticks its replicas on the compiled fast path
+//! ([`tn_chip::kernel::CompiledChip`]).
+//!
+//! [`ServeRuntime::new`]: tn_serve::ServeRuntime::new
+//! [`Gateway::bind`]: tn_gateway::Gateway::bind
+//! [`Gateway::bind_backend`]: tn_gateway::Gateway::bind_backend
+//! [`LocalFleet::launch`]: tn_fleet::LocalFleet::launch
+//! [`ShardServer::host`]: tn_fleet::ShardServer::host
+//! [`FleetRouter::connect`]: tn_fleet::FleetRouter::connect
+//!
+//! # Examples
+//!
+//! A runtime serving a model from disk:
+//!
+//! ```no_run
+//! use std::sync::Arc;
+//! use truenorth::prelude::*;
+//!
+//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
+//! let spec = load_spec("bench1.tnm")?;
+//! let rt = ServeRuntime::new(&spec, ServeConfig::new(7), Arc::new(NullSink))?;
+//! let answer = rt.classify(vec![0.0; spec.n_inputs])?;
+//! println!("class {} ({:.0}% agreement)", answer.predicted, 100.0 * answer.agreement);
+//! rt.shutdown();
+//! # Ok(())
+//! # }
+//! ```
+//!
+//! A trained network on an open port:
+//!
+//! ```no_run
+//! use std::sync::Arc;
+//! use truenorth::prelude::*;
+//!
+//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
+//! # let net: Network = unimplemented!();
+//! let spec = extract_spec(&net)?;
+//! let cfg = ServeConfig::builder(7).replicas(2).build()?;
+//! let gw = Gateway::bind("127.0.0.1:0", &spec, cfg, GatewayConfig::default(), Arc::new(NullSink))?;
+//! println!("POST http://{}/v1/classify", gw.local_addr());
+//! gw.shutdown();
+//! # Ok(())
+//! # }
+//! ```
+//!
+//! Two models packed onto every shard of a two-shard fleet; the answers
+//! equal those of a solo runtime serving each model alone:
+//!
+//! ```no_run
+//! use std::sync::Arc;
+//! use truenorth::prelude::*;
+//!
+//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
+//! let specs = [load_spec("digits.tnm")?, load_spec("proteins.tnm")?];
+//! let cfg = FleetConfig::new(ServeConfig::new(7));
+//! let fleet = LocalFleet::launch(&specs, 2, cfg, Arc::new(NullSink))?;
+//! let request = SubmitRequest::new(vec![0.0; specs[1].n_inputs]).model(1);
+//! let answer = fleet.router().submit_request(request)?.wait()?;
+//! assert_eq!(answer.model(), 1);
+//! fleet.shutdown();
+//! # Ok(())
+//! # }
+//! ```
 
-use std::net::ToSocketAddrs;
 use std::path::Path;
-use std::sync::Arc;
 
-use tn_fleet::{FleetConfig, LocalFleet};
-use tn_gateway::{Gateway, GatewayConfig, GatewayError};
-use tn_learn::model::Network;
 use tn_learn::persist::{load_network, PersistError};
-use tn_serve::{ServeConfig, ServeError, ServeRuntime};
-use tn_telemetry::MetricsSink;
 
 use crate::deploy::{extract_spec, ExtractError};
 use tn_chip::nscs::NetworkDeploySpec;
 
-/// Failures on the model → runtime path.
+/// Failures on the model → spec path.
 ///
 /// `#[non_exhaustive]`: downstream matches need a wildcard arm, so future
 /// variants are not a breaking change.
@@ -40,10 +100,6 @@ pub enum ServingError {
     Extract(ExtractError),
     /// The persisted model file could not be read or decoded.
     Persist(PersistError),
-    /// The runtime itself refused the spec or configuration.
-    Serve(ServeError),
-    /// The TCP front-end could not be brought up.
-    Gateway(GatewayError),
 }
 
 impl std::fmt::Display for ServingError {
@@ -51,8 +107,6 @@ impl std::fmt::Display for ServingError {
         match self {
             Self::Extract(e) => write!(f, "cannot extract deploy spec: {e}"),
             Self::Persist(e) => write!(f, "cannot load persisted model: {e}"),
-            Self::Serve(e) => write!(f, "cannot start serve runtime: {e}"),
-            Self::Gateway(e) => write!(f, "cannot start gateway: {e}"),
         }
     }
 }
@@ -62,15 +116,7 @@ impl std::error::Error for ServingError {
         match self {
             Self::Extract(e) => Some(e),
             Self::Persist(e) => Some(e),
-            Self::Serve(e) => Some(e),
-            Self::Gateway(e) => Some(e),
         }
-    }
-}
-
-impl From<GatewayError> for ServingError {
-    fn from(e: GatewayError) -> Self {
-        Self::Gateway(e)
     }
 }
 
@@ -86,262 +132,24 @@ impl From<PersistError> for ServingError {
     }
 }
 
-impl From<ServeError> for ServingError {
-    fn from(e: ServeError) -> Self {
-        Self::Serve(e)
-    }
-}
-
-impl From<std::io::Error> for ServingError {
-    fn from(e: std::io::Error) -> Self {
-        Self::Persist(PersistError::Io(e))
-    }
-}
-
-/// Start a serving runtime for an already-extracted hardware spec.
-///
-/// # Errors
-///
-/// [`ServingError::Serve`] if the config is inconsistent or the spec does
-/// not fit the chip at the requested replica count.
-pub fn serve_spec(spec: &NetworkDeploySpec, cfg: ServeConfig) -> Result<ServeRuntime, ServingError> {
-    Ok(ServeRuntime::new(spec, cfg)?)
-}
-
-/// Like [`serve_spec`], with a [`MetricsSink`] receiving the runtime's
-/// periodic telemetry snapshots (driven when
-/// [`ServeConfig::telemetry`] is set; see `tn_serve`'s crate docs).
-///
-/// # Errors
-///
-/// Same as [`serve_spec`].
-pub fn serve_spec_with_sink(
-    spec: &NetworkDeploySpec,
-    cfg: ServeConfig,
-    sink: Arc<dyn MetricsSink>,
-) -> Result<ServeRuntime, ServingError> {
-    Ok(ServeRuntime::new_with_sink(spec, cfg, sink)?)
-}
-
-/// Extract the hardware spec from a trained network and start serving it.
-///
-/// # Errors
-///
-/// [`ServingError::Extract`] for non-deployable networks, plus everything
-/// [`serve_spec`] can return.
-pub fn serve_network(net: &Network, cfg: ServeConfig) -> Result<ServeRuntime, ServingError> {
-    let spec = extract_spec(net)?;
-    serve_spec(&spec, cfg)
-}
-
-/// Start one *packed multi-tenant* runtime over several already-extracted
-/// hardware specs: each spec becomes a tenant with a disjoint core
-/// rectangle on one chip, addressed by
-/// [`tn_serve::SubmitRequest::model`] with its index in `specs`. Every
-/// tenant's responses are bit-identical to a solo runtime serving that
-/// spec alone under the same config.
-///
-/// # Errors
-///
-/// [`ServingError::Serve`] if the config is inconsistent, any spec is
-/// undeployable, or the tenants together exceed the chip's core budget.
-pub fn serve_packed_specs(
-    specs: &[NetworkDeploySpec],
-    cfg: ServeConfig,
-) -> Result<ServeRuntime, ServingError> {
-    Ok(ServeRuntime::new_packed(specs, cfg)?)
-}
-
-/// Like [`serve_packed_specs`], with a [`MetricsSink`] receiving the
-/// runtime's telemetry snapshots (which carry per-tenant
-/// `serve.model.{id}.*` counters).
-///
-/// # Errors
-///
-/// Same as [`serve_packed_specs`].
-pub fn serve_packed_specs_with_sink(
-    specs: &[NetworkDeploySpec],
-    cfg: ServeConfig,
-    sink: Arc<dyn MetricsSink>,
-) -> Result<ServeRuntime, ServingError> {
-    Ok(ServeRuntime::new_packed_with_sink(specs, cfg, sink)?)
-}
-
-/// Extract hardware specs from several trained networks and consolidate
-/// them onto one packed runtime — the one-call path from N independent
-/// `bench.train(..)` results to a multi-tenant chip.
-///
-/// # Errors
-///
-/// [`ServingError::Extract`] for non-deployable networks, plus
-/// everything [`serve_packed_specs`] can return.
-pub fn serve_packed_networks(
-    nets: &[&Network],
-    cfg: ServeConfig,
-) -> Result<ServeRuntime, ServingError> {
-    let specs: Vec<NetworkDeploySpec> = nets
-        .iter()
-        .map(|net| extract_spec(net))
-        .collect::<Result<_, _>>()?;
-    serve_packed_specs(&specs, cfg)
-}
-
-/// Like [`serve_network`], with a [`MetricsSink`] for telemetry export.
-///
-/// # Errors
-///
-/// Same as [`serve_network`].
-pub fn serve_network_with_sink(
-    net: &Network,
-    cfg: ServeConfig,
-    sink: Arc<dyn MetricsSink>,
-) -> Result<ServeRuntime, ServingError> {
-    let spec = extract_spec(net)?;
-    serve_spec_with_sink(&spec, cfg, sink)
-}
-
 /// Load a model persisted with [`tn_learn::persist::save_network`] and
-/// start serving it — the deploy-from-disk path of the serving story.
+/// extract its hardware spec, ready for any server constructor.
 ///
 /// # Errors
 ///
-/// [`ServingError::Persist`] for unreadable or corrupt model files, plus
-/// everything [`serve_network`] can return.
-pub fn serve_persisted(path: &Path, cfg: ServeConfig) -> Result<ServeRuntime, ServingError> {
-    let file = std::fs::File::open(path)?;
+/// [`ServingError::Persist`] for unreadable or corrupt model files,
+/// [`ServingError::Extract`] for a network that cannot deploy.
+pub fn load_spec(path: impl AsRef<Path>) -> Result<NetworkDeploySpec, ServingError> {
+    let file = std::fs::File::open(path).map_err(PersistError::Io)?;
     let net = load_network(std::io::BufReader::new(file))?;
-    serve_network(&net, cfg)
-}
-
-/// Serve an already-extracted hardware spec over TCP: deploy `spec`,
-/// start the worker pool, and listen on `addr` (port 0 picks an
-/// ephemeral port — read it back with [`Gateway::local_addr`]).
-///
-/// The gateway speaks HTTP/1.1 and line-JSON on the same port; see the
-/// [`tn_gateway`] crate docs for the wire protocol.
-///
-/// # Errors
-///
-/// [`ServingError::Gateway`] for bad gateway knobs, an unbindable
-/// address, or a runtime that refuses the spec.
-pub fn gateway_spec(
-    addr: impl ToSocketAddrs,
-    spec: &NetworkDeploySpec,
-    serve_cfg: ServeConfig,
-    gw_cfg: GatewayConfig,
-) -> Result<Gateway, ServingError> {
-    Ok(Gateway::bind(addr, spec, serve_cfg, gw_cfg)?)
-}
-
-/// Extract the hardware spec from a trained network and serve it over
-/// TCP — the one-call path from `bench.train(..)` to an open port.
-///
-/// # Errors
-///
-/// [`ServingError::Extract`] for non-deployable networks, plus
-/// everything [`gateway_spec`] can return.
-pub fn gateway_network(
-    addr: impl ToSocketAddrs,
-    net: &Network,
-    serve_cfg: ServeConfig,
-    gw_cfg: GatewayConfig,
-) -> Result<Gateway, ServingError> {
-    let spec = extract_spec(net)?;
-    gateway_spec(addr, &spec, serve_cfg, gw_cfg)
-}
-
-/// Like [`gateway_network`], with a [`MetricsSink`] receiving the full
-/// telemetry export stream (the gateway tees it, keeping the latest
-/// snapshot for `GET /v1/snapshot`).
-///
-/// # Errors
-///
-/// Same as [`gateway_network`].
-pub fn gateway_network_with_sink(
-    addr: impl ToSocketAddrs,
-    net: &Network,
-    serve_cfg: ServeConfig,
-    gw_cfg: GatewayConfig,
-    sink: Arc<dyn MetricsSink>,
-) -> Result<Gateway, ServingError> {
-    let spec = extract_spec(net)?;
-    Ok(Gateway::bind_with_sink(addr, &spec, serve_cfg, gw_cfg, sink)?)
-}
-
-/// Scale a trained network *out*: extract its hardware spec and launch
-/// an in-process `tn-fleet` — `n_shards` shard runtimes (each a full
-/// replica set built from `cfg.serve`) behind one router whose answer
-/// stream is bit-identical to a solo runtime. Submit through
-/// [`LocalFleet::router`] (a [`tn_serve::ServeBackend`]), or bind a
-/// gateway over it with `Gateway::bind_backend`.
-///
-/// # Errors
-///
-/// [`ServingError::Extract`] for non-deployable networks,
-/// [`ServingError::Serve`] for config/deploy/handshake failures.
-pub fn fleet_network(
-    net: &Network,
-    n_shards: usize,
-    cfg: FleetConfig,
-) -> Result<LocalFleet, ServingError> {
-    let spec = extract_spec(net)?;
-    Ok(LocalFleet::launch(&spec, n_shards, cfg)?)
-}
-
-/// Like [`fleet_network`], deploying from a model file persisted with
-/// [`tn_learn::persist::save_network`].
-///
-/// # Errors
-///
-/// [`ServingError::Persist`] for unreadable or corrupt model files, plus
-/// everything [`fleet_network`] can return.
-pub fn fleet_persisted(
-    path: &Path,
-    n_shards: usize,
-    cfg: FleetConfig,
-) -> Result<LocalFleet, ServingError> {
-    let file = std::fs::File::open(path)?;
-    let net = load_network(std::io::BufReader::new(file))?;
-    fleet_network(&net, n_shards, cfg)
-}
-
-/// Like [`fleet_persisted`], with a [`MetricsSink`] receiving every
-/// shard's `tn-telemetry/1` heartbeats as one aggregated stream.
-///
-/// # Errors
-///
-/// Same as [`fleet_persisted`].
-pub fn fleet_persisted_with_sink(
-    path: &Path,
-    n_shards: usize,
-    cfg: FleetConfig,
-    sink: Arc<dyn MetricsSink>,
-) -> Result<LocalFleet, ServingError> {
-    let file = std::fs::File::open(path)?;
-    let net = load_network(std::io::BufReader::new(file))?;
-    let spec = extract_spec(&net)?;
-    Ok(LocalFleet::launch_with_sink(&spec, n_shards, cfg, sink)?)
-}
-
-/// Like [`serve_persisted`], with a [`MetricsSink`] for telemetry export.
-///
-/// # Errors
-///
-/// Same as [`serve_persisted`].
-pub fn serve_persisted_with_sink(
-    path: &Path,
-    cfg: ServeConfig,
-    sink: Arc<dyn MetricsSink>,
-) -> Result<ServeRuntime, ServingError> {
-    let file = std::fs::File::open(path)?;
-    let net = load_network(std::io::BufReader::new(file))?;
-    serve_network_with_sink(&net, cfg, sink)
+    Ok(extract_spec(&net)?)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::prelude::*;
+    use std::sync::Arc;
     use tn_learn::persist::save_network;
 
     fn tiny_trained() -> (Network, BenchData) {
@@ -364,7 +172,8 @@ mod tests {
     fn trained_network_round_trips_through_serving() {
         let (net, data) = tiny_trained();
         let cfg = ServeConfig::builder(5).workers(2).build().expect("cfg");
-        let rt = serve_network(&net, cfg).expect("serve");
+        let spec = extract_spec(&net).expect("spec");
+        let rt = ServeRuntime::new(&spec, cfg, Arc::new(NullSink)).expect("serve");
         assert_eq!(rt.shape().models, vec![(28 * 28, 10)]);
         let r = rt.classify(data.test_x.row(0).to_vec()).expect("classify");
         assert!(r.predicted < 10);
@@ -382,19 +191,15 @@ mod tests {
         save_network(&net, &mut bytes).expect("encode");
         std::fs::write(&path, &bytes).expect("write");
 
-        // The sink variant is the same deploy-from-disk path with
-        // telemetry egress attached (a NullSink here keeps it silent).
-        let rt = serve_persisted_with_sink(
-            &path,
-            ServeConfig::new(5),
-            Arc::new(tn_telemetry::NullSink),
-        )
-        .expect("serve");
+        let from_disk = load_spec(&path).expect("load");
+        let rt = ServeRuntime::new(&from_disk, ServeConfig::new(5), Arc::new(NullSink))
+            .expect("serve");
         let from_disk = rt.classify(data.test_x.row(0).to_vec()).expect("classify");
         rt.shutdown();
 
         // Same request seq + seed via a fresh in-memory runtime: identical.
-        let rt = serve_network(&net, ServeConfig::new(5)).expect("serve");
+        let spec = extract_spec(&net).expect("spec");
+        let rt = ServeRuntime::new(&spec, ServeConfig::new(5), Arc::new(NullSink)).expect("serve");
         let in_memory = rt.classify(data.test_x.row(0).to_vec()).expect("classify");
         rt.shutdown();
         assert_eq!(from_disk.predicted, in_memory.predicted);
@@ -415,7 +220,8 @@ mod tests {
             .telemetry(TelemetryConfig::default())
             .build()
             .expect("cfg");
-        let rt = serve_network_with_sink(&net, cfg, Arc::clone(&sink) as Arc<dyn MetricsSink>)
+        let spec = extract_spec(&net).expect("spec");
+        let rt = ServeRuntime::new(&spec, cfg, Arc::clone(&sink) as Arc<dyn MetricsSink>)
             .expect("serve");
         for row in 0..4 {
             rt.classify(data.test_x.row(row).to_vec()).expect("classify");
@@ -434,9 +240,16 @@ mod tests {
         // tn-gateway, answered to a bare std TcpStream — and bit-identical
         // to the in-process runtime for the same (seed, seq).
         let (net, data) = tiny_trained();
+        let spec = extract_spec(&net).expect("spec");
         let cfg = || ServeConfig::builder(5).workers(2).build().expect("cfg");
-        let gw = gateway_network("127.0.0.1:0", &net, cfg(), GatewayConfig::default())
-            .expect("gateway");
+        let gw = Gateway::bind(
+            "127.0.0.1:0",
+            &spec,
+            cfg(),
+            GatewayConfig::default(),
+            Arc::new(NullSink),
+        )
+        .expect("gateway");
 
         let frame = data.test_x.row(0).to_vec();
         let nums: Vec<String> = frame.iter().map(|v| v.to_string()).collect();
@@ -458,7 +271,7 @@ mod tests {
         let wire_body = reply.split("\r\n\r\n").nth(1).expect("body");
         let wire = tn_telemetry::json::parse(wire_body).expect("JSON body");
 
-        let rt = serve_network(&net, cfg()).expect("serve");
+        let rt = ServeRuntime::new(&spec, cfg(), Arc::new(NullSink)).expect("serve");
         let local = rt.classify(frame).expect("classify");
         rt.shutdown();
         assert_eq!(
@@ -495,8 +308,9 @@ mod tests {
             .train(&data_b, Penalty::None, scale.epochs, 47)
             .expect("train");
 
+        let specs = [net_a, net_b].map(|net| extract_spec(&net).expect("spec"));
         let cfg = || ServeConfig::builder(11).workers(2).build().expect("cfg");
-        let packed = serve_packed_networks(&[&net_a, &net_b], cfg()).expect("pack");
+        let packed = ServeRuntime::new(&specs, cfg(), Arc::new(NullSink)).expect("pack");
         assert_eq!(packed.shape().models.len(), 2);
 
         let xa = data_a.test_x.row(0).to_vec();
@@ -515,12 +329,12 @@ mod tests {
         assert_eq!(ra.model(), 0);
         assert_eq!(rb.model(), 1);
 
-        let solo_a = serve_network(&net_a, cfg()).expect("serve");
+        let solo_a = ServeRuntime::new(&specs[0], cfg(), Arc::new(NullSink)).expect("serve");
         let la = solo_a
             .classify(tn_serve::SubmitRequest::new(xa).at_seq(ra.seq))
             .expect("classify");
         solo_a.shutdown();
-        let solo_b = serve_network(&net_b, cfg()).expect("serve");
+        let solo_b = ServeRuntime::new(&specs[1], cfg(), Arc::new(NullSink)).expect("serve");
         let lb = solo_b
             .classify(tn_serve::SubmitRequest::new(xb).at_seq(rb.seq))
             .expect("classify");
@@ -531,11 +345,7 @@ mod tests {
 
     #[test]
     fn missing_file_is_a_persist_error() {
-        let err = serve_persisted(
-            Path::new("/nonexistent/model.tnm"),
-            ServeConfig::default(),
-        )
-        .unwrap_err();
+        let err = load_spec("/nonexistent/model.tnm").unwrap_err();
         assert!(matches!(err, ServingError::Persist(PersistError::Io(_))));
         assert!(err.to_string().contains("persisted model"));
     }

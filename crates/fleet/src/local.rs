@@ -38,35 +38,23 @@ pub struct LocalFleet {
 }
 
 impl LocalFleet {
-    /// Launch `n_shards` shard runtimes for `spec` (each built from
-    /// `cfg.serve` — fleet homogeneity by construction) and connect a
-    /// router over them. Snapshot heartbeats are discarded; see
-    /// [`LocalFleet::launch_with_sink`] to collect them.
+    /// Launch `n_shards` shard runtimes, each serving `specs` as the
+    /// tenants of one chip (pass `&spec` for one tenant) built from
+    /// `cfg.serve` — fleet homogeneity by construction — and connect a
+    /// router over them. Every shard's snapshot heartbeats reach `sink`
+    /// as one aggregated `tn-telemetry/1` stream.
     ///
     /// # Errors
     ///
-    /// Deployment/config errors from the shard runtimes, or handshake
-    /// errors from the router.
+    /// Deployment/config/packing errors from the shard runtimes, or
+    /// handshake errors from the router.
     pub fn launch(
-        spec: &NetworkDeploySpec,
-        n_shards: usize,
-        cfg: FleetConfig,
-    ) -> Result<Self, ServeError> {
-        Self::launch_with_sink(spec, n_shards, cfg, Arc::new(tn_telemetry::NullSink))
-    }
-
-    /// Like [`LocalFleet::launch`], forwarding every shard's snapshot
-    /// heartbeats to `sink` as one aggregated `tn-telemetry/1` stream.
-    ///
-    /// # Errors
-    ///
-    /// See [`LocalFleet::launch`].
-    pub fn launch_with_sink(
-        spec: &NetworkDeploySpec,
+        specs: impl AsRef<[NetworkDeploySpec]>,
         n_shards: usize,
         cfg: FleetConfig,
         sink: Arc<dyn MetricsSink>,
     ) -> Result<Self, ServeError> {
+        let specs = specs.as_ref();
         if n_shards == 0 {
             return Err(ServeError::BadConfig(
                 "a fleet needs at least one shard".to_string(),
@@ -76,11 +64,27 @@ impl LocalFleet {
         let mut conns = Vec::with_capacity(n_shards);
         for _ in 0..n_shards {
             let (shard_end, router_end) = duplex(PIPE_CAPACITY);
-            shards.push(ShardServer::host(spec, cfg.serve.clone(), shard_end)?);
+            shards.push(ShardServer::host(specs, cfg.serve.clone(), shard_end)?);
             conns.push(router_end);
         }
-        let router = Arc::new(FleetRouter::connect_with_sink(conns, cfg, sink)?);
+        let router = Arc::new(FleetRouter::connect(conns, cfg, sink)?);
         Ok(Self { router, shards })
+    }
+
+    /// [`LocalFleet::launch`] under its former name, kept only because
+    /// the `perfbench` harness still calls it.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`LocalFleet::launch`].
+    #[deprecated(note = "use `LocalFleet::launch`")]
+    pub fn launch_with_sink(
+        spec: &NetworkDeploySpec,
+        n_shards: usize,
+        cfg: FleetConfig,
+        sink: Arc<dyn MetricsSink>,
+    ) -> Result<Self, ServeError> {
+        Self::launch(spec, n_shards, cfg, sink)
     }
 
     /// The router (submit through it via [`tn_serve::ServeBackend`]).

@@ -728,4 +728,77 @@ mod tests {
         }
         assert!(Ack::parse("{\"op\":\"x\",\"ok\":true,\"error\":\"boom\"}").is_err());
     }
+
+    /// A JSON payload's fault contract, along the router's and the
+    /// shard's read path (UTF-8 check, then `parse`): every strict prefix
+    /// is refused, and no single-byte corruption panics.
+    fn assert_json_fault_contract<T>(payload: &str, parse: impl Fn(&str) -> Result<T, String>) {
+        let read = |bytes: &[u8]| {
+            std::str::from_utf8(bytes)
+                .map_err(|e| e.to_string())
+                .and_then(&parse)
+        };
+        let bytes = payload.as_bytes();
+        assert!(read(bytes).is_ok(), "the intact payload parses: {payload}");
+        for cut in 0..bytes.len() {
+            assert!(read(&bytes[..cut]).is_err(), "accepted {payload} cut at {cut}");
+        }
+        let mut bad = bytes.to_vec();
+        for p in 0..bad.len() {
+            for flip in 1..=255u8 {
+                bad[p] ^= flip;
+                let _ = read(&bad);
+                bad[p] ^= flip;
+            }
+        }
+    }
+
+    #[test]
+    fn truncated_or_corrupt_json_payloads_fail_closed() {
+        let shape = ServeShape {
+            models: vec![(4, 3), (2, 2)],
+            spf: 8,
+            tiers: vec!["fast".to_string(), "qu\"o\u{e9}".to_string()],
+            replicas: 2,
+            kernel_batch: 8,
+            queue_capacity: 256,
+            cores: 6,
+        };
+        assert_json_fault_contract(&encode_hello(&shape), parse_hello);
+        let served = ServedAs::new(1, 16).with_tier("certain").with_confidence(0.875);
+        for served in [ServedAs::new(0, 8), served.with_escalated(true)] {
+            let r = Response {
+                seq: 41,
+                predicted: 2,
+                votes: vec![1, 0, 7],
+                replica_predictions: vec![2, 2, 0],
+                agreement: 2.0 / 3.0,
+                served,
+                worker: 3,
+                ticks: 17,
+                latency: Duration::from_nanos(12_345),
+            };
+            assert_json_fault_contract(&encode_resp(&r), parse_resp);
+        }
+        for e in [
+            ServeError::QueueFull,
+            ServeError::Unavailable("no healthy shard".to_string()),
+            ServeError::BadInput { expected: 4, got: 2 },
+            ServeError::InputOutOfRange { channel: 1, value: 1.5 },
+            ServeError::UnknownModel { model: 3, models: 1 },
+            ServeError::UnknownQuality {
+                quality: "w\u{e4}rp".to_string(),
+                tiers: vec!["fast".to_string()],
+            },
+        ] {
+            assert_json_fault_contract(&encode_err(7, &e), parse_err);
+        }
+        for c in [Ctrl::SetReplicas(3), Ctrl::Shutdown] {
+            assert_json_fault_contract(&c.encode(), Ctrl::parse);
+        }
+        for error in [None, Some("replicas out of bounds".to_string())] {
+            let ack = Ack { op: "set_replicas".to_string(), error };
+            assert_json_fault_contract(&ack.encode(), Ack::parse);
+        }
+    }
 }

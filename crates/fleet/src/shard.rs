@@ -70,37 +70,26 @@ pub struct ShardServer {
 }
 
 impl ShardServer {
-    /// Deploy `spec` under `cfg` and serve the fleet protocol over
-    /// `conn` until the router sends [`Ctrl::Shutdown`] or hangs up.
+    /// Deploy `specs` under `cfg` as one runtime (pass `&spec` for one
+    /// tenant; several specs pack onto one chip, see [`ServeRuntime::new`])
+    /// and serve the fleet protocol over `conn` until the router sends
+    /// [`Ctrl::Shutdown`] or hangs up. Packed tenants answer by the
+    /// router's pinned seq like any shard, so packed shards compose into
+    /// a fleet unchanged.
     ///
     /// Sends the Hello announcement ([`encode_hello`] of the runtime's
     /// [`ServeRuntime::shape`]) immediately; with
     /// [`ServeConfig::telemetry`] set, the runtime's observer snapshots
     /// ride out as Snap-frame heartbeats at the configured interval.
+    /// `host` takes no sink: the runtime's sink is the heartbeat writer.
     ///
     /// # Errors
     ///
-    /// Deployment/config errors from [`ServeRuntime::new_with_sink`],
-    /// or [`ServeError::BadConfig`] if the transport cannot be cloned
-    /// or the handshake cannot be written.
+    /// Deployment/config/packing errors from [`ServeRuntime::new`], or
+    /// [`ServeError::BadConfig`] if the transport cannot be cloned or the
+    /// handshake cannot be written.
     pub fn host<T: Transport>(
-        spec: &NetworkDeploySpec,
-        cfg: ServeConfig,
-        conn: T,
-    ) -> Result<Self, ServeError> {
-        Self::host_packed(std::slice::from_ref(spec), cfg, conn)
-    }
-
-    /// Like [`ShardServer::host`], over a packed multi-tenant runtime
-    /// ([`ServeRuntime::new_packed_with_sink`]). Tenants answer by the
-    /// router's pinned seq like any shard, so packed shards compose into
-    /// a fleet unchanged.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ShardServer::host`], plus packing errors.
-    pub fn host_packed<T: Transport>(
-        specs: &[NetworkDeploySpec],
+        specs: impl AsRef<[NetworkDeploySpec]>,
         cfg: ServeConfig,
         conn: T,
     ) -> Result<Self, ServeError> {
@@ -113,7 +102,7 @@ impl ShardServer {
             writer: Arc::clone(&writer),
             mute: Arc::clone(&mute),
         });
-        let runtime = Arc::new(ServeRuntime::new_packed_with_sink(specs, cfg, sink)?);
+        let runtime = Arc::new(ServeRuntime::new(specs, cfg, sink)?);
 
         let hello = encode_hello(&runtime.shape());
         {

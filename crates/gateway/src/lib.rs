@@ -59,9 +59,11 @@
 //!
 //! ```
 //! use std::io::{Read, Write};
+//! use std::sync::Arc;
 //! use tn_chip::nscs::{CoreDeploySpec, InputSource, NetworkDeploySpec};
 //! use tn_gateway::{Gateway, GatewayConfig};
 //! use tn_serve::ServeConfig;
+//! use tn_telemetry::NullSink;
 //!
 //! let spec = NetworkDeploySpec {
 //!     cores: vec![CoreDeploySpec {
@@ -76,7 +78,8 @@
 //!     n_classes: 2,
 //!     output_taps: vec![(0, 0, 0), (0, 1, 1)],
 //! };
-//! let gw = Gateway::bind("127.0.0.1:0", &spec, ServeConfig::new(7), GatewayConfig::default())
+//! let cfg = ServeConfig::new(7);
+//! let gw = Gateway::bind("127.0.0.1:0", &spec, cfg, GatewayConfig::default(), Arc::new(NullSink))
 //!     .expect("bind");
 //!
 //! // Any std TcpStream is a client.
@@ -113,7 +116,7 @@ use tn_chip::nscs::NetworkDeploySpec;
 use tn_serve::{
     Backpressure, MetricsSnapshot, QueueStats, ServeBackend, ServeConfig, ServeRuntime,
 };
-use tn_telemetry::{LatestSink, MetricsSink, NullSink, Snapshot};
+use tn_telemetry::{LatestSink, MetricsSink, Snapshot};
 
 pub use error::GatewayError;
 use router::ServiceCtx;
@@ -204,8 +207,8 @@ impl Backend {
 
 /// A running serving front-end: one TCP listener with its accept thread, a
 /// reader and a writer thread per open connection, and one
-/// [`ServeBackend`] behind it (a [`ServeRuntime`] the gateway builds via
-/// the `bind*` constructors, or any caller-provided backend — e.g. a
+/// [`ServeBackend`] behind it (a [`ServeRuntime`] the gateway builds in
+/// [`Gateway::bind`], or any caller-provided backend — e.g. a
 /// `tn-fleet` router — via [`Gateway::bind_backend`]).
 ///
 /// Dropping a `Gateway` drains it like [`Gateway::shutdown`] (minus the
@@ -220,9 +223,23 @@ pub struct Gateway {
 }
 
 impl Gateway {
-    /// Deploy `spec`, start the runtime's worker pool, and serve it on
-    /// `addr` (use port 0 for an ephemeral port; see
-    /// [`Gateway::local_addr`]).
+    /// Deploy `specs` (pass `&spec` for one model), start the runtime's
+    /// worker pool, and serve it on `addr` (use port 0 for an ephemeral
+    /// port; see [`Gateway::local_addr`]).
+    ///
+    /// Several specs deploy as tenants of one packed chip
+    /// ([`ServeRuntime::new`]): each gets a disjoint core rectangle and a
+    /// model id equal to its position in `specs`. Clients pick a tenant
+    /// with the `"model"` key on `POST /v1/classify` (default 0); an
+    /// out-of-range id is a structured `400` with code `unknown_model`.
+    /// `GET /v1/config` lists every tenant under `"models"` and sets
+    /// `"packed":true`.
+    ///
+    /// `sink` receives every telemetry snapshot the runtime's observer
+    /// exports. The gateway interposes a [`LatestSink`] tee, so
+    /// `GET /v1/snapshot` always serves the most recent snapshot while
+    /// `sink` (a [`NullSink`](tn_telemetry::NullSink) to discard them)
+    /// still sees the full stream.
     ///
     /// `serve_cfg.backpressure` is forced to [`Backpressure::Reject`]: a
     /// blocking submit would park the connection's reader with its socket
@@ -232,29 +249,12 @@ impl Gateway {
     /// # Errors
     ///
     /// [`GatewayError::BadConfig`] for inconsistent gateway knobs,
-    /// [`GatewayError::Serve`] if the runtime cannot be built,
-    /// [`GatewayError::Bind`] if the listener cannot be bound.
+    /// [`GatewayError::Serve`] if the runtime cannot be built (packing
+    /// failures included, e.g. tenants that exceed the chip's core
+    /// budget), [`GatewayError::Bind`] if the listener cannot be bound.
     pub fn bind(
         addr: impl ToSocketAddrs,
-        spec: &NetworkDeploySpec,
-        serve_cfg: ServeConfig,
-        gw_cfg: GatewayConfig,
-    ) -> Result<Self, GatewayError> {
-        Self::bind_with_sink(addr, spec, serve_cfg, gw_cfg, Arc::new(NullSink))
-    }
-
-    /// Like [`Gateway::bind`], with a [`MetricsSink`] receiving every
-    /// telemetry snapshot the runtime's observer exports. The gateway
-    /// interposes a [`LatestSink`] tee, so `GET /v1/snapshot` always
-    /// serves the most recent snapshot while `sink` still sees the full
-    /// export stream.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Gateway::bind`].
-    pub fn bind_with_sink(
-        addr: impl ToSocketAddrs,
-        spec: &NetworkDeploySpec,
+        specs: impl AsRef<[NetworkDeploySpec]>,
         mut serve_cfg: ServeConfig,
         gw_cfg: GatewayConfig,
         sink: Arc<dyn MetricsSink>,
@@ -262,55 +262,7 @@ impl Gateway {
         gw_cfg.validate()?;
         serve_cfg.backpressure = Backpressure::Reject;
         let latest = Arc::new(LatestSink::tee(sink));
-        let runtime = Arc::new(ServeRuntime::new_with_sink(
-            spec,
-            serve_cfg,
-            Arc::clone(&latest) as Arc<dyn MetricsSink>,
-        )?);
-        Self::start(addr, Backend::Owned(runtime), gw_cfg, latest)
-    }
-
-    /// Like [`Gateway::bind`], but deploys *several* specs as tenants of
-    /// one packed chip ([`ServeRuntime::new_packed`]): each spec gets a
-    /// disjoint core rectangle and a model id equal to its position in
-    /// `specs`. Clients pick a tenant with the `"model"` key on
-    /// `POST /v1/classify` (default 0); an out-of-range id is a
-    /// structured `400` with code `unknown_model`. `GET /v1/config`
-    /// lists every tenant under `"models"` and sets `"packed":true`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Gateway::bind`]; [`GatewayError::Serve`] additionally
-    /// covers packing failures (e.g. the tenants exceed the chip's core
-    /// budget).
-    pub fn bind_packed(
-        addr: impl ToSocketAddrs,
-        specs: &[NetworkDeploySpec],
-        serve_cfg: ServeConfig,
-        gw_cfg: GatewayConfig,
-    ) -> Result<Self, GatewayError> {
-        Self::bind_packed_with_sink(addr, specs, serve_cfg, gw_cfg, Arc::new(NullSink))
-    }
-
-    /// Like [`Gateway::bind_packed`], with a [`MetricsSink`] receiving
-    /// every telemetry snapshot (see [`Gateway::bind_with_sink`] for the
-    /// tee semantics). Snapshots carry per-tenant
-    /// `serve.model.{id}.*` counters alongside the global serve family.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Gateway::bind_packed`].
-    pub fn bind_packed_with_sink(
-        addr: impl ToSocketAddrs,
-        specs: &[NetworkDeploySpec],
-        mut serve_cfg: ServeConfig,
-        gw_cfg: GatewayConfig,
-        sink: Arc<dyn MetricsSink>,
-    ) -> Result<Self, GatewayError> {
-        gw_cfg.validate()?;
-        serve_cfg.backpressure = Backpressure::Reject;
-        let latest = Arc::new(LatestSink::tee(sink));
-        let runtime = Arc::new(ServeRuntime::new_packed_with_sink(
+        let runtime = Arc::new(ServeRuntime::new(
             specs,
             serve_cfg,
             Arc::clone(&latest) as Arc<dyn MetricsSink>,
@@ -324,11 +276,11 @@ impl Gateway {
     ///
     /// ```text
     /// let latest = Arc::new(LatestSink::tee(sink));          // fleet's aggregated sink
-    /// let fleet = LocalFleet::launch_with_sink(&spec, 2, cfg, latest.clone())?;
+    /// let fleet = LocalFleet::launch(&spec, 2, cfg, latest.clone())?;
     /// let gw = Gateway::bind_backend("127.0.0.1:0", fleet.router_arc(), gw_cfg, latest)?;
     /// ```
     ///
-    /// Unlike the `bind*` constructors the gateway does not own the
+    /// Unlike [`Gateway::bind`] the gateway does not own the
     /// backend: [`Gateway::shutdown`] drains the gateway's connections
     /// and returns [`ServeBackend::metrics`], after which the caller
     /// shuts the backend itself down. The gateway also cannot force
@@ -355,7 +307,7 @@ impl Gateway {
     }
 
     /// Bind the listener and spawn the accept thread over an already-built
-    /// backend (shared tail of every `bind*` constructor).
+    /// backend (shared tail of both constructors).
     fn start(
         addr: impl ToSocketAddrs,
         backend: Backend,
@@ -409,7 +361,7 @@ impl Gateway {
     /// Graceful drain: stop accepting connections, complete and flush
     /// every admitted request (bounded by [`GatewayConfig::drain_timeout`]),
     /// join every gateway thread, then — for gateways
-    /// that own their runtime (`bind*`) — shut the runtime down (its
+    /// that own their runtime ([`Gateway::bind`]) — shut the runtime down (its
     /// observer emits one final telemetry snapshot) and return the final
     /// metrics. A [`Gateway::bind_backend`] gateway returns the
     /// backend's current metrics and leaves shutting the backend down to

@@ -8,12 +8,13 @@
 
 use std::io::Write;
 use std::net::{Ipv4Addr, Shutdown, SocketAddr, TcpStream};
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use tn_chip::nscs::{CoreDeploySpec, InputSource, NetworkDeploySpec};
 use tn_gateway::{Gateway, GatewayConfig};
 use tn_serve::ServeConfig;
+use tn_telemetry::NullSink;
 
 fn spec() -> NetworkDeploySpec {
     NetworkDeploySpec {
@@ -53,7 +54,14 @@ fn shutdown_is_bounded_against_idle_and_non_reading_clients() {
     };
     // Bound to the unspecified address: waking the accept thread must
     // then go through loopback.
-    let gw = Gateway::bind("0.0.0.0:0", &spec(), ServeConfig::new(11), gw_cfg).expect("bind");
+    let gw = Gateway::bind(
+        "0.0.0.0:0",
+        spec(),
+        ServeConfig::new(11),
+        gw_cfg,
+        Arc::new(NullSink),
+    )
+    .expect("bind");
     let addr = SocketAddr::from((Ipv4Addr::LOCALHOST, gw.local_addr().port()));
 
     // Never sends, never closes.

@@ -157,6 +157,7 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use tn_chip::nscs::{CoreDeploySpec, InputSource, NetworkDeploySpec};
+    use tn_telemetry::NullSink;
 
     /// 2-input, 2-class, single-core spec with deterministic ±1 weights.
     fn xor_free_spec() -> NetworkDeploySpec {
@@ -207,10 +208,13 @@ mod tests {
 
     #[test]
     fn runtime_serves_through_the_trait_object() {
-        let rt = ServeRuntime::new(&xor_free_spec(), ServeConfig::new(7)).expect("deploy");
+        let deploy = || {
+            ServeRuntime::new(xor_free_spec(), ServeConfig::new(7), Arc::new(NullSink))
+                .expect("deploy")
+        };
+        let rt = deploy();
         let direct = rt.classify(vec![1.0, 0.0]).expect("classify");
-        let backend: Arc<dyn ServeBackend> =
-            Arc::new(ServeRuntime::new(&xor_free_spec(), ServeConfig::new(7)).expect("deploy"));
+        let backend: Arc<dyn ServeBackend> = Arc::new(deploy());
         let via_trait = backend
             .submit_request(SubmitRequest::new(vec![1.0, 0.0]))
             .expect("submit")

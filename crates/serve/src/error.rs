@@ -63,7 +63,7 @@ pub enum ServeError {
         tiers: Vec<String>,
     },
     /// A set of deployments could not be packed onto one chip
-    /// ([`crate::ServeRuntime::new_packed`]); carries the
+    /// ([`crate::ServeRuntime::new`]); carries the
     /// [`tn_chip::pack::PackError`] rendering.
     Pack(String),
 }

@@ -51,8 +51,8 @@
 //!   were fused into kernel batches. See
 //!   `results_are_a_function_of_seq_not_worker_count` and
 //!   `kernel_batch_size_does_not_change_results` in `runtime.rs`.
-//! * **Multi-tenant packing** (optional): [`ServeRuntime::new_packed`]
-//!   deploys *several* specs as tenants of one packed chip
+//! * **Multi-tenant packing** (optional): [`ServeRuntime::new`] given
+//!   several specs deploys them as tenants of one packed chip
 //!   ([`tn_chip::pack::PackedDeployment`]): each tenant owns a disjoint
 //!   core rectangle, [`SubmitRequest::model`] routes requests by
 //!   model id, and a kernel batch mixes tenants into the same lockstep
@@ -116,8 +116,10 @@
 //! # Example
 //!
 //! ```
+//! use std::sync::Arc;
 //! use tn_chip::nscs::{CoreDeploySpec, InputSource, NetworkDeploySpec};
 //! use tn_serve::{ServeConfig, ServeRuntime};
+//! use tn_telemetry::NullSink;
 //!
 //! // A toy 2-input / 2-class network; real callers extract a spec from a
 //! // trained model (see `truenorth::serving`).
@@ -139,7 +141,7 @@
 //!     .kernel_batch(8)
 //!     .build()
 //!     .expect("consistent config");
-//! let rt = ServeRuntime::new(&spec, cfg).expect("deploy");
+//! let rt = ServeRuntime::new(&spec, cfg, Arc::new(NullSink)).expect("deploy");
 //! let response = rt.classify(vec![1.0, 0.0]).expect("serve");
 //! assert_eq!(response.predicted, 0);
 //! let metrics = rt.shutdown();

@@ -59,7 +59,7 @@ use tn_chip::exec::parallel_chunks;
 use tn_chip::nscs::{FrameInput, NetworkDeploySpec};
 use tn_chip::pack::{PackError, PackedDeployment, PackedFrame};
 use tn_chip::prng::frame_seed;
-use tn_telemetry::{emit, Clock, MetricsSink, MonotonicClock, NullSink, Snapshot, SpanRecorder, Stage};
+use tn_telemetry::{emit, Clock, MetricsSink, MonotonicClock, Snapshot, SpanRecorder, Stage};
 
 use crate::backend::ServeShape;
 use crate::config::{Backpressure, ServeConfig};
@@ -234,62 +234,23 @@ pub struct ServeRuntime {
 }
 
 impl ServeRuntime {
-    /// Deploy `spec` and start the worker pool (no telemetry egress; any
-    /// configured observer exports go to a [`NullSink`]).
-    ///
-    /// Building samples the replica crossbars once; each worker then
-    /// clones the prototype so all workers hold bit-identical replicas.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::BadConfig`] for inconsistent configs,
-    /// [`ServeError::Deploy`] if the spec cannot be placed on a chip.
-    pub fn new(spec: &NetworkDeploySpec, cfg: ServeConfig) -> Result<Self, ServeError> {
-        Self::new_with_sink(spec, cfg, Arc::new(NullSink))
-    }
-
-    /// Like [`ServeRuntime::new`], with a [`MetricsSink`] receiving the
-    /// observer's periodic [`Snapshot`] exports. The sink is only driven
-    /// when [`ServeConfig::telemetry`] is set (a final snapshot is always
-    /// emitted at shutdown, so even a short-lived runtime exports at
-    /// least one).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ServeRuntime::new`].
-    pub fn new_with_sink(
-        spec: &NetworkDeploySpec,
-        cfg: ServeConfig,
-        sink: Arc<dyn MetricsSink>,
-    ) -> Result<Self, ServeError> {
-        Self::new_packed_with_sink(std::slice::from_ref(spec), cfg, sink)
-    }
-
-    /// Deploy several specs as tenants of **one** packed chip and start
-    /// the worker pool (no telemetry egress). See
-    /// [`ServeRuntime::new_packed_with_sink`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ServeRuntime::new_packed_with_sink`].
-    pub fn new_packed(
-        specs: &[NetworkDeploySpec],
-        cfg: ServeConfig,
-    ) -> Result<Self, ServeError> {
-        Self::new_packed_with_sink(specs, cfg, Arc::new(NullSink))
-    }
-
-    /// Like [`ServeRuntime::new_packed`], with a [`MetricsSink`] for the
-    /// observer's [`Snapshot`] exports. The one constructor every other
-    /// delegates to.
+    /// Deploy `specs` as the tenants of one chip and start the worker
+    /// pool; `sink` receives the observer's [`Snapshot`] exports. Pass
+    /// `&spec` for a solo runtime (a spec is a one-tenant slice) and a
+    /// [`NullSink`](tn_telemetry::NullSink) to discard telemetry.
     ///
     /// Each spec is built into its own deployment with the *same*
     /// `(cfg.replicas, cfg.seed, cfg.connectivity)` a solo runtime would
     /// use, then all of them are packed onto disjoint core rectangles of
-    /// one 64×64 chip. Tenant `m` of the runtime is `specs[m]`; address
-    /// it with [`SubmitRequest::model`]. Tenant `m`'s answer for seq `s`
-    /// is bit-identical to a solo runtime serving that spec alone at this
-    /// config answering [`SubmitRequest::at_seq`]`(s)`.
+    /// one 64×64 chip; each worker clones that prototype, so all workers
+    /// hold bit-identical replicas. Tenant `m` of the runtime is
+    /// `specs[m]`; address it with [`SubmitRequest::model`]. Tenant `m`'s
+    /// answer for seq `s` is bit-identical to a solo runtime serving that
+    /// spec alone at this config answering [`SubmitRequest::at_seq`]`(s)`.
+    ///
+    /// The sink is driven periodically only when [`ServeConfig::telemetry`]
+    /// is set; a final snapshot is always emitted at shutdown, so even a
+    /// short-lived runtime exports at least one.
     ///
     /// # Errors
     ///
@@ -299,11 +260,12 @@ impl ServeRuntime {
     /// cannot be placed on its own chip, [`ServeError::Pack`] if the
     /// tenants do not fit one chip together (structured occupancy detail
     /// inside).
-    pub fn new_packed_with_sink(
-        specs: &[NetworkDeploySpec],
+    pub fn new(
+        specs: impl AsRef<[NetworkDeploySpec]>,
         cfg: ServeConfig,
         sink: Arc<dyn MetricsSink>,
     ) -> Result<Self, ServeError> {
+        let specs = specs.as_ref();
         cfg.validate()?;
         if specs.is_empty() {
             return Err(ServeError::BadConfig(
@@ -409,6 +371,36 @@ impl ServeRuntime {
         })
     }
 
+    /// [`ServeRuntime::new`] under its former name, kept only because the
+    /// `perfbench` harness still calls it.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`ServeRuntime::new`].
+    #[deprecated(note = "use `ServeRuntime::new`")]
+    pub fn new_with_sink(
+        spec: &NetworkDeploySpec,
+        cfg: ServeConfig,
+        sink: Arc<dyn MetricsSink>,
+    ) -> Result<Self, ServeError> {
+        Self::new(spec, cfg, sink)
+    }
+
+    /// [`ServeRuntime::new`] under its former name, kept only because the
+    /// `perfbench` harness still calls it.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`ServeRuntime::new`].
+    #[deprecated(note = "use `ServeRuntime::new`")]
+    pub fn new_packed_with_sink(
+        specs: &[NetworkDeploySpec],
+        cfg: ServeConfig,
+        sink: Arc<dyn MetricsSink>,
+    ) -> Result<Self, ServeError> {
+        Self::new(specs, cfg, sink)
+    }
+
     /// What this runtime serves, with the live replica count, fusion
     /// width, default-set spf and cores (the controller moves those).
     pub fn shape(&self) -> ServeShape {
@@ -477,6 +469,7 @@ impl ServeRuntime {
     /// ```
     /// # use tn_chip::nscs::{CoreDeploySpec, InputSource, NetworkDeploySpec};
     /// # use tn_serve::{ServeConfig, ServeRuntime, SubmitRequest};
+    /// # use tn_telemetry::NullSink;
     /// # let spec = NetworkDeploySpec {
     /// #     cores: vec![CoreDeploySpec {
     /// #         layer: 0,
@@ -490,7 +483,8 @@ impl ServeRuntime {
     /// #     n_classes: 2,
     /// #     output_taps: vec![(0, 0, 0), (0, 1, 1)],
     /// # };
-    /// # let rt = ServeRuntime::new(&spec, ServeConfig::new(7)).expect("deploy");
+    /// # let sink = std::sync::Arc::new(NullSink);
+    /// # let rt = ServeRuntime::new(&spec, ServeConfig::new(7), sink).expect("deploy");
     /// let handle = rt.submit(vec![1.0, 0.0])?; // defaults: model 0, no tier
     /// assert_eq!(handle.wait()?.predicted, 0);
     /// let handle = rt.submit(SubmitRequest::new(vec![0.0, 1.0]).model(0))?;
@@ -1289,7 +1283,7 @@ mod tests {
     use crate::config::TelemetryConfig;
     use crate::control::SpfRange;
     use tn_chip::nscs::{CoreDeploySpec, InputSource};
-    use tn_telemetry::MemorySink;
+    use tn_telemetry::{MemorySink, NullSink};
 
     /// 2-input, 2-class, single-core spec with deterministic ±1 weights:
     /// input channel k drives class k.
@@ -1332,7 +1326,7 @@ mod tests {
     }
 
     fn runtime(cfg: ServeConfig) -> ServeRuntime {
-        ServeRuntime::new(&xor_free_spec(), cfg).expect("runtime")
+        ServeRuntime::new(xor_free_spec(), cfg, Arc::new(NullSink)).expect("runtime")
     }
 
     #[test]
@@ -1874,7 +1868,7 @@ mod tests {
                 .expect("cfg")
         };
         let specs = [xor_free_spec(), three_class_spec()];
-        let packed = ServeRuntime::new_packed(&specs, cfg()).expect("packed runtime");
+        let packed = ServeRuntime::new(&specs, cfg(), Arc::new(NullSink)).expect("packed runtime");
         assert_eq!(packed.shape().models, vec![(2, 2), (3, 3)]);
         let mut handles = Vec::new();
         for i in 0..12 {
@@ -1910,7 +1904,7 @@ mod tests {
         }
         packed.shutdown();
         for (m, spec) in specs.iter().enumerate() {
-            let rt = ServeRuntime::new(spec, cfg()).expect("solo");
+            let rt = ServeRuntime::new(spec, cfg(), Arc::new(NullSink)).expect("solo");
             let handles: Vec<_> = (0..12u64)
                 .map(|i| {
                     let seq = 2 * i + m as u64;
@@ -1954,7 +1948,7 @@ mod tests {
                 .build()
                 .expect("cfg")
         };
-        let rt = ServeRuntime::new_packed(&specs, cfg(1)).expect("packed");
+        let rt = ServeRuntime::new(&specs, cfg(1), Arc::new(NullSink)).expect("packed");
         assert_eq!(
             rt.submit(SubmitRequest::new(vec![0.5, 0.5]).model(2))
                 .unwrap_err(),
@@ -2021,11 +2015,11 @@ mod tests {
         let snap = rt.shutdown();
         assert_eq!(snap.completed, 17);
         assert_eq!(got, again, "the old set still serves, bit for bit");
-        let fresh = ServeRuntime::new_packed(&specs, cfg(2)).expect("packed at 2");
+        let fresh = ServeRuntime::new(&specs, cfg(2), Arc::new(NullSink)).expect("packed at 2");
         assert_eq!(got, serve_both(&fresh), "rescaled ≡ fresh packed runtime");
         fresh.shutdown();
         assert!(
-            ServeRuntime::new_packed(&[], ServeConfig::new(3)).is_err(),
+            ServeRuntime::new(&[], ServeConfig::new(3), Arc::new(NullSink)).is_err(),
             "empty spec list is refused"
         );
     }
@@ -2058,8 +2052,8 @@ mod tests {
             .telemetry(TelemetryConfig::default())
             .build()
             .expect("cfg");
-        let rt = ServeRuntime::new_with_sink(
-            &xor_free_spec(),
+        let rt = ServeRuntime::new(
+            xor_free_spec(),
             cfg,
             Arc::clone(&sink) as Arc<dyn MetricsSink>,
         )
@@ -2291,8 +2285,8 @@ mod tests {
             .telemetry(TelemetryConfig::default())
             .build()
             .expect("cfg");
-        let rt = ServeRuntime::new_with_sink(
-            &xor_free_spec(),
+        let rt = ServeRuntime::new(
+            xor_free_spec(),
             cfg,
             Arc::clone(&sink) as Arc<dyn MetricsSink>,
         )
@@ -2317,7 +2311,7 @@ mod tests {
     #[test]
     fn packed_runtimes_reject_tier_tables() {
         let specs = [xor_free_spec(), three_class_spec()];
-        let err = ServeRuntime::new_packed(&specs, tier_cfg(3).build().expect("cfg"))
+        let err = ServeRuntime::new(&specs, tier_cfg(3).build().expect("cfg"), Arc::new(NullSink))
             .expect_err("tiers are a solo-runtime feature");
         assert!(matches!(
             err,
@@ -2355,10 +2349,14 @@ mod tests {
         fresh.shutdown();
         assert_eq!(before, want_before);
         assert_eq!(after, want_after, "sample 0 is the plain build");
-        ServeRuntime::new_packed(&[xor_free_spec(), three_class_spec()], ServeConfig::new(3))
-            .expect("packed")
-            .resample(1)
-            .expect("packed runtimes resample every tenant");
+        ServeRuntime::new(
+            &[xor_free_spec(), three_class_spec()],
+            ServeConfig::new(3),
+            Arc::new(NullSink),
+        )
+        .expect("packed")
+        .resample(1)
+        .expect("packed runtimes resample every tenant");
     }
 
     #[test]

@@ -27,7 +27,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use tn_telemetry::{JsonLinesSink, MetricsSink, NullSink};
+use tn_telemetry::JsonLinesSink;
 use truenorth::prelude::*;
 
 const SEED: u64 = 61;
@@ -175,13 +175,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ..TelemetryConfig::default()
         })
         .build()?;
-    let gw = gateway_network_with_sink(
-        "127.0.0.1:0",
-        &model.network,
-        serve_cfg,
-        GatewayConfig::default(),
-        sink,
-    )?;
+    let spec = extract_spec(&model.network)?;
+    let gw = Gateway::bind("127.0.0.1:0", &spec, serve_cfg, GatewayConfig::default(), sink)?;
     let addr = gw.local_addr();
     println!("\n== gateway listening on {addr} ==");
 
@@ -269,7 +264,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .queue_capacity(1)
         .batch_max(1)
         .build()?;
-    let gw = gateway_network("127.0.0.1:0", &model.network, slow_cfg, GatewayConfig::default())?;
+    let sink = Arc::new(NullSink);
+    let gw = Gateway::bind("127.0.0.1:0", &spec, slow_cfg, GatewayConfig::default(), sink)?;
     let mut client = HttpClient::connect(gw.local_addr())?;
     let burst = 16usize;
     for _ in 0..burst {

@@ -30,7 +30,7 @@
 //! train a second test bench (bench 5) and serve both models once as two
 //! solo runtimes splitting the worker pool, and once consolidated onto a
 //! single packed chip serving the full pool
-//! ([`truenorth::serving::serve_packed_networks`]). Both cells serve the
+//! (`ServeRuntime::new` over both specs). Both cells serve the
 //! identical closed-loop workload at equal total worker threads; the
 //! packed runtime must win on aggregate req/s while each tenant's
 //! accuracy stays *exactly* equal to its solo run (responses are
@@ -73,7 +73,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use tn_learn::persist::save_network;
-use tn_telemetry::{JsonLinesSink, MetricsSink};
+use tn_telemetry::JsonLinesSink;
 use truenorth::prelude::*;
 
 const SEED: u64 = 77;
@@ -123,8 +123,8 @@ fn serve_cell(
         kernel_batch,
     } = point;
     // The production path: deploy a *persisted* model from disk.
-    let rt = serve_persisted(
-        path,
+    let rt = ServeRuntime::new(
+        load_spec(path)?,
         ServeConfig::builder(SEED)
             .replicas(replicas)
             .workers(workers)
@@ -133,6 +133,7 @@ fn serve_cell(
             .batch_max(32)
             .kernel_batch(kernel_batch)
             .build()?,
+        Arc::new(NullSink),
     )?;
     let n_test = data.test_y.len();
     let t0 = Instant::now();
@@ -252,10 +253,9 @@ fn gateway_cell(
         replicas,
         kernel_batch,
     } = point;
-    let net = tn_learn::persist::load_network(std::io::BufReader::new(File::open(path)?))?;
-    let gw = gateway_network(
+    let gw = Gateway::bind(
         "127.0.0.1:0",
-        &net,
+        load_spec(path)?,
         ServeConfig::builder(SEED)
             .replicas(replicas)
             .workers(workers)
@@ -265,6 +265,7 @@ fn gateway_cell(
             .kernel_batch(kernel_batch)
             .build()?,
         GatewayConfig::default(),
+        Arc::new(NullSink),
     )?;
     let mut client = HttpClient::connect(gw.local_addr())?;
     let n_test = data.test_y.len();
@@ -339,7 +340,7 @@ fn adaptive_spf_cell(
             ..ControllerConfig::default()
         });
     }
-    let rt = serve_persisted(path, builder.build()?)?;
+    let rt = ServeRuntime::new(load_spec(path)?, builder.build()?, Arc::new(NullSink))?;
     let n_test = data.test_y.len();
     let t0 = Instant::now();
     // The adaptive cell keeps submitting waves of `n_requests` until one
@@ -430,7 +431,9 @@ fn solo_split_run(
             let serve_cfg = cfg()?;
             let (net, data) = (nets[m], datasets[m]);
             drivers.push(scope.spawn(move || -> Result<(u64, f64), String> {
-                let rt = serve_network(net, serve_cfg).map_err(|e| e.to_string())?;
+                let spec = extract_spec(net).map_err(|e| e.to_string())?;
+                let rt = ServeRuntime::new(&spec, serve_cfg, Arc::new(NullSink))
+                    .map_err(|e| e.to_string())?;
                 let n_test = data.test_y.len();
                 // Request i of tenant m rides seq 2i + m on the packed
                 // runtime (submissions interleave tenants), so pin it here.
@@ -513,14 +516,11 @@ fn consolidation_sweep(
         });
     }
     let specs = [extract_spec(net_a)?, extract_spec(&net_b)?];
-    let rt = match trail {
-        Some(path) => serve_packed_specs_with_sink(
-            &specs,
-            builder.build()?,
-            Arc::new(JsonLinesSink::new(File::create(path)?)) as Arc<dyn MetricsSink>,
-        )?,
-        None => serve_packed_specs(&specs, builder.build()?)?,
+    let sink: Arc<dyn MetricsSink> = match trail {
+        Some(path) => Arc::new(JsonLinesSink::new(File::create(path)?)),
+        None => Arc::new(NullSink),
     };
+    let rt = ServeRuntime::new(&specs, builder.build()?, sink)?;
     let datasets = [data_a, &data_b];
     let t0 = Instant::now();
     let mut handles = Vec::with_capacity(total);
@@ -657,8 +657,8 @@ fn tier_cell(
     calib: &[(Vec<f32>, usize)],
 ) -> Result<TierCell, Box<dyn std::error::Error>> {
     let point = table.iter().find(|t| t.name == tier).expect("tier in table");
-    let rt = serve_persisted(
-        path,
+    let rt = ServeRuntime::new(
+        load_spec(path)?,
         ServeConfig::builder(SEED)
             .replicas(1)
             .workers(workers)
@@ -667,6 +667,7 @@ fn tier_cell(
             .kernel_batch(8)
             .tiers(table.to_vec())
             .build()?,
+        Arc::new(NullSink),
     )?;
     rt.calibrate_tiers(calib)?;
     let n_test = data.test_y.len();
@@ -809,7 +810,7 @@ fn tier_sweep(
                 ..TelemetryConfig::default()
             })
             .build()?;
-        let rt = serve_persisted_with_sink(path, cfg, sink as Arc<dyn MetricsSink>)?;
+        let rt = ServeRuntime::new(load_spec(path)?, cfg, sink)?;
         rt.calibrate_tiers(&calib)?;
         let names = ["fast", "certain", "guarded"];
         let n_test = data.test_y.len();
@@ -870,15 +871,11 @@ fn fleet_cell(
         })
         .build()?;
     let cfg = FleetConfig::new(serve_cfg);
-    let fleet = match trail {
-        Some(trail_path) => fleet_persisted_with_sink(
-            path,
-            shards,
-            cfg,
-            Arc::new(JsonLinesSink::new(File::create(trail_path)?)) as Arc<dyn MetricsSink>,
-        )?,
-        None => fleet_persisted(path, shards, cfg)?,
+    let sink: Arc<dyn MetricsSink> = match trail {
+        Some(trail_path) => Arc::new(JsonLinesSink::new(File::create(trail_path)?)),
+        None => Arc::new(NullSink),
     };
+    let fleet = LocalFleet::launch(load_spec(path)?, shards, cfg, sink)?;
     let n_test = data.test_y.len();
     let t0 = Instant::now();
     let handles: Vec<_> = (0..n_requests)
@@ -1011,7 +1008,7 @@ fn adaptive_run(
             ..TelemetryConfig::default()
         })
         .build()?;
-    let rt = serve_network_with_sink(net, cfg, sink as Arc<dyn MetricsSink>)?;
+    let rt = ServeRuntime::new(extract_spec(net)?, cfg, sink)?;
     let n_test = data.test_y.len();
     let t0 = Instant::now();
     let handles: Vec<_> = (0..n_requests)

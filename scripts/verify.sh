@@ -123,9 +123,10 @@ cargo run --release -q -p tn-telemetry --bin snapshot_check -- - --min 1 \
 echo "== benchmark harness: perfbench builds and its unit tests pass =="
 # perfbench is a workspace of its own that tier 1 never compiles; build
 # and unit-test it here so an API change in the serving crates cannot
-# break the benchmark harness unseen.
-cargo build --release --offline --manifest-path perfbench/Cargo.toml
-cargo test --offline -q --manifest-path perfbench/Cargo.toml
+# break the benchmark harness unseen. --locked: a crate-graph change must
+# fail here instead of silently rewriting the tracked perfbench/Cargo.lock.
+cargo build --release --locked --offline --manifest-path perfbench/Cargo.toml
+cargo test --locked --offline -q --manifest-path perfbench/Cargo.toml
 
 echo "== lint gate: clippy (warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings

@@ -85,7 +85,8 @@ fn identity_key(r: &Response) -> IdentityKey {
 
 /// Serve `n` requests on a solo runtime, in submission order.
 fn solo_answers(cfg: &ServeConfig, n: usize) -> Vec<Response> {
-    let rt = ServeRuntime::new(&fractional_spec(), cfg.clone()).expect("solo deploy");
+    let rt = ServeRuntime::new(fractional_spec(), cfg.clone(), Arc::new(NullSink))
+        .expect("solo deploy");
     let handles: Vec<_> = (0..n)
         .map(|i| {
             rt.submit(SubmitRequest::new(request_inputs(i)))
@@ -105,9 +106,10 @@ fn fleet_answers_are_bit_identical_to_solo_under_both_policies() {
     let solo = solo_answers(&serve_cfg(), 30);
     for policy in [DispatchPolicy::ConsistentHash, DispatchPolicy::LeastLoaded] {
         let fleet = LocalFleet::launch(
-            &fractional_spec(),
+            fractional_spec(),
             3,
             FleetConfig::new(serve_cfg()).policy(policy),
+            Arc::new(NullSink),
         )
         .expect("launch fleet");
         let handles: Vec<_> = (0..30)
@@ -172,9 +174,11 @@ fn fleet_rejects_mixed_fault_requests_with_the_solo_error() {
         .tier(QualityTier::new("certain", 3, 8))
         .build()
         .expect("valid config");
-    let solo = ServeRuntime::new(&fractional_spec(), cfg.clone()).expect("solo deploy");
+    let solo = ServeRuntime::new(fractional_spec(), cfg.clone(), Arc::new(NullSink))
+        .expect("solo deploy");
     let fleet =
-        LocalFleet::launch(&fractional_spec(), 2, FleetConfig::new(cfg)).expect("launch fleet");
+        LocalFleet::launch(fractional_spec(), 2, FleetConfig::new(cfg), Arc::new(NullSink))
+            .expect("launch fleet");
     let cases = [
         ("bad width + out-of-range input", SubmitRequest::new(vec![1.5])),
         (
@@ -216,7 +220,7 @@ fn fleet_rejects_mixed_fault_requests_with_the_solo_error() {
 
 #[test]
 fn packed_shards_answer_each_tenant_like_a_solo_runtime_at_the_same_seq() {
-    // Two packed two-tenant runtimes as fleet shards: the router pins
+    // A fleet of two packed two-tenant shards: the router pins
     // every seq, and each tenant answers fleet seq `s` exactly as a solo
     // runtime serving that spec alone answers `at_seq(s)` — whichever
     // shard the seq landed on.
@@ -229,18 +233,13 @@ fn packed_shards_answer_each_tenant_like_a_solo_runtime_at_the_same_seq() {
             vec![x, 1.0 - x, 0.5]
         }
     };
-    let mut shards = Vec::new();
-    let mut conns = Vec::new();
-    for _ in 0..2 {
-        let (shard_end, router_end) = duplex(256 * 1024);
-        shards.push(ShardServer::host_packed(&specs, serve_cfg(), shard_end).expect("host"));
-        conns.push(router_end);
-    }
-    let router = FleetRouter::connect(conns, FleetConfig::new(serve_cfg())).expect("connect");
-    assert!(router.shape().models.len() > 1);
+    let fleet = LocalFleet::launch(&specs, 2, FleetConfig::new(serve_cfg()), Arc::new(NullSink))
+        .expect("launch packed fleet");
+    assert_eq!(fleet.router().shape().models, vec![(2, 2), (3, 3)]);
     let handles: Vec<_> = (0..24u64)
         .map(|seq| {
-            router
+            fleet
+                .router()
                 .submit_request(SubmitRequest::new(frame(seq)).model((seq % 2) as usize))
                 .expect("fleet submit")
         })
@@ -249,15 +248,14 @@ fn packed_shards_answer_each_tenant_like_a_solo_runtime_at_the_same_seq() {
         .into_iter()
         .map(|h| h.wait().expect("fleet answer"))
         .collect();
-    router.begin_shutdown();
-    let per_shard: Vec<u64> = shards.into_iter().map(|s| s.join().submitted).collect();
-    router.finish();
+    let (_, shards) = fleet.shutdown();
+    let per_shard: Vec<u64> = shards.iter().map(|s| s.submitted).collect();
     assert!(
         per_shard.iter().all(|&n| n > 0),
         "a shard was starved: {per_shard:?}"
     );
     for (m, spec) in specs.iter().enumerate() {
-        let solo = ServeRuntime::new(spec, serve_cfg()).expect("solo deploy");
+        let solo = ServeRuntime::new(spec, serve_cfg(), Arc::new(NullSink)).expect("solo deploy");
         for r in got.iter().filter(|r| r.model() == m) {
             let want = solo
                 .classify(SubmitRequest::new(frame(r.seq)).at_seq(r.seq))
@@ -279,7 +277,8 @@ fn packed_shards_answer_each_tenant_like_a_solo_runtime_at_the_same_seq() {
 fn rolling_rescale_is_invisible_in_the_answer_stream() {
     // The reference: one runtime serving 20 requests at 3 replicas, then
     // 20 more after SetReplicas(5) lands between two consecutive seqs.
-    let rt = ServeRuntime::new(&fractional_spec(), serve_cfg()).expect("solo deploy");
+    let rt = ServeRuntime::new(fractional_spec(), serve_cfg(), Arc::new(NullSink))
+        .expect("solo deploy");
     let mut solo = Vec::new();
     for i in 0..20 {
         solo.push(
@@ -301,8 +300,13 @@ fn rolling_rescale_is_invisible_in_the_answer_stream() {
     }
     rt.shutdown();
 
-    let fleet = LocalFleet::launch(&fractional_spec(), 2, FleetConfig::new(serve_cfg()))
-        .expect("launch fleet");
+    let fleet = LocalFleet::launch(
+        fractional_spec(),
+        2,
+        FleetConfig::new(serve_cfg()),
+        Arc::new(NullSink),
+    )
+    .expect("launch fleet");
     let first: Vec<_> = (0..20)
         .map(|i| {
             fleet
@@ -357,11 +361,12 @@ fn stale_shard_is_quarantined_without_dropping_requests() {
         span_ring: 64,
     });
     let fleet = LocalFleet::launch(
-        &fractional_spec(),
+        fractional_spec(),
         2,
         FleetConfig::new(cfg.clone())
             .staleness(Duration::from_millis(50))
             .clock(Arc::clone(&clock) as Arc<_>),
+        Arc::new(NullSink),
     )
     .expect("launch fleet");
 
@@ -412,12 +417,13 @@ fn lost_shard_connection_reroutes_without_losing_answers() {
     let (shard1_end, router1_end) = duplex(256 * 1024);
     let cut_handle = router0_end.clone();
     let shard0 =
-        ShardServer::host(&fractional_spec(), serve_cfg(), shard0_end).expect("host shard 0");
+        ShardServer::host(fractional_spec(), serve_cfg(), shard0_end).expect("host shard 0");
     let shard1 =
-        ShardServer::host(&fractional_spec(), serve_cfg(), shard1_end).expect("host shard 1");
+        ShardServer::host(fractional_spec(), serve_cfg(), shard1_end).expect("host shard 1");
     let router = FleetRouter::connect(
         vec![router0_end, router1_end],
         FleetConfig::new(serve_cfg()).max_retries(3),
+        Arc::new(NullSink),
     )
     .expect("connect router");
 
@@ -468,8 +474,8 @@ fn aggregated_heartbeat_trail_is_a_valid_snapshot_stream() {
         span_ring: 64,
     });
     let sink = Arc::new(MemorySink::new());
-    let fleet = LocalFleet::launch_with_sink(
-        &fractional_spec(),
+    let fleet = LocalFleet::launch(
+        fractional_spec(),
         2,
         FleetConfig::new(cfg),
         Arc::clone(&sink) as Arc<_>,
@@ -520,7 +526,8 @@ fn router_joules_per_frame_equals_its_snapshot_value() {
         span_ring: 64,
     });
     let fleet =
-        LocalFleet::launch(&fractional_spec(), 2, FleetConfig::new(cfg)).expect("launch fleet");
+        LocalFleet::launch(fractional_spec(), 2, FleetConfig::new(cfg), Arc::new(NullSink))
+            .expect("launch fleet");
     let router = fleet.router();
     assert_eq!(router.joules_per_frame(), 0.0, "nothing served yet");
     for i in 0..12 {
@@ -552,8 +559,8 @@ fn gateway_serves_a_fleet_backend_over_tcp() {
         span_ring: 64,
     });
     let latest = Arc::new(LatestSink::tee(Arc::new(NullSink)));
-    let fleet = LocalFleet::launch_with_sink(
-        &fractional_spec(),
+    let fleet = LocalFleet::launch(
+        fractional_spec(),
         2,
         FleetConfig::new(cfg.clone()),
         Arc::clone(&latest) as Arc<_>,
@@ -647,8 +654,8 @@ fn fleet_shape_follows_the_shards_live_knobs() {
         .build()
         .expect("valid config");
     let latest = Arc::new(LatestSink::tee(Arc::new(NullSink)));
-    let fleet = LocalFleet::launch_with_sink(
-        &fractional_spec(),
+    let fleet = LocalFleet::launch(
+        fractional_spec(),
         2,
         FleetConfig::new(cfg),
         Arc::clone(&latest) as Arc<_>,

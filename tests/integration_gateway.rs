@@ -13,6 +13,7 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use tn_chip::nscs::{CoreDeploySpec, InputSource};
@@ -193,7 +194,14 @@ fn wire_classify_matches_in_process_runtime() {
             .build()
             .expect("cfg")
     };
-    let gw = Gateway::bind("127.0.0.1:0", &spec, cfg(), GatewayConfig::default()).expect("bind");
+    let gw = Gateway::bind(
+        "127.0.0.1:0",
+        &spec,
+        cfg(),
+        GatewayConfig::default(),
+        Arc::new(NullSink),
+    )
+    .expect("bind");
 
     let n = 12usize;
     let mut client = TcpStream::connect(gw.local_addr()).expect("connect");
@@ -207,7 +215,7 @@ fn wire_classify_matches_in_process_runtime() {
     let snap = gw.shutdown();
     assert_eq!(snap.completed, n as u64);
 
-    let rt = ServeRuntime::new(&spec, cfg()).expect("runtime");
+    let rt = ServeRuntime::new(&spec, cfg(), Arc::new(NullSink)).expect("runtime");
     for (i, resp) in wire.iter().enumerate() {
         assert_eq!(resp.status, 200, "request {i}: {}", resp.body);
         let v = resp.json();
@@ -239,7 +247,14 @@ fn wire_classify_matches_in_process_runtime() {
 fn line_json_mode_serves_the_same_payloads() {
     let spec = fractional_spec();
     let cfg = || ServeConfig::builder(31).workers(1).build().expect("cfg");
-    let gw = Gateway::bind("127.0.0.1:0", &spec, cfg(), GatewayConfig::default()).expect("bind");
+    let gw = Gateway::bind(
+        "127.0.0.1:0",
+        &spec,
+        cfg(),
+        GatewayConfig::default(),
+        Arc::new(NullSink),
+    )
+    .expect("bind");
 
     let client = TcpStream::connect(gw.local_addr()).expect("connect");
     let mut reader = BufReader::new(client.try_clone().expect("clone"));
@@ -257,7 +272,7 @@ fn line_json_mode_serves_the_same_payloads() {
     gw.shutdown();
 
     // Line 1: classify — identical to the in-process result for seq 0.
-    let rt = ServeRuntime::new(&spec, cfg()).expect("runtime");
+    let rt = ServeRuntime::new(&spec, cfg(), Arc::new(NullSink)).expect("runtime");
     let local = rt.classify(request_inputs(0)).expect("classify");
     rt.shutdown();
     assert_eq!(lines[0].get("seq").unwrap().as_u64(), Some(0));
@@ -295,7 +310,8 @@ fn line_mode_refuses_invalid_utf8_and_keeps_serving() {
     // the client never sent; the connection then serves the next line.
     let spec = fractional_spec();
     let cfg = ServeConfig::builder(31).workers(1).build().expect("cfg");
-    let gw = Gateway::bind("127.0.0.1:0", &spec, cfg, GatewayConfig::default()).expect("bind");
+    let gw = Gateway::bind("127.0.0.1:0", &spec, cfg, GatewayConfig::default(), Arc::new(NullSink))
+        .expect("bind");
 
     let client = TcpStream::connect(gw.local_addr()).expect("connect");
     let mut reader = BufReader::new(client.try_clone().expect("clone"));
@@ -336,7 +352,7 @@ fn saturation_sheds_load_with_503_and_retry_after() {
         max_in_flight_per_conn: 64,
         ..GatewayConfig::default()
     };
-    let gw = Gateway::bind("127.0.0.1:0", &spec, cfg, gw_cfg).expect("bind");
+    let gw = Gateway::bind("127.0.0.1:0", &spec, cfg, gw_cfg, Arc::new(NullSink)).expect("bind");
 
     let n = 24usize;
     let mut client = TcpStream::connect(gw.local_addr()).expect("connect");
@@ -377,7 +393,7 @@ fn saturation_sheds_load_with_503_and_retry_after() {
 #[test]
 fn graceful_drain_completes_admitted_requests_and_flushes_telemetry() {
     let spec = fractional_spec();
-    let sink = std::sync::Arc::new(MemorySink::new());
+    let sink = Arc::new(MemorySink::new());
     let cfg = ServeConfig::builder(9)
         .workers(1)
         .spf(512)
@@ -385,12 +401,12 @@ fn graceful_drain_completes_admitted_requests_and_flushes_telemetry() {
         .telemetry(TelemetryConfig::default())
         .build()
         .expect("cfg");
-    let gw = Gateway::bind_with_sink(
+    let gw = Gateway::bind(
         "127.0.0.1:0",
         &spec,
         cfg,
         GatewayConfig::default(),
-        std::sync::Arc::clone(&sink) as std::sync::Arc<dyn tn_telemetry::MetricsSink>,
+        Arc::clone(&sink) as Arc<dyn MetricsSink>,
     )
     .expect("bind");
     let addr = gw.local_addr();
@@ -443,6 +459,7 @@ fn snapshot_endpoint_serves_the_telemetry_trail() {
         &spec,
         ServeConfig::new(3),
         GatewayConfig::default(),
+        Arc::new(NullSink),
     )
     .expect("bind");
     let mut client = TcpStream::connect(gw.local_addr()).expect("connect");
@@ -470,7 +487,8 @@ fn snapshot_endpoint_serves_the_telemetry_trail() {
         })
         .build()
         .expect("cfg");
-    let gw = Gateway::bind("127.0.0.1:0", &spec, cfg, GatewayConfig::default()).expect("bind");
+    let gw = Gateway::bind("127.0.0.1:0", &spec, cfg, GatewayConfig::default(), Arc::new(NullSink))
+        .expect("bind");
     let mut client = TcpStream::connect(gw.local_addr()).expect("connect");
     client
         .write_all(&classify_request(&request_inputs(0)))
@@ -512,8 +530,14 @@ fn packed_gateway_routes_models_and_rejects_unknown_ids() {
             .build()
             .expect("cfg")
     };
-    let gw = Gateway::bind_packed("127.0.0.1:0", &specs, cfg(), GatewayConfig::default())
-        .expect("bind packed");
+    let gw = Gateway::bind(
+        "127.0.0.1:0",
+        &specs,
+        cfg(),
+        GatewayConfig::default(),
+        Arc::new(NullSink),
+    )
+    .expect("bind packed");
 
     let mut client = TcpStream::connect(gw.local_addr()).expect("connect");
     let frames_a: Vec<Vec<f32>> = (0..4).map(request_inputs).collect();
@@ -609,7 +633,8 @@ fn packed_gateway_routes_models_and_rejects_unknown_ids() {
     // match a single-model runtime's answer to `at_seq(s)` for the same
     // spec.
     for (model, frames) in [(0usize, &frames_a), (1usize, &frames_b)] {
-        let solo = ServeRuntime::new(&specs[model], cfg()).expect("solo deploy");
+        let solo =
+            ServeRuntime::new(&specs[model], cfg(), Arc::new(NullSink)).expect("solo deploy");
         for (k, frame) in frames.iter().enumerate() {
             let p = responses[2 * k + model].json();
             let seq = p.get("seq").and_then(JsonValue::as_u64).expect("seq");
@@ -645,7 +670,8 @@ fn tiered_gateway_serves_quality_keys_and_structured_errors() {
         .tier(QualityTier::new("certain", 4, 8))
         .build()
         .expect("cfg");
-    let gw = Gateway::bind("127.0.0.1:0", &spec, cfg, GatewayConfig::default()).expect("bind");
+    let gw = Gateway::bind("127.0.0.1:0", &spec, cfg, GatewayConfig::default(), Arc::new(NullSink))
+        .expect("bind");
     let mut client = TcpStream::connect(gw.local_addr()).expect("connect");
     let with_quality = |frame: &[f32], quality: &str| -> Vec<u8> {
         let nums: Vec<String> = frame.iter().map(|v| v.to_string()).collect();
@@ -767,6 +793,7 @@ fn http_errors_keep_the_connection_serving() {
         &spec,
         ServeConfig::new(7),
         GatewayConfig::default(),
+        Arc::new(NullSink),
     )
     .expect("bind");
     let mut client = TcpStream::connect(gw.local_addr()).expect("connect");
@@ -811,9 +838,10 @@ fn retired_class_field_is_refused_naming_quality() {
     // keeps serving.
     let gw = Gateway::bind(
         "127.0.0.1:0",
-        &fractional_spec(),
+        fractional_spec(),
         ServeConfig::new(7),
         GatewayConfig::default(),
+        Arc::new(NullSink),
     )
     .expect("bind");
     let mut client = TcpStream::connect(gw.local_addr()).expect("connect");
@@ -868,7 +896,8 @@ fn connection_cap_refuses_excess_sockets_until_a_slot_frees() {
         max_connections: 2,
         ..GatewayConfig::default()
     };
-    let gw = Gateway::bind("127.0.0.1:0", &spec, ServeConfig::new(3), gw_cfg).expect("bind");
+    let gw = Gateway::bind("127.0.0.1:0", &spec, ServeConfig::new(3), gw_cfg, Arc::new(NullSink))
+        .expect("bind");
     let addr = gw.local_addr();
 
     // Two open connections are both served.
@@ -937,7 +966,7 @@ fn in_flight_cap_bounds_a_pipelined_burst_without_reordering() {
         max_in_flight_per_conn: 2,
         ..GatewayConfig::default()
     };
-    let gw = Gateway::bind("127.0.0.1:0", &spec, cfg(), gw_cfg).expect("bind");
+    let gw = Gateway::bind("127.0.0.1:0", &spec, cfg(), gw_cfg, Arc::new(NullSink)).expect("bind");
     let addr = gw.local_addr();
 
     let n = 64usize;
@@ -959,7 +988,7 @@ fn in_flight_cap_bounds_a_pipelined_burst_without_reordering() {
     let snap = gw.shutdown();
     assert_eq!(snap.completed, n as u64);
 
-    let rt = ServeRuntime::new(&spec, cfg()).expect("runtime");
+    let rt = ServeRuntime::new(&spec, cfg(), Arc::new(NullSink)).expect("runtime");
     for (i, resp) in wire.iter().enumerate() {
         assert_eq!(resp.status, 200, "request {i}: {}", resp.body);
         let v = resp.json();

@@ -2,6 +2,7 @@
 //! equivalence with the offline deployment path, backpressure, and
 //! graceful drain — the `tn-serve` acceptance contract.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use tn_chip::nscs::{CoreDeploySpec, InputSource};
@@ -36,13 +37,14 @@ fn request_inputs(i: usize) -> Vec<f32> {
 fn serving_is_deterministic_across_worker_counts() {
     let serve_all = |workers: usize| -> Vec<(u64, usize, Vec<u64>)> {
         let rt = ServeRuntime::new(
-            &fractional_spec(),
+            fractional_spec(),
             ServeConfig::builder(17)
                 .replicas(3)
                 .workers(workers)
                 .batch_max(4)
                 .build()
                 .expect("cfg"),
+            Arc::new(NullSink),
         )
         .expect("runtime");
         let handles: Vec<_> = (0..48)
@@ -83,6 +85,7 @@ fn serving_matches_offline_deployment_bit_exactly() {
             .workers(3)
             .build()
             .expect("cfg"),
+        Arc::new(NullSink),
     )
     .expect("runtime");
     let mut offline = Deployment::build(&spec, replicas, seed).expect("deploy");
@@ -111,13 +114,14 @@ fn kernel_batch_is_invisible_in_results() {
     // lanes must not change a single response, at any fusion width.
     let serve_all = |kernel_batch: usize| -> Vec<(u64, usize, Vec<u64>, u64)> {
         let rt = ServeRuntime::new(
-            &fractional_spec(),
+            fractional_spec(),
             ServeConfig::builder(29)
                 .replicas(2)
                 .workers(2)
                 .kernel_batch(kernel_batch)
                 .build()
                 .expect("cfg"),
+            Arc::new(NullSink),
         )
         .expect("runtime");
         let handles: Vec<_> = (0..32)
@@ -144,7 +148,7 @@ fn kernel_batch_is_invisible_in_results() {
 fn reject_backpressure_bounds_queue_and_block_completes_all() {
     // Reject mode: a burst into a tiny queue with slow frames must shed.
     let rt = ServeRuntime::new(
-        &fractional_spec(),
+        fractional_spec(),
         ServeConfig::builder(5)
             .workers(1)
             .spf(512)
@@ -153,6 +157,7 @@ fn reject_backpressure_bounds_queue_and_block_completes_all() {
             .backpressure(Backpressure::Reject)
             .build()
             .expect("cfg"),
+        Arc::new(NullSink),
     )
     .expect("runtime");
     let outcomes: Vec<_> = (0..64).map(|i| rt.submit(request_inputs(i))).collect();
@@ -167,7 +172,7 @@ fn reject_backpressure_bounds_queue_and_block_completes_all() {
 
     // Block mode: same burst, nothing is lost.
     let rt = ServeRuntime::new(
-        &fractional_spec(),
+        fractional_spec(),
         ServeConfig::builder(5)
             .workers(2)
             .queue_capacity(2)
@@ -175,6 +180,7 @@ fn reject_backpressure_bounds_queue_and_block_completes_all() {
             .backpressure(Backpressure::Block)
             .build()
             .expect("cfg"),
+        Arc::new(NullSink),
     )
     .expect("runtime");
     let handles: Vec<_> = (0..64)
@@ -191,13 +197,14 @@ fn reject_backpressure_bounds_queue_and_block_completes_all() {
 #[test]
 fn shutdown_drains_every_inflight_request() {
     let rt = ServeRuntime::new(
-        &fractional_spec(),
+        fractional_spec(),
         ServeConfig::builder(9)
             .workers(1)
             .spf(64)
             .queue_capacity(128)
             .build()
             .expect("cfg"),
+        Arc::new(NullSink),
     )
     .expect("runtime");
     let handles: Vec<_> = (0..40)
@@ -223,7 +230,7 @@ fn wait_timeout_expires_under_a_saturated_queue_then_recovers() {
     // wait: at spf 512 the worker drained all 48 frames in under 3 ms,
     // within one scheduler slice on a loaded 2-vCPU host.
     let rt = ServeRuntime::new(
-        &fractional_spec(),
+        fractional_spec(),
         ServeConfig::builder(7)
             .workers(1)
             .spf(8192)
@@ -231,6 +238,7 @@ fn wait_timeout_expires_under_a_saturated_queue_then_recovers() {
             .batch_max(4)
             .build()
             .expect("cfg"),
+        Arc::new(NullSink),
     )
     .expect("runtime");
     let handles: Vec<_> = (0..48)
@@ -332,7 +340,8 @@ fn escalated_answers_are_bit_identical_to_direct_certain_submission() {
     type ServedAnswers = (Vec<(u64, usize, Vec<u64>)>, Vec<bool>);
     let spec = fractional_spec();
     let serve_all = |quality: &str| -> ServedAnswers {
-        let rt = ServeRuntime::new(&spec, always_escalating_cfg(61, 2)).expect("runtime");
+        let rt = ServeRuntime::new(&spec, always_escalating_cfg(61, 2), Arc::new(NullSink))
+            .expect("runtime");
         let handles: Vec<_> = (0..24)
             .map(|i| {
                 rt.submit(SubmitRequest::new(request_inputs(i)).quality(quality))
@@ -371,6 +380,7 @@ fn calibrated_confidence_is_monotone_in_vote_margin() {
             .tier(QualityTier::new("fast", 3, 4))
             .build()
             .expect("cfg"),
+        Arc::new(NullSink),
     )
     .expect("runtime");
     let calib: Vec<(Vec<f32>, usize)> = (0..48)
@@ -402,7 +412,7 @@ fn calibrated_confidence_is_monotone_in_vote_margin() {
 
 #[test]
 fn unknown_quality_is_rejected_with_the_tier_list() {
-    let rt = ServeRuntime::new(&fractional_spec(), always_escalating_cfg(71, 1))
+    let rt = ServeRuntime::new(fractional_spec(), always_escalating_cfg(71, 1), Arc::new(NullSink))
         .expect("runtime");
     match rt.submit(SubmitRequest::new(request_inputs(0)).quality("bogus")) {
         Err(ServeError::UnknownQuality { quality, tiers }) => {
@@ -427,13 +437,14 @@ fn trained_model_serves_with_vote_agreement_metrics() {
     let bench = TestBench::new(1, 41);
     let data = bench.load_data(&scale, 41);
     let model = train_model(&bench, &data, bench.biasing_penalty(), &scale, 41).expect("train");
-    let rt = serve_network(
-        &model.network,
+    let rt = ServeRuntime::new(
+        extract_spec(&model.network).expect("spec"),
         ServeConfig::builder(41)
             .replicas(2)
             .workers(2)
             .build()
             .expect("cfg"),
+        Arc::new(NullSink),
     )
     .expect("serve");
     let mut correct = 0usize;

@@ -56,7 +56,7 @@ fn jsonl_snapshot_trail_is_valid_and_ordered() {
         })
         .build()
         .expect("cfg");
-    let rt = serve_spec_with_sink(&spec, cfg, Arc::clone(&sink) as Arc<dyn MetricsSink>)
+    let rt = ServeRuntime::new(&spec, cfg, Arc::clone(&sink) as Arc<dyn MetricsSink>)
         .expect("serve");
     for i in 0..64 {
         rt.classify(frame(spec.n_inputs, i)).expect("serve");
@@ -107,7 +107,7 @@ fn rescaled_runtime_serves_like_a_fresh_one() {
             .build()
             .expect("cfg")
     };
-    let scaled = serve_spec(&spec, cfg(1)).expect("serve");
+    let scaled = ServeRuntime::new(&spec, cfg(1), Arc::new(NullSink)).expect("serve");
     scaled
         .apply_control(&ControlAction::SetReplicas(4))
         .expect("rescale");
@@ -115,7 +115,7 @@ fn rescaled_runtime_serves_like_a_fresh_one() {
     let got = serve_all(&scaled);
     scaled.shutdown();
 
-    let fresh = serve_spec(&spec, cfg(4)).expect("serve");
+    let fresh = ServeRuntime::new(&spec, cfg(4), Arc::new(NullSink)).expect("serve");
     let want = serve_all(&fresh);
     fresh.shutdown();
     assert_eq!(got, want);
@@ -164,7 +164,7 @@ fn rescale_stays_bit_identical_with_spf_actuator_enabled() {
         rt.apply_control(&ControlAction::SetSpf(4))
             .expect("default set spf");
     };
-    let scaled = serve_spec(&spec, cfg(1)).expect("serve");
+    let scaled = ServeRuntime::new(&spec, cfg(1), Arc::new(NullSink)).expect("serve");
     scaled
         .apply_control(&ControlAction::SetReplicas(4))
         .expect("rescale");
@@ -173,7 +173,7 @@ fn rescale_stays_bit_identical_with_spf_actuator_enabled() {
     let got = serve_all(&scaled);
     scaled.shutdown();
 
-    let fresh = serve_spec(&spec, cfg(4)).expect("serve");
+    let fresh = ServeRuntime::new(&spec, cfg(4), Arc::new(NullSink)).expect("serve");
     actuate(&fresh);
     let want = serve_all(&fresh);
     fresh.shutdown();
@@ -213,7 +213,7 @@ fn controller_widens_kernel_batch_under_sustained_backlog() {
         })
         .build()
         .expect("cfg");
-    let rt = serve_spec(&spec, cfg).expect("serve");
+    let rt = ServeRuntime::new(&spec, cfg, Arc::new(NullSink)).expect("serve");
     rt.apply_control(&ControlAction::SetKernelBatch(1))
         .expect("start narrow");
     let handles: Vec<_> = (0..256)
