@@ -317,7 +317,8 @@ fn pack_spec(n_inputs: usize, n_classes: usize) -> NetworkDeploySpec {
 /// single thread — the cell pins down what the shared pass itself costs or
 /// saves; the consolidation *win* shows up at serving scale, where packed
 /// tenants share worker threads and per-pass scheduling — see
-/// `consolidation_cells` in `serve_throughput --packed`.
+/// `consolidation_cells` in `BENCH_serve.json` and the packed-beats-split
+/// check in `serve_smoke`.
 fn bench_pack(ticks: usize) -> Vec<Cell> {
     const LANES: usize = 8; // frames per model per call
     const SPF: usize = 8;

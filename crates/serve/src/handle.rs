@@ -175,7 +175,17 @@ pub struct RequestHandle {
 /// so remote and in-process submissions are awaited identically.
 #[derive(Debug)]
 pub struct Completer {
-    cell: Arc<Cell>,
+    /// `None` once [`Completer::complete`] has filled the cell, so `Drop`
+    /// leaves it alone.
+    cell: Option<Arc<Cell>>,
+}
+
+impl Cell {
+    /// Store `result` and wake every waiter.
+    fn fill(&self, result: Result<Response, ServeError>) {
+        *self.slot.lock().expect("handle lock") = Some(result);
+        self.done.notify_all();
+    }
 }
 
 /// Create a connected handle/completer pair for submission `seq`.
@@ -189,7 +199,7 @@ pub(crate) fn pair(seq: u64) -> (RequestHandle, Completer) {
             cell: Arc::clone(&cell),
             seq,
         },
-        Completer { cell },
+        Completer { cell: Some(cell) },
     )
 }
 
@@ -276,11 +286,12 @@ impl RequestHandle {
 }
 
 impl Completer {
-    /// Fulfil the paired handle (idempotence is unreachable by
-    /// construction; a second call would simply overwrite).
-    pub fn complete(self, result: Result<Response, ServeError>) {
-        *self.cell.slot.lock().expect("handle lock") = Some(result);
-        self.cell.done.notify_all();
+    /// Fulfil the paired handle: one lock and one wake-up (it consumes
+    /// the completer, so it runs at most once).
+    pub fn complete(mut self, result: Result<Response, ServeError>) {
+        if let Some(cell) = self.cell.take() {
+            cell.fill(result);
+        }
     }
 }
 
@@ -288,14 +299,11 @@ impl Drop for Completer {
     fn drop(&mut self) {
         // A completer dropped unfulfilled means the runtime is going away
         // without serving this request; store ShuttingDown so the waiter
-        // gets a definite answer instead of hanging. `complete` also lands
-        // here (it consumed self), so leave a fulfilled cell untouched.
-        let mut slot = self.cell.slot.lock().expect("handle lock");
-        if slot.is_none() {
-            *slot = Some(Err(ServeError::ShuttingDown));
+        // gets a definite answer instead of hanging. After `complete` the
+        // cell is already taken and there is nothing to do.
+        if let Some(cell) = self.cell.take() {
+            cell.fill(Err(ServeError::ShuttingDown));
         }
-        drop(slot);
-        self.cell.done.notify_all();
     }
 }
 

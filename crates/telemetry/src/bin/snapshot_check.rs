@@ -14,7 +14,7 @@
 //! tiers' `serve.tier.{t}.*` families, each internally consistent
 //! (escalated ≤ completed ≤ submitted, a `serve.tier.{t}.spf` gauge
 //! ≥ 1) and jointly bounded by the global serve totals. Used by
-//! `scripts/verify.sh` to smoke-test `serve_throughput --telemetry`.
+//! `scripts/verify.sh` to validate the trails `serve_smoke` writes.
 //!
 //! Usage: `snapshot_check <file.jsonl> [--min N] [--require-sparsity]
 //! [--models N] [--tiers N]` (pass `-` to read stdin). Exits non-zero

@@ -128,8 +128,10 @@ fn fleet_answers_are_bit_identical_to_solo_under_both_policies() {
                 "{policy:?} diverged from solo at seq {i}"
             );
         }
-        // The work was actually spread: every shard saw submissions.
-        let (_, shard_metrics) = fleet.shutdown();
+        // The drain served every admitted request, and the work was
+        // actually spread: every shard saw submissions.
+        let (router_metrics, shard_metrics) = fleet.shutdown();
+        assert_eq!(router_metrics.completed, 30, "{policy:?}: drain lost requests");
         let per_shard: Vec<u64> = shard_metrics.iter().map(|m| m.submitted).collect();
         assert_eq!(per_shard.iter().sum::<u64>(), 30, "{policy:?}: {per_shard:?}");
         assert!(

@@ -117,7 +117,7 @@ fn data_digest(n: usize, seed: u64) -> u64 {
     h.0
 }
 
-/// `serve_throughput`'s and perfbench's training split (1200 digits at
+/// `serve_smoke`'s and perfbench's training split (1200 digits at
 /// seed 77) and the test split drawn from its seed (`TestBench::load_data`
 /// offsets the seed by `0x7E57`).
 #[test]

@@ -1,6 +1,7 @@
 //! Serving-runtime integration: determinism across worker counts,
-//! equivalence with the offline deployment path, backpressure, and
-//! graceful drain — the `tn-serve` acceptance contract.
+//! equivalence with the offline deployment path, backpressure, graceful
+//! drain, and the energy ordering of operating points — the `tn-serve`
+//! acceptance contract.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -364,6 +365,66 @@ fn escalated_answers_are_bit_identical_to_direct_certain_submission() {
     assert_eq!(via_escalation, direct, "escalated answers must be bit-identical");
     assert!(escalated.iter().all(|&e| e), "every fast answer must escalate");
     assert!(direct_escalated.iter().all(|&e| !e), "direct answers never escalate");
+}
+
+#[test]
+fn cheaper_operating_points_cost_fewer_joules_per_frame() {
+    // The energy side of the copies×spf trade, read from the chip
+    // counters alone (so exact, not timed): the same stream costs fewer
+    // joules per frame on the fast tier than on certain, and fewer on a
+    // default set whose spf the controller's actuator lowered than on
+    // one left at its configured spf.
+    let spec = fractional_spec();
+    let joules_per_frame = |rt: ServeRuntime, quality: Option<&str>| -> f64 {
+        let handles: Vec<_> = (0..24)
+            .map(|i| {
+                let request = SubmitRequest::new(request_inputs(i));
+                let request = match quality {
+                    Some(q) => request.quality(q),
+                    None => request,
+                };
+                rt.submit(request).expect("submit")
+            })
+            .collect();
+        for h in handles {
+            h.wait().expect("serve");
+        }
+        rt.shutdown().joules_per_frame()
+    };
+    let tiered = || {
+        let cfg = ServeConfig::builder(83)
+            .workers(2)
+            .tier(QualityTier::new("fast", 1, 2))
+            .tier(QualityTier::new("certain", 4, 8))
+            .build()
+            .expect("cfg");
+        ServeRuntime::new(&spec, cfg, Arc::new(NullSink)).expect("runtime")
+    };
+    let fast = joules_per_frame(tiered(), Some("fast"));
+    let certain = joules_per_frame(tiered(), Some("certain"));
+    assert!(fast < certain, "fast {fast:.3e} J/frame, certain {certain:.3e}");
+
+    let at_spf = |lowered: bool| {
+        let controller = ControllerConfig {
+            sample_interval: Duration::from_secs(3600),
+            spf_range: Some(SpfRange::new(4, 8)),
+            ..ControllerConfig::default()
+        };
+        let cfg = ServeConfig::builder(83)
+            .replicas(2)
+            .workers(2)
+            .spf(8)
+            .controller(controller)
+            .build()
+            .expect("cfg");
+        let rt = ServeRuntime::new(&spec, cfg, Arc::new(NullSink)).expect("runtime");
+        if lowered {
+            rt.apply_control(&ControlAction::SetSpf(4)).expect("set spf");
+        }
+        joules_per_frame(rt, None)
+    };
+    let (lowered, fixed) = (at_spf(true), at_spf(false));
+    assert!(lowered < fixed, "spf 4: {lowered:.3e} J/frame, spf 8: {fixed:.3e}");
 }
 
 #[test]

@@ -44,7 +44,7 @@ fn frame(n_inputs: usize, salt: usize) -> Vec<f32> {
 fn jsonl_snapshot_trail_is_valid_and_ordered() {
     // Serve through a JsonLinesSink writing into memory, then re-parse
     // every line with the strict validator — the same check
-    // `snapshot_check` applies to `serve_throughput --telemetry` output.
+    // `snapshot_check` applies to `serve_smoke`'s trails.
     let spec = fractional_spec();
     let sink = Arc::new(JsonLinesSink::new(Vec::<u8>::new()));
     let cfg = ServeConfig::builder(31)
