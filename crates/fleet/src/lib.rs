@@ -17,7 +17,7 @@
 //!                       │  · consistent-hash /      │
 //!                       │    least-loaded dispatch  │
 //!                       │  · health by heartbeat    │
-//!                       │  · rolling rescale        │
+//!                       │  · rescale barrier        │
 //!                       └──┬─────────┬──────────┬───┘
 //!                 framed   │         │          │   [kind u8][len u32][payload]
 //!                 streams  ▼         ▼          ▼
@@ -40,13 +40,14 @@
 //!   and pins each request's seq via [`tn_serve::SubmitRequest::at_seq`];
 //!   a response is a pure function of `(seed, seq, spf)`, so shard
 //!   choice, re-routing, fleet width, and [`FleetRouter::set_replicas`]
-//!   rolling rescales are invisible in the answer stream.
+//!   rescales are invisible in the answer stream: a rescale closes an
+//!   admission gate, drains the fleet, swaps every shard and reopens.
 //! * **Transports**: anything [`Transport`] — `TcpStream` for
 //!   multi-process fleets, [`tn_serve::pipe::duplex`] for the
 //!   deterministic in-process [`LocalFleet`] harness.
 //!
 //! See `docs/FLEET.md` for the protocol reference, health rules, and
-//! the rolling-rescale bit-identity contract.
+//! the rescale bit-identity contract.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

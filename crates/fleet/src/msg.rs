@@ -427,8 +427,8 @@ pub fn parse_err(text: &str) -> Result<(u64, ServeError), String> {
 /// A router → shard control action.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Ctrl {
-    /// Rebuild the shard's replica set at this count (the fleet's
-    /// rolling-rescale step; maps to
+    /// Rebuild the shard's replica set at this count (the fleet
+    /// rescale's swap step; maps to
     /// `ServeRuntime::apply_control(SetReplicas)`).
     SetReplicas(usize),
     /// Stop accepting requests, drain, and close the connection.

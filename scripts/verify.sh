@@ -7,15 +7,24 @@ cd "$(dirname "$0")/.."
 echo "== tier 1: release build =="
 cargo build --release
 
-echo "== gateway: wire contract and bounded drain, under a time limit =="
-# Runs before tier 1 so that a gateway drain that hangs fails the gate
-# with a message instead of stalling it. The build is outside the limit.
-cargo test -q -p truenorth --test integration_gateway --no-run
-cargo test -q -p tn-gateway --test bounded_shutdown --no-run
-for suite in "-p truenorth --test integration_gateway" "-p tn-gateway --test bounded_shutdown"; do
+echo "== gateway and fleet: wire contract and bounded drains, under a time limit =="
+# Runs before tier 1 so that a gateway drain or a fleet rescale barrier
+# that hangs (a lost wake-up) fails the gate with a message instead of
+# stalling it. The builds are outside the limit.
+SUITES=(
+  "-p truenorth --test integration_gateway"
+  "-p tn-gateway --test bounded_shutdown"
+  "-p truenorth --test integration_fleet"
+  "-p tn-fleet --lib"
+)
+for suite in "${SUITES[@]}"; do
+  # shellcheck disable=SC2086 # $suite is a list of cargo arguments
+  cargo test -q $suite --no-run
+done
+for suite in "${SUITES[@]}"; do
   # shellcheck disable=SC2086 # $suite is a list of cargo arguments
   if ! timeout 300 cargo test -q $suite; then
-    echo "FAIL: cargo test $suite failed or ran past 300 s (a hung gateway drain?)" >&2
+    echo "FAIL: cargo test $suite failed or ran past 300 s (a hung drain?)" >&2
     exit 1
   fi
 done

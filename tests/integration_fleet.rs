@@ -3,7 +3,7 @@
 //! * a sharded fleet's answer stream is **bit-identical** to a solo
 //!   runtime for the same `(seed, seq, spf)`, under both dispatch
 //!   policies;
-//! * a rolling rescale ([`FleetRouter::set_replicas`]) preserves that
+//! * a rescale ([`FleetRouter::set_replicas`]) preserves that
 //!   bit-identity: the fleet behaves exactly like one runtime applying
 //!   [`ControlAction::SetReplicas`] between two consecutive seqs;
 //! * a shard that stops emitting `tn-telemetry/1` heartbeats goes
@@ -326,6 +326,8 @@ fn rolling_rescale_is_invisible_in_the_answer_stream() {
     assert_eq!(fleet.router().metrics().energy.cores, 6, "pre-roll powered cores");
     fleet.router().set_replicas(5).expect("rolling rescale");
     assert_eq!(fleet.router().shape().replicas, 5, "post-roll replica gauge");
+    // Each shard powers 1 core/replica × 5 replicas after the roll.
+    assert_eq!(fleet.router().shape().cores, 5, "post-roll per-shard cores");
     // The per-shard core gauge tracked the roll: attribution follows the
     // shards' *current* deployment, not their connect-time Hello.
     assert_eq!(fleet.router().metrics().energy.cores, 10, "post-roll powered cores");
