@@ -84,6 +84,21 @@ impl EnergyReport {
     }
 }
 
+/// Reports of separately powered chips as one: counters, cores, seconds
+/// and joules add, so the sum's `total_joules` is the sum of theirs.
+impl std::iter::Sum for EnergyReport {
+    fn sum<I: Iterator<Item = Self>>(reports: I) -> Self {
+        reports.fold(Self::from_counters(0, 0, 0), |a, b| Self {
+            synaptic_ops: a.synaptic_ops + b.synaptic_ops,
+            ticks: a.ticks + b.ticks,
+            cores: a.cores + b.cores,
+            active_joules: a.active_joules + b.active_joules,
+            static_joules: a.static_joules + b.static_joules,
+            seconds: a.seconds + b.seconds,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,6 +119,20 @@ mod tests {
         assert!(r.static_joules > 0.0);
         assert!((r.total_joules() - (r.active_joules + r.static_joules)).abs() < 1e-18);
         assert!((r.sops_per_second() - 1e7).abs() < 1.0);
+    }
+
+    #[test]
+    fn summed_reports_add_their_joules() {
+        let parts = [
+            EnergyReport::from_counters(1_000, 40, 3),
+            EnergyReport::from_counters(500, 24, 5),
+        ];
+        let sum: EnergyReport = parts.iter().copied().sum();
+        assert_eq!((sum.synaptic_ops, sum.ticks, sum.cores), (1_500, 64, 8));
+        let total = parts[0].total_joules() + parts[1].total_joules();
+        assert!((sum.total_joules() - total).abs() <= 1e-15 * total);
+        // Not one chip of 8 cores running all 64 ticks.
+        assert!(sum.total_joules() < EnergyReport::from_counters(1_500, 64, 8).total_joules());
     }
 
     #[test]

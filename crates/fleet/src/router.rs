@@ -158,6 +158,24 @@ struct Pending {
     start_ns: u64,
 }
 
+/// What the router keeps of a shard's heartbeats, parsed once as each
+/// one lands: the counters the fleet's metrics sum, and the cores the
+/// shard keeps powered.
+#[derive(Debug, Clone, Copy, Default)]
+struct Beat {
+    chip: ChipCounterExport,
+    batches: u64,
+    kernel_batches: u64,
+    /// `serve.ticks`: the ticks the shard's served frames took.
+    ticks: u64,
+    /// Live chip cores. Seeded from the connect-time Hello, then
+    /// overwritten by every heartbeat's `serve.cores` gauge and by a
+    /// successful rescale (cores scale with replicas), so energy
+    /// attribution follows the fleet through rescales even on shards
+    /// running without telemetry.
+    cores: usize,
+}
+
 struct Shard {
     writer: Mutex<Box<dyn Write + Send>>,
     pending: Mutex<HashMap<u64, Pending>>,
@@ -170,13 +188,6 @@ struct Shard {
     fresh: FreshnessTracker,
     /// Latest `serve.queue_fill` gauge (f64 bits) from heartbeats.
     queue_fill: AtomicU64,
-    /// Live chip cores this shard keeps powered. Seeded from the
-    /// connect-time Hello, then tracked: every heartbeat's
-    /// `serve.cores` gauge overwrites it, and a successful rescale
-    /// refreshes it arithmetically (cores scale with replicas), so energy
-    /// attribution follows the fleet through rescales even on shards
-    /// running without telemetry.
-    cores: AtomicUsize,
     /// Live fusion width this shard reported: seeded from the Hello,
     /// overwritten by every heartbeat's `serve.kernel_batch` gauge (each
     /// shard's own controller moves it).
@@ -186,7 +197,7 @@ struct Shard {
     spf: AtomicUsize,
     /// Router-side accepted-not-answered count (live, unlike the gauge).
     in_flight: AtomicU64,
-    latest: Mutex<Option<Arc<Snapshot>>>,
+    beat: Mutex<Beat>,
     ack: Mutex<Option<Ack>>,
     ack_cv: Condvar,
     /// Rendezvous-hash salt (a pure function of the shard index, so
@@ -316,11 +327,13 @@ impl FleetRouter {
                 failed: AtomicBool::new(false),
                 fresh: FreshnessTracker::new(max_age_ns, now),
                 queue_fill: AtomicU64::new(0f64.to_bits()),
-                cores: AtomicUsize::new(shard_cores),
                 kernel_batch: AtomicUsize::new(kernel_batch),
                 spf: AtomicUsize::new(spf),
                 in_flight: AtomicU64::new(0),
-                latest: Mutex::new(None),
+                beat: Mutex::new(Beat {
+                    cores: shard_cores,
+                    ..Beat::default()
+                }),
                 ack: Mutex::new(None),
                 ack_cv: Condvar::new(),
                 salt: splitmix64(i as u64 + 1),
@@ -553,17 +566,24 @@ impl Inner {
                 .filter(|v| v.is_finite() && **v >= 0.0)
                 .map(|v| *v as usize)
         };
-        if let Some(cores) = gauge("serve.cores") {
-            shard.cores.store(cores, Ordering::Relaxed);
-        }
         if let Some(kb) = gauge("serve.kernel_batch").filter(|&kb| kb >= 1) {
             shard.kernel_batch.store(kb, Ordering::Relaxed);
         }
         if let Some(spf) = gauge("serve.spf").filter(|&spf| spf >= 1) {
             shard.spf.store(spf, Ordering::Relaxed);
         }
+        let counter = |key: &str| snap.counters.get(key).copied().unwrap_or(0);
+        {
+            let mut beat = shard.beat.lock().expect("beat lock");
+            *beat = Beat {
+                chip: ChipCounterExport::from_fn(counter),
+                batches: counter("serve.batches"),
+                kernel_batches: counter("serve.kernel_batches"),
+                ticks: counter("serve.ticks"),
+                cores: gauge("serve.cores").unwrap_or(beat.cores),
+            };
+        }
         self.sink.export(&snap);
-        *shard.latest.lock().expect("latest lock") = Some(Arc::new(snap));
     }
 
     fn on_disconnect(&self, idx: usize) {
@@ -816,7 +836,7 @@ impl Inner {
                     // telemetry; the next heartbeat's `serve.cores` gauge
                     // confirms it.
                     if let Some(per_replica) = self.shape.cores.checked_div(self.shape.replicas) {
-                        shard.cores.store(per_replica * replicas, Ordering::Relaxed);
+                        shard.beat.lock().expect("beat lock").cores = per_replica * replicas;
                     }
                     rescaled.push(i);
                 }
@@ -842,22 +862,29 @@ impl Inner {
             .sum()
     }
 
-    /// A counter summer over every shard's most recent heartbeat, each
-    /// read once here: all the sums one summer returns come from the same
-    /// heartbeats, so a heartbeat landing mid-assembly cannot mix two of a
-    /// shard's snapshots into one set of totals.
-    fn counter_folder(&self) -> impl Fn(&str) -> u64 {
-        let beats: Vec<Arc<Snapshot>> = self
-            .shards
-            .iter()
-            .filter_map(|s| s.latest.lock().expect("latest lock").clone())
-            .collect();
-        move |name| {
-            beats
-                .iter()
-                .map(|snap| snap.counters.get(name).copied().unwrap_or(0))
-                .sum()
+    /// Every shard's latest beat, each read once, summed: all the totals
+    /// one call returns come from the same heartbeats, so a heartbeat
+    /// landing mid-assembly cannot mix two of a shard's snapshots into
+    /// one set of totals. The energy is the sum of each shard's own,
+    /// computed as its runtime computes it ([`MetricsSnapshot::energy`]),
+    /// except that a shard whose connection failed powers no cores.
+    /// Shards that closed during an orderly shutdown still count: a
+    /// snapshot attributes the fleet they formed.
+    fn fold_beats(&self) -> (Beat, EnergyReport) {
+        let mut sum = Beat::default();
+        let mut energies = Vec::with_capacity(self.shards.len());
+        for shard in &self.shards {
+            let beat = *shard.beat.lock().expect("beat lock");
+            sum.chip.accumulate(&beat.chip);
+            sum.batches += beat.batches;
+            sum.kernel_batches += beat.kernel_batches;
+            sum.ticks += beat.ticks;
+            let cores = if shard.failed.load(Ordering::Relaxed) { 0 } else { beat.cores };
+            energies.push(EnergyReport::from_counters(beat.chip.synaptic_ops, beat.ticks, cores));
         }
+        let energy: EnergyReport = energies.into_iter().sum();
+        sum.cores = energy.cores;
+        (sum, energy)
     }
 
     fn assemble_metrics(&self) -> MetricsSnapshot {
@@ -869,17 +896,16 @@ impl Inner {
             .saturating_sub(self.started_ns)
             .max(1);
         let elapsed = Duration::from_nanos(elapsed_ns);
-        let fold = self.counter_folder();
-        let chip = ChipCounterExport::from_fn(&fold);
+        let (sum, energy) = self.fold_beats();
         let [p50_latency, p90_latency, p99_latency] = self.latency.quantiles([0.50, 0.90, 0.99]);
         MetricsSnapshot {
             submitted: self.submitted.load(Ordering::Relaxed),
             completed,
             rejected: self.rejected.load(Ordering::Relaxed),
             queue_depth: self.total_in_flight() as usize,
-            batches: fold("serve.batches"),
-            kernel_batches: fold("serve.kernel_batches"),
-            ticks: fold("serve.ticks"),
+            batches: sum.batches,
+            kernel_batches: sum.kernel_batches,
+            ticks: sum.ticks,
             // Worker identity is shard-local; per-worker tallies do not
             // aggregate meaningfully across a fleet.
             per_worker_frames: Vec::new(),
@@ -896,33 +922,16 @@ impl Inner {
                 (self.agreement_micros.load(Ordering::Relaxed) as f64 / 1e6 / completed as f64)
                     as f32
             },
-            energy: EnergyReport::from_counters(chip.synaptic_ops, chip.ticks, self.fleet_cores()),
-            chip,
+            energy,
+            chip: sum.chip,
         }
     }
 
-    /// Static power scales with every core the fleet keeps powered: the
-    /// live per-shard counts (heartbeat `serve.cores` gauges, refreshed
-    /// through rescales), skipping shards whose connections
-    /// failed — a dead shard powers nothing. Shards that closed during an
-    /// orderly shutdown still count: a snapshot attributes the fleet they
-    /// formed.
-    fn fleet_cores(&self) -> usize {
-        self.shards
-            .iter()
-            .filter(|s| !s.failed.load(Ordering::Relaxed))
-            .map(|s| s.cores.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// `assemble_metrics().joules_per_frame()`, from the two chip
-    /// counters and the core count it depends on.
+    /// `assemble_metrics().joules_per_frame()`, without the latency
+    /// quantiles.
     fn joules_per_frame(&self) -> f64 {
         let completed = self.completed.load(Ordering::Relaxed);
-        let chip = ChipCounterExport::from_fn(self.counter_folder());
-        let energy =
-            EnergyReport::from_counters(chip.synaptic_ops, chip.ticks, self.fleet_cores());
-        tn_serve::joules_per_frame(&energy, completed)
+        tn_serve::joules_per_frame(&self.fold_beats().1, completed)
     }
 
     fn submit(&self, request: SubmitRequest) -> Result<RequestHandle, ServeError> {
@@ -1008,20 +1017,26 @@ impl ServeBackend for FleetRouter {
     /// connected each falls back to its connect-time value.
     fn shape(&self) -> ServeShape {
         let inner = &self.inner;
-        let live = |knob: fn(&Shard) -> &AtomicUsize, connect_time: usize| {
+        let live = |knob: fn(&Shard) -> usize, connect_time: usize| {
             inner
                 .shards
                 .iter()
                 .filter(|s| s.alive.load(Ordering::Relaxed))
-                .map(|s| knob(s).load(Ordering::Relaxed))
+                .map(knob)
                 .max()
                 .unwrap_or(connect_time)
         };
         ServeShape {
             replicas: inner.live_replicas.load(Ordering::Relaxed),
-            cores: live(|s| &s.cores, inner.shape.cores),
-            kernel_batch: live(|s| &s.kernel_batch, inner.shape.kernel_batch),
-            spf: live(|s| &s.spf, inner.shape.spf),
+            cores: live(
+                |s| s.beat.lock().expect("beat lock").cores,
+                inner.shape.cores,
+            ),
+            kernel_batch: live(
+                |s| s.kernel_batch.load(Ordering::Relaxed),
+                inner.shape.kernel_batch,
+            ),
+            spf: live(|s| s.spf.load(Ordering::Relaxed), inner.shape.spf),
             ..inner.shape.clone()
         }
     }
@@ -1373,12 +1388,14 @@ mod tests {
         let (mut fake_end, router0_end) = scripted_pipe(&tiny_hello());
         let (shard1_end, router1_end) = duplex(256 * 1024);
         let shard1 = ShardServer::host(&spec, cfg.clone(), shard1_end).expect("host shard 1");
-        let router = FleetRouter::connect(
-            vec![router0_end, router1_end],
-            FleetConfig::new(cfg).max_retries(3),
-            Arc::new(NullSink),
-        )
-        .expect("connect");
+        let router = Arc::new(
+            FleetRouter::connect(
+                vec![router0_end, router1_end],
+                FleetConfig::new(cfg).max_retries(3),
+                Arc::new(NullSink),
+            )
+            .expect("connect"),
+        );
 
         // Pin both requests onto shard 0: they are its in-flight set.
         let h1 = router
@@ -1443,40 +1460,43 @@ mod tests {
             }
         });
 
-        std::thread::scope(|scope| {
-            // The rescale: it must drain the fleet (both pinned requests
-            // pending on shard 0) before any shard rescales.
-            let roll = scope.spawn(|| router.set_replicas(3));
-            // Give the rescale time to enter its drain, so the QueueFull
-            // is (with overwhelming likelihood) handled by shard 0's
-            // reader *mid-rescale, before any swap* — the interleaving
-            // that once deadlocked: the reader's retry dispatch blocked
-            // on the rescale barrier, the Resp for s2 was never read,
-            // and the drain never finished.
-            std::thread::sleep(Duration::from_millis(50));
-            release_tx.send(()).expect("release fake shard");
+        // The rescale: it must drain the fleet (both pinned requests
+        // pending on shard 0) before any shard rescales. A detached
+        // thread, not a scoped one: if the deadlock returns, the waits
+        // below fail the test and nothing joins the stuck rescale.
+        let roll = {
+            let router = Arc::clone(&router);
+            std::thread::spawn(move || router.set_replicas(3))
+        };
+        // Give the rescale time to enter its drain, so the QueueFull is
+        // (with overwhelming likelihood) handled by shard 0's reader
+        // *mid-rescale, before any swap* — the interleaving that once
+        // deadlocked: the reader's retry dispatch blocked on the rescale
+        // barrier, the Resp for s2 was never read, and the drain never
+        // finished.
+        std::thread::sleep(Duration::from_millis(50));
+        release_tx.send(()).expect("release fake shard");
 
-            assert_eq!(
-                h1.wait_timeout(Duration::from_secs(20))
-                    .expect("s1 completes — no deadlock")
-                    .seq,
-                s1
-            );
-            assert_eq!(
-                h2.wait_timeout(Duration::from_secs(20))
-                    .expect("s2 completes — no deadlock")
-                    .seq,
-                s2
-            );
-            roll.join()
-                .expect("roll thread")
-                .expect("rolling rescale succeeds");
-        });
+        assert_eq!(
+            h1.wait_timeout(Duration::from_secs(20))
+                .expect("s1 completes — no deadlock")
+                .seq,
+            s1
+        );
+        assert_eq!(
+            h2.wait_timeout(Duration::from_secs(20))
+                .expect("s2 completes — no deadlock")
+                .seq,
+            s2
+        );
+        roll.join()
+            .expect("roll thread")
+            .expect("rolling rescale succeeds");
 
         router.begin_shutdown();
         fake.join().expect("scripted shard exits cleanly");
         shard1.join();
-        let metrics = router.finish();
+        let metrics = Arc::into_inner(router).expect("sole owner").finish();
         assert_eq!(metrics.completed, 2);
         assert_eq!(metrics.rejected, 0);
     }

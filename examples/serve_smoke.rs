@@ -233,19 +233,31 @@ fn main() -> Res<()> {
     }
 
     // Both models on one packed chip vs two solo runtimes splitting the
-    // same workers, driven concurrently.
+    // same workers, driven concurrently. Every runtime is built before
+    // its clock starts, so both sides time serving only.
     let split = cfg(2).workers(WORKERS / 2).build()?;
+    let solos = [&tea.spec, &biased.spec]
+        .map(|spec| ServeRuntime::new(spec, split.clone(), Arc::new(NullSink)));
+    let solos = solos.into_iter().collect::<Result<Vec<_>, _>>()?;
     let t0 = Instant::now();
     std::thread::scope(|scope| {
-        let drivers = [&tea.spec, &biased.spec].map(|spec| {
-            let (cfg, data) = (split.clone(), &data);
-            scope.spawn(move || serve(spec, cfg, data, REQUESTS / 2).map_err(|e| e.to_string()))
-        });
+        let drivers: Vec<_> = solos
+            .iter()
+            .map(|rt| {
+                let data = &data;
+                scope.spawn(move || {
+                    burst(rt, data, 0..REQUESTS / 2, |_, r| r).map_err(|e| e.to_string())
+                })
+            })
+            .collect();
         drivers
             .into_iter()
             .try_for_each(|d| d.join().expect("solo driver").map(drop))
     })?;
     let split_rps = REQUESTS as f64 / t0.elapsed().as_secs_f64();
+    for rt in solos {
+        rt.shutdown();
+    }
     let rt = ServeRuntime::new(
         [tea.spec.clone(), biased.spec.clone()],
         cfg(2).telemetry(telemetry(20)).build()?,

@@ -7,11 +7,12 @@ cd "$(dirname "$0")/.."
 echo "== tier 1: release build =="
 cargo build --release
 
-echo "== gateway and fleet: wire contract and bounded drains, under a time limit =="
-# Runs before tier 1 so that a gateway drain or a fleet rescale barrier
-# that hangs (a lost wake-up) fails the gate with a message instead of
-# stalling it. The builds are outside the limit.
+echo "== serving, gateway and fleet: wire contract and bounded drains, under a time limit =="
+# Runs before tier 1 so that a runtime shutdown, a gateway drain or a
+# fleet rescale barrier that hangs (a lost wake-up) fails the gate with a
+# message instead of stalling it. The builds are outside the limit.
 SUITES=(
+  "-p tn-serve --lib"
   "-p truenorth --test integration_gateway"
   "-p tn-gateway --test bounded_shutdown"
   "-p truenorth --test integration_fleet"

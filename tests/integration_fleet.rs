@@ -556,6 +556,47 @@ fn router_joules_per_frame_equals_its_snapshot_value() {
 }
 
 #[test]
+fn fleet_energy_is_the_sum_of_its_shards_energy() {
+    // Each shard prices its own frames at its own cores; the fleet's
+    // joules are their sum, not (all ticks) × (all cores), which would
+    // read 2× here.
+    let cfg = ServeConfig::builder(77)
+        .replicas(3)
+        .workers(2)
+        .kernel_batch(8)
+        .telemetry(TelemetryConfig {
+            interval: Duration::from_millis(2),
+            span_ring: 64,
+        })
+        .build()
+        .expect("valid config");
+    let fleet = LocalFleet::launch(fractional_spec(), 2, FleetConfig::new(cfg), Arc::new(NullSink))
+        .expect("launch fleet");
+    let handles: Vec<_> = (0..400)
+        .map(|i| {
+            fleet
+                .router()
+                .submit_request(SubmitRequest::new(request_inputs(i)))
+                .expect("fleet submit")
+        })
+        .collect();
+    for h in handles {
+        h.wait().expect("fleet answer");
+    }
+    let (router_metrics, shard_metrics) = fleet.shutdown();
+    let completed: u64 = shard_metrics.iter().map(|m| m.completed).sum();
+    assert_eq!((router_metrics.completed, completed), (400, 400));
+    assert!(shard_metrics.iter().all(|m| m.completed > 0), "both shards served");
+    let joules: f64 = shard_metrics.iter().map(|m| m.energy.total_joules()).sum();
+    let expect = joules / completed as f64;
+    let got = router_metrics.joules_per_frame();
+    assert!(
+        (got - expect).abs() <= 1e-12 * expect,
+        "fleet J/frame {got:e} vs its shards' {expect:e}"
+    );
+}
+
+#[test]
 fn gateway_serves_a_fleet_backend_over_tcp() {
     let mut cfg = serve_cfg();
     cfg.telemetry = Some(TelemetryConfig {
