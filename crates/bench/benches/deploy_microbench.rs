@@ -31,7 +31,7 @@ fn bench_build(c: &mut Criterion) {
 }
 
 /// Serving-set cost: building the set a `tn-serve` runtime serves from
-/// (`PackedDeployment::build`, what start-up, rescale and resample run)
+/// (`PackedDeployment::build`, what start-up and a rescale run)
 /// over bench-1-shaped specs at 1 and 2 tenants and r1 / r4, and one
 /// worker checkout — a clone of the built set.
 fn bench_serving_set(c: &mut Criterion) {

@@ -1,5 +1,5 @@
-//! Criterion microbenchmarks of the telemetry layer: span-ring recording
-//! on the hot path, snapshot JSON-lines encode/decode round-trips, and
+//! Criterion microbenchmarks of the telemetry layer: span recording on
+//! the hot path, snapshot JSON-lines encode/decode round-trips, and
 //! the end-to-end serving overhead of running with the observer
 //! (telemetry + controller) enabled versus the bare runtime — the number
 //! that backs the "<5% regression with the controller disabled" budget.
@@ -18,13 +18,13 @@ fn bench_span_recording(c: &mut Criterion) {
     group
         .sample_size(50)
         .measurement_time(Duration::from_secs(1));
-    let recorder = SpanRecorder::new(1024);
+    let recorder = SpanRecorder::new();
     let clock = ManualClock::new();
     group.bench_function("record_one_span", |b| {
         b.iter(|| {
             let t0 = clock.now_ns();
             clock.advance_ns(100);
-            recorder.record(Stage::Kernel, t0, clock.now_ns() - t0);
+            recorder.record(Stage::Kernel, clock.now_ns() - t0);
         })
     });
     group.bench_function("stage_stats", |b| b.iter(|| recorder.stage_stats()));

@@ -44,7 +44,7 @@ fn main() {
     };
     let predicted = layer.forward(&x).output; // frames × out_dim
 
-    // Observed firing: runtime stochastic mode resamples synapses per
+    // Observed firing: runtime stochastic mode redraws synapses per
     // event, so averaging over repeats measures the true P(y' ≥ 0).
     let repeats = 32usize;
     let mut dep =

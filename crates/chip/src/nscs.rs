@@ -1649,7 +1649,7 @@ mod tests {
                 ConnectivityMode::IndependentPerCopy,
                 s,
             )
-            .expect("resample");
+            .expect("build at a fresh sample");
             (0..2).any(|copy| dep.deviation_map(&spec, copy, 0) != base.deviation_map(&spec, copy, 0))
         });
         assert!(redrawn, "fresh samples must redraw connectivity");

@@ -99,7 +99,7 @@ pub mod prelude {
     pub use crate::testbench::{BenchData, BenchError, DatasetKind, RunScale, TestBench};
     pub use crate::variance::{mean_synaptic_variance, DeviationStats, ProbabilityHistogram};
     pub use tn_chip::nscs::{ConnectivityMode, Deployment, FrameInput, NetworkDeploySpec, Votes};
-    pub use tn_fleet::{DispatchPolicy, FleetConfig, FleetRouter, LocalFleet};
+    pub use tn_fleet::{FleetConfig, FleetRouter, LocalFleet};
     pub use tn_gateway::{Gateway, GatewayConfig, GatewayError};
     pub use tn_learn::model::Network;
     pub use tn_learn::penalty::Penalty;

@@ -14,8 +14,8 @@
 //!                       ┌───────────────────────────┐
 //!  ServeBackend         │ FleetRouter               │
 //!  (gateway, tests) ──► │  · owns the global seq    │
-//!                       │  · consistent-hash /      │
-//!                       │    least-loaded dispatch  │
+//!                       │  · rendezvous-hash        │
+//!                       │    dispatch               │
 //!                       │  · health by heartbeat    │
 //!                       │  · rescale barrier        │
 //!                       └──┬─────────┬──────────┬───┘
@@ -60,6 +60,6 @@ mod shard;
 mod transport;
 
 pub use local::LocalFleet;
-pub use router::{DispatchPolicy, FleetConfig, FleetRouter};
+pub use router::{FleetConfig, FleetRouter};
 pub use shard::ShardServer;
 pub use transport::Transport;

@@ -10,7 +10,7 @@
 //! `(spec, config)` serves request `k` bit-identically to a solo
 //! runtime's `k`-th request. Shard choice, re-routing after a
 //! connection loss, and fleet width are therefore invisible in the
-//! answer stream; dispatch policy is purely a load/latency decision.
+//! answer stream; shard choice is purely a load/latency decision.
 //!
 //! # Health
 //!
@@ -65,20 +65,6 @@ use crate::frame::{read_frame, write_frame, FrameKind};
 use crate::msg::{encode_req, parse_err, parse_hello, parse_resp, Ack, Ctrl};
 use crate::transport::Transport;
 
-/// How the router picks a shard for each request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DispatchPolicy {
-    /// Rendezvous (highest-random-weight) hashing on the request seq:
-    /// stable, coordination-free spreading where a shard's death only
-    /// remaps the requests that hashed to it.
-    #[default]
-    ConsistentHash,
-    /// Send to the shard with the lowest live `serve.queue_fill` gauge
-    /// (from its snapshot heartbeats), breaking ties by router-side
-    /// in-flight count, then by index.
-    LeastLoaded,
-}
-
 /// Router configuration. [`FleetConfig::serve`] must match the config
 /// every shard was built with — the bit-identity contract is
 /// conditional on fleet homogeneity, and the router checks what it can
@@ -88,8 +74,6 @@ pub struct FleetConfig {
     /// The [`ServeConfig`] the shards run (introspection surface for
     /// front-ends; the router itself serves nothing).
     pub serve: ServeConfig,
-    /// Dispatch policy (default [`DispatchPolicy::ConsistentHash`]).
-    pub policy: DispatchPolicy,
     /// Mark a shard unhealthy when its last snapshot heartbeat is older
     /// than this (router-clock time). `None` (the default) disables
     /// staleness health — required when shards run without
@@ -106,23 +90,15 @@ pub struct FleetConfig {
 }
 
 impl FleetConfig {
-    /// Defaults: consistent-hash dispatch, staleness health off, two
-    /// retries, monotonic wall clock.
+    /// Defaults: staleness health off, two retries, monotonic wall
+    /// clock.
     pub fn new(serve: ServeConfig) -> Self {
         Self {
             serve,
-            policy: DispatchPolicy::default(),
             staleness: None,
             max_retries: 2,
             clock: Arc::new(MonotonicClock::new()),
         }
-    }
-
-    /// Choose the dispatch policy.
-    #[must_use]
-    pub fn policy(mut self, policy: DispatchPolicy) -> Self {
-        self.policy = policy;
-        self
     }
 
     /// Enable snapshot-staleness health with this age budget.
@@ -186,8 +162,6 @@ struct Shard {
     /// during shutdown still count for their served lifetime.
     failed: AtomicBool,
     fresh: FreshnessTracker,
-    /// Latest `serve.queue_fill` gauge (f64 bits) from heartbeats.
-    queue_fill: AtomicU64,
     /// Live fusion width this shard reported: seeded from the Hello,
     /// overwritten by every heartbeat's `serve.kernel_batch` gauge (each
     /// shard's own controller moves it).
@@ -195,7 +169,7 @@ struct Shard {
     /// Live default-set spf, tracked like `kernel_batch` from the
     /// `serve.spf` gauge.
     spf: AtomicUsize,
-    /// Router-side accepted-not-answered count (live, unlike the gauge).
+    /// Router-side accepted-not-answered count.
     in_flight: AtomicU64,
     beat: Mutex<Beat>,
     ack: Mutex<Option<Ack>>,
@@ -252,7 +226,6 @@ impl std::fmt::Debug for FleetRouter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FleetRouter")
             .field("shards", &self.inner.shards.len())
-            .field("policy", &self.inner.cfg.policy)
             .finish_non_exhaustive()
     }
 }
@@ -326,7 +299,6 @@ impl FleetRouter {
                 alive: AtomicBool::new(true),
                 failed: AtomicBool::new(false),
                 fresh: FreshnessTracker::new(max_age_ns, now),
-                queue_fill: AtomicU64::new(0f64.to_bits()),
                 kernel_batch: AtomicUsize::new(kernel_batch),
                 spf: AtomicUsize::new(spf),
                 in_flight: AtomicU64::new(0),
@@ -389,14 +361,6 @@ impl FleetRouter {
         self.inner.shards.get(i).is_some_and(|s| {
             s.alive.load(Ordering::Relaxed) && !s.fresh.is_stale(now)
         })
-    }
-
-    /// Router-side in-flight count for shard `i` (test observability).
-    pub fn shard_in_flight(&self, i: usize) -> u64 {
-        self.inner
-            .shards
-            .get(i)
-            .map_or(0, |s| s.in_flight.load(Ordering::Relaxed))
     }
 
     /// Replica rescale behind one barrier: close the admission gate,
@@ -557,9 +521,6 @@ impl Inner {
         };
         let shard = &self.shards[idx];
         shard.fresh.mark(self.cfg.clock.now_ns());
-        if let Some(fill) = snap.gauges.get("serve.queue_fill") {
-            shard.queue_fill.store(fill.to_bits(), Ordering::Relaxed);
-        }
         let gauge = |key: &str| {
             snap.gauges
                 .get(key)
@@ -641,32 +602,21 @@ impl Inner {
             .or_else(|| skip.and_then(|_| self.pick_filtered(seq, None)))
     }
 
-    /// Pick among eligible shards, excluding `skip` outright. Eligible
-    /// = connected and heartbeat-fresh.
+    /// Pick among eligible shards, excluding `skip` outright, by
+    /// rendezvous (highest-random-weight) hashing on `seq`: stable,
+    /// coordination-free spreading where a shard's death only remaps the
+    /// requests that hashed to it. Eligible = connected and
+    /// heartbeat-fresh.
     fn pick_filtered(&self, seq: u64, skip: Option<usize>) -> Option<usize> {
         let now = self.cfg.clock.now_ns();
-        let eligible = self.shards.iter().enumerate().filter(|(i, s)| {
-            Some(*i) != skip && s.alive.load(Ordering::Relaxed) && !s.fresh.is_stale(now)
-        });
-        match self.cfg.policy {
-            DispatchPolicy::ConsistentHash => eligible
-                .max_by_key(|(_, s)| splitmix64(seq ^ s.salt))
-                .map(|(i, _)| i),
-            DispatchPolicy::LeastLoaded => eligible
-                .min_by(|(ai, a), (bi, b)| {
-                    let fill_a = f64::from_bits(a.queue_fill.load(Ordering::Relaxed));
-                    let fill_b = f64::from_bits(b.queue_fill.load(Ordering::Relaxed));
-                    fill_a
-                        .total_cmp(&fill_b)
-                        .then_with(|| {
-                            a.in_flight
-                                .load(Ordering::Relaxed)
-                                .cmp(&b.in_flight.load(Ordering::Relaxed))
-                        })
-                        .then(ai.cmp(bi))
-                })
-                .map(|(i, _)| i),
-        }
+        self.shards
+            .iter()
+            .enumerate()
+            .filter(|(i, s)| {
+                Some(*i) != skip && s.alive.load(Ordering::Relaxed) && !s.fresh.is_stale(now)
+            })
+            .max_by_key(|(_, s)| splitmix64(seq ^ s.salt))
+            .map(|(i, _)| i)
     }
 
     /// Route one request to a shard, registering it as pending first so

@@ -1,10 +1,9 @@
 //! One client connection: a reader thread and a writer thread over one
 //! blocking socket.
 //!
-//! The *reader* blocks in `read`, sniffs the wire mode from the
-//! connection's first byte (`{` means line-JSON, anything else means
-//! HTTP/1.1; the mode is sticky), parses complete requests, routes each
-//! one, and queues the resulting [`Pending`] on the connection's FIFO.
+//! The *reader* blocks in `read`, parses complete HTTP/1.1 requests,
+//! routes each one, and queues the resulting [`Pending`] on the
+//! connection's FIFO.
 //! The *writer* pops the FIFO in arrival order, blocks on each classify
 //! handle until a worker completes it, renders the response and writes
 //! it. Responses therefore leave in request order, as HTTP/1.1
@@ -51,33 +50,30 @@ pub(crate) struct Pending {
     status: u16,
     retry_after: Option<u64>,
     close: bool,
-    line_mode: bool,
 }
 
 impl Pending {
     /// An immediately renderable response.
-    pub(crate) fn ready(status: u16, body: String, line_mode: bool) -> Self {
+    pub(crate) fn ready(status: u16, body: String) -> Self {
         Self {
             payload: Payload::Ready(body),
             status,
             retry_after: None,
             close: false,
-            line_mode,
         }
     }
 
     /// A classify response awaiting runtime completion.
-    pub(crate) fn handle(handle: RequestHandle, line_mode: bool) -> Self {
+    pub(crate) fn handle(handle: RequestHandle) -> Self {
         Self {
             payload: Payload::Handle(handle),
             status: 200,
             retry_after: None,
             close: false,
-            line_mode,
         }
     }
 
-    /// Attach a `Retry-After` hint (ignored in line mode).
+    /// Attach a `Retry-After` hint.
     pub(crate) fn with_retry_after(mut self, secs: u64) -> Self {
         self.retry_after = Some(secs);
         self
@@ -126,20 +122,15 @@ impl Pending {
                 }
             }
         };
-        let mut out = Vec::new();
-        if self.line_mode {
-            out.extend_from_slice(body.as_bytes());
-            out.push(b'\n');
-        } else {
-            let mut resp = HttpResponse::json(status, body);
-            if let Some(secs) = retry_after {
-                resp = resp.with_retry_after(secs);
-            }
-            if close {
-                resp = resp.with_close();
-            }
-            resp.write_to(&mut out);
+        let mut resp = HttpResponse::json(status, body);
+        if let Some(secs) = retry_after {
+            resp = resp.with_retry_after(secs);
         }
+        if close {
+            resp = resp.with_close();
+        }
+        let mut out = Vec::new();
+        resp.write_to(&mut out);
         Some((out, close))
     }
 }
@@ -173,7 +164,6 @@ fn read_loop(
     };
     let mut buf = Vec::new();
     let mut chunk = [0u8; 8192];
-    let mut line_mode = None;
     let mut unanswered = 0usize;
     loop {
         // At the cap, admit nothing until the writer has answered one; a
@@ -188,7 +178,7 @@ fn read_loop(
             if conns.draining() {
                 return;
             }
-            if let Some(pend) = next_request(&mut buf, &mut line_mode, &limits, &conns.ctx) {
+            if let Some(pend) = next_request(&mut buf, &limits, &conns.ctx) {
                 break pend;
             }
             match stream.read(&mut chunk) {
@@ -207,44 +197,18 @@ fn read_loop(
 }
 
 /// Take and route the next complete request off `buf`, or `None` if more
-/// bytes are needed. `line_mode` is decided by the connection's first
-/// byte.
-fn next_request(
-    buf: &mut Vec<u8>,
-    line_mode: &mut Option<bool>,
-    limits: &HttpLimits,
-    ctx: &ServiceCtx,
-) -> Option<Pending> {
-    let first = *buf.first()?;
-    if !*line_mode.get_or_insert(first == b'{') {
-        return match parse_request(buf, limits) {
-            Parsed::Incomplete => None,
-            Parsed::Request { request, consumed } => {
-                buf.drain(..consumed);
-                Some(router::handle_http(&request, ctx))
-            }
-            Parsed::Error(e) => {
-                let status = e.status();
-                let body = proto::error_json(proto::http_error_code(status), &e.to_string());
-                Some(Pending::ready(status, body, false).closing())
-            }
-        };
-    }
-    loop {
-        let Some(nl) = buf.iter().position(|&b| b == b'\n') else {
-            return (buf.len() > limits.max_body_bytes).then(|| {
-                let body = proto::error_json("bad_request", "line exceeds body limit");
-                Pending::ready(400, body, true).closing()
-            });
-        };
-        let raw: Vec<u8> = buf.drain(..=nl).collect();
-        let Ok(text) = std::str::from_utf8(&raw) else {
-            let body = proto::error_json("bad_request", "line is not valid UTF-8");
-            return Some(Pending::ready(400, body, true));
-        };
-        let line = text.trim();
-        if !line.is_empty() {
-            return Some(router::route_line(line, ctx));
+/// bytes are needed.
+fn next_request(buf: &mut Vec<u8>, limits: &HttpLimits, ctx: &ServiceCtx) -> Option<Pending> {
+    match parse_request(buf, limits) {
+        Parsed::Incomplete => None,
+        Parsed::Request { request, consumed } => {
+            buf.drain(..consumed);
+            Some(router::handle_http(&request, ctx))
+        }
+        Parsed::Error(e) => {
+            let status = e.status();
+            let body = proto::error_json(proto::http_error_code(status), &e.to_string());
+            Some(Pending::ready(status, body).closing())
         }
     }
 }

@@ -5,7 +5,7 @@ use tn_serve::ServeError;
 /// Everything that can keep a [`crate::Gateway`] from starting.
 ///
 /// Once the gateway is up, per-request failures never surface here — they
-/// become well-formed HTTP/line-JSON error responses on the wire.
+/// become well-formed HTTP error responses on the wire.
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum GatewayError {

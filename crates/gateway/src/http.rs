@@ -155,58 +155,84 @@ fn is_token_byte(b: u8) -> bool {
         | b'0'..=b'9' | b'a'..=b'z' | b'A'..=b'Z')
 }
 
+/// Whether `b` is a raw control byte a head may not carry (CR/LF
+/// structure the lines; tab is allowed).
+fn is_control_byte(b: u8) -> bool {
+    b != b'\r' && b != b'\n' && b != b'\t' && (b < 0x20 || b == 0x7f)
+}
+
+/// Parse a request line (its `\n` excluded) into method, target and the
+/// version's keep-alive default.
+fn parse_request_line(line: &[u8]) -> Result<(&str, &str, bool), HttpError> {
+    let line = line.strip_suffix(b"\r").unwrap_or(line);
+    // Raw control bytes are smuggling attempts.
+    if line.iter().any(|&b| is_control_byte(b)) {
+        return Err(HttpError::BadHeader);
+    }
+    let line = std::str::from_utf8(line).map_err(|_| HttpError::BadHeader)?;
+    let mut parts = line.split(' ').filter(|p| !p.is_empty());
+    let (Some(method), Some(target), Some(version), None) =
+        (parts.next(), parts.next(), parts.next(), parts.next())
+    else {
+        return Err(HttpError::BadRequestLine);
+    };
+    if method.len() > MAX_METHOD_BYTES || !method.bytes().all(is_token_byte) {
+        return Err(HttpError::BadMethod);
+    }
+    if target.len() > MAX_TARGET_BYTES {
+        return Err(HttpError::TargetTooLong);
+    }
+    match version {
+        "HTTP/1.1" => Ok((method, target, true)),
+        "HTTP/1.0" => Ok((method, target, false)),
+        _ => Err(HttpError::UnsupportedVersion),
+    }
+}
+
 /// Incrementally parse one request from the front of `buf`.
 ///
 /// Stateless by design: the caller keeps the buffer, the parser re-scans
 /// from the front each call. Head sections are capped at
 /// `limits.max_header_bytes`, so the re-scan cost is bounded and the
 /// code stays auditable (no resumable state machine to get wrong).
+///
+/// The request line is judged as soon as it ends, before the rest of the
+/// head arrives: a client speaking some other protocol (say, one JSON
+/// command per line) is refused at its first newline instead of waiting
+/// for a blank line that never comes.
 pub fn parse_request(buf: &[u8], limits: &HttpLimits) -> Parsed {
-    let Some((head_end, body_start)) = find_head_end(buf) else {
-        return if buf.len() > limits.max_header_bytes {
+    let incomplete = || {
+        if buf.len() > limits.max_header_bytes {
             Parsed::Error(HttpError::HeadersTooLarge)
         } else {
             Parsed::Incomplete
-        };
+        }
+    };
+    let Some(line_end) = buf.iter().position(|&b| b == b'\n') else {
+        return incomplete();
+    };
+    let (method, target, keep_alive_default) = match parse_request_line(&buf[..line_end]) {
+        Ok(line) => line,
+        Err(e) => return Parsed::Error(e),
+    };
+    let Some((head_end, body_start)) = find_head_end(buf) else {
+        return incomplete();
     };
     if body_start > limits.max_header_bytes {
         return Parsed::Error(HttpError::HeadersTooLarge);
     }
-    let head = &buf[..head_end];
-    // The head must be visible ASCII: raw control bytes (other than the
-    // line-structure CR/LF handled above) are smuggling attempts.
-    if head
-        .iter()
-        .any(|&b| b != b'\r' && b != b'\n' && b != b'\t' && (b < 0x20 || b == 0x7f))
-    {
+    // `head_end` is a `\n`, so it is at or past the request line's end.
+    let fields = &buf[(line_end + 1).min(head_end)..head_end];
+    if fields.iter().any(|&b| is_control_byte(b)) {
         return Parsed::Error(HttpError::BadHeader);
     }
-    let head = match std::str::from_utf8(head) {
+    let fields = match std::str::from_utf8(fields) {
         Ok(s) => s,
         Err(_) => return Parsed::Error(HttpError::BadHeader),
     };
-    let mut lines = head.split('\n').map(|l| l.strip_suffix('\r').unwrap_or(l));
-    let request_line = lines.next().unwrap_or("");
-    let mut parts = request_line.split(' ').filter(|p| !p.is_empty());
-    let (Some(method), Some(target), Some(version), None) =
-        (parts.next(), parts.next(), parts.next(), parts.next())
-    else {
-        return Parsed::Error(HttpError::BadRequestLine);
-    };
-    if method.is_empty()
-        || method.len() > MAX_METHOD_BYTES
-        || !method.bytes().all(is_token_byte)
-    {
-        return Parsed::Error(HttpError::BadMethod);
-    }
-    if target.len() > MAX_TARGET_BYTES {
-        return Parsed::Error(HttpError::TargetTooLong);
-    }
-    let keep_alive_default = match version {
-        "HTTP/1.1" => true,
-        "HTTP/1.0" => false,
-        _ => return Parsed::Error(HttpError::UnsupportedVersion),
-    };
+    let lines = fields
+        .split('\n')
+        .map(|l| l.strip_suffix('\r').unwrap_or(l));
 
     let mut content_length: Option<usize> = None;
     let mut keep_alive = keep_alive_default;
@@ -218,8 +244,7 @@ pub fn parse_request(buf: &[u8], limits: &HttpLimits) -> Parsed {
             return Parsed::Error(HttpError::BadHeader);
         };
         // Obsolete line folding starts with whitespace before the name.
-        if name.is_empty() || name.starts_with([' ', '\t']) || !name.bytes().all(is_token_byte)
-        {
+        if name.is_empty() || name.starts_with([' ', '\t']) || !name.bytes().all(is_token_byte) {
             return Parsed::Error(HttpError::BadHeader);
         }
         let value = value.trim();
@@ -493,6 +518,10 @@ mod tests {
             "G\x01T / HTTP/1.1\r\n\r\n",
             "GET / HTTP/2.0\r\n\r\n",
             "GET / FTP/1.1\r\n\r\n",
+            // A bad request line errors at its newline, before the head
+            // ends: one JSON command per line never sends a blank line.
+            "{\"op\":\"health\"}\n",
+            "GET / HTTP/2.0\r\nHost: x\r\n",
         ] {
             let (_, err) = parse_all(junk.as_bytes());
             assert!(err.is_some(), "accepted {junk:?}");
@@ -513,7 +542,10 @@ mod tests {
             .with_close()
             .write_to(&mut out);
         let text = String::from_utf8(out).expect("ascii");
-        assert!(text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"), "{text}");
+        assert!(
+            text.starts_with("HTTP/1.1 503 Service Unavailable\r\n"),
+            "{text}"
+        );
         assert!(text.contains("Content-Length: 16\r\n"));
         assert!(text.contains("Retry-After: 2\r\n"));
         assert!(text.contains("Connection: close\r\n"));

@@ -14,8 +14,8 @@
 //!  │ HTTP/1.1  │ ─────────► │ reader: read → parse│ ─────► │ bounded │
 //!  │ keep-alive│   socket   │  → route → FIFO     │ reject │ queue + │
 //!  │ pipelined │            │         │ in order  │ ◄───── │ worker  │
-//!  ├───────────┤  in-order  │ writer: wait → write│  503   │ pool    │
-//!  │ line-JSON │ ◄───────── │  (one pair per conn)│        └────┬────┘
+//!  │           │  in-order  │ writer: wait → write│  503   │ pool    │
+//!  │           │ ◄───────── │  (one pair per conn)│        └────┬────┘
 //!  └───────────┘ responses  └─────────▲───────────┘  condvar     │
 //!                                     └─────────◄── RequestHandle
 //! ```
@@ -33,9 +33,9 @@
 //!   stalled in `submit` with its socket unread) and its handle joins the
 //!   connection's response FIFO. The writer answers that FIFO in request
 //!   order, as HTTP/1.1 pipelining requires.
-//! * **Two wire modes on one port**, picked by the first byte of each
-//!   connection: `{` starts newline-delimited JSON commands, anything
-//!   else is parsed as HTTP/1.1.
+//! * **HTTP/1.1 only.** A malformed request line is answered `400` with
+//!   `Connection: close` as soon as its line ends, so a client speaking
+//!   some other protocol gets an answer instead of a hang.
 //! * **Backpressure at every layer**: per-connection in-flight caps stop
 //!   the reader (TCP throttles the client), queue admission rejects become
 //!   `503` + `Retry-After`, and a connection cap refuses excess sockets.
@@ -47,13 +47,12 @@
 //!
 //! # Endpoints
 //!
-//! | wire | request | response |
-//! |---|---|---|
-//! | HTTP | `POST /v1/classify` `{"frame":[...]}` (+ optional `"model"`, `"quality"`; `"class"` is refused) | votes / label / agreement / energy |
-//! | HTTP | `GET /v1/config` | serve config + model introspection |
-//! | HTTP | `GET /v1/snapshot` | latest `tn-telemetry/1` snapshot line |
-//! | HTTP | `GET /healthz` | `{"status":"ok"}` |
-//! | line | `{"frame":[...]}` or `{"op":"config"\|"snapshot"\|"health"}` | same bodies, one line each |
+//! | request | response |
+//! |---|---|
+//! | `POST /v1/classify` `{"frame":[...]}` (+ optional `"model"`, `"quality"`; `"class"` is refused) | votes / label / agreement / energy |
+//! | `GET /v1/config` | serve config + model introspection |
+//! | `GET /v1/snapshot` | latest `tn-telemetry/1` snapshot line |
+//! | `GET /healthz` | `{"status":"ok"}` |
 //!
 //! # Example
 //!
@@ -116,7 +115,7 @@ use tn_chip::nscs::NetworkDeploySpec;
 use tn_serve::{
     Backpressure, MetricsSnapshot, QueueStats, ServeBackend, ServeConfig, ServeRuntime,
 };
-use tn_telemetry::{LatestSink, MetricsSink, Snapshot};
+use tn_telemetry::{LatestSink, MetricsSink};
 
 pub use error::GatewayError;
 use router::ServiceCtx;
@@ -134,7 +133,7 @@ pub struct GatewayConfig {
     pub max_in_flight_per_conn: usize,
     /// Max bytes for an HTTP request line + headers (`431` beyond).
     pub max_header_bytes: usize,
-    /// Max bytes for an HTTP body or one JSON line (`413`/`400` beyond).
+    /// Max bytes for an HTTP body (`413` beyond).
     pub max_body_bytes: usize,
     /// Upper bound on graceful drain: past this, connections still
     /// holding unflushed responses are shut down.
@@ -219,7 +218,6 @@ pub struct Gateway {
     stop: Arc<AtomicBool>,
     acceptor: Option<JoinHandle<()>>,
     backend: Option<Backend>,
-    latest: Arc<LatestSink>,
 }
 
 impl Gateway {
@@ -319,7 +317,7 @@ impl Gateway {
         let stop = Arc::new(AtomicBool::new(false));
         let ctx = ServiceCtx {
             rt: backend.service_arc(),
-            latest: Arc::clone(&latest),
+            latest,
         };
         let acceptor = {
             let stop = Arc::clone(&stop);
@@ -333,7 +331,6 @@ impl Gateway {
             stop,
             acceptor: Some(acceptor),
             backend: Some(backend),
-            latest,
         })
     }
 
@@ -350,12 +347,6 @@ impl Gateway {
     /// Live queue-depth / in-flight admission gauge.
     pub fn queue_stats(&self) -> QueueStats {
         self.backend().queue_stats()
-    }
-
-    /// The most recent telemetry snapshot (what `GET /v1/snapshot`
-    /// serves), if the runtime's observer has exported one.
-    pub fn latest_snapshot(&self) -> Option<Snapshot> {
-        self.latest.latest()
     }
 
     /// Graceful drain: stop accepting connections, complete and flush

@@ -1,13 +1,11 @@
 //! Wire payloads: request-body parsing and response JSON rendering.
 //!
-//! Both wire modes (HTTP bodies and line-JSON) share these shapes; only
-//! the framing around them differs. Parsing reuses the strict
-//! [`tn_telemetry::json`] reader — anything malformed is a 400, never a
-//! guess — and rendering is plain `format!` with escaped strings, so the
-//! gateway stays dependency-free.
+//! Parsing reuses the strict [`tn_telemetry::json`] reader — anything
+//! malformed is a 400, never a guess — and rendering is plain `format!`
+//! with escaped strings, so the gateway stays dependency-free.
 
 use tn_serve::{Backpressure, Response, ServeBackend, SubmitRequest};
-use tn_telemetry::json::{self, escape, JsonValue};
+use tn_telemetry::json::{self, escape};
 
 /// Render an `f64` as a JSON number (non-finite values have no JSON
 /// representation; they degrade to 0).
@@ -31,14 +29,16 @@ fn join<T: std::fmt::Display>(items: impl Iterator<Item = T>) -> String {
     out
 }
 
-/// Extract a classify request from a parsed request object. The body
-/// mirrors [`SubmitRequest`] key for key: `{"frame": [x0, x1, ...]}`
+/// Parse a `POST /v1/classify` body. It must be UTF-8 JSON that mirrors
+/// [`SubmitRequest`] key for key: `{"frame": [x0, x1, ...]}`
 /// with numeric entries is required, plus the optional routing knobs
 /// `"model": M` (tenant, default 0) and `"quality": "tier-name"`
 /// (quality tier, default none) — together routed to
 /// [`tn_serve::ServeRuntime::submit`]. The retired `"class"` key is
 /// refused with a message naming `"quality"`, its replacement.
-pub(crate) fn parse_classify_frame(value: &JsonValue) -> Result<SubmitRequest, String> {
+pub(crate) fn parse_classify_body(body: &[u8]) -> Result<SubmitRequest, String> {
+    let text = std::str::from_utf8(body).map_err(|_| "body is not valid UTF-8".to_string())?;
+    let value = json::parse(text).map_err(|e| e.to_string())?;
     let frame = value
         .get("frame")
         .ok_or_else(|| "missing \"frame\" array".to_string())?;
@@ -74,14 +74,6 @@ pub(crate) fn parse_classify_frame(value: &JsonValue) -> Result<SubmitRequest, S
         request = request.quality(quality);
     }
     Ok(request)
-}
-
-/// Parse a `POST /v1/classify` body.
-pub(crate) fn parse_classify_body(body: &[u8]) -> Result<SubmitRequest, String> {
-    let text =
-        std::str::from_utf8(body).map_err(|_| "body is not valid UTF-8".to_string())?;
-    let value = json::parse(text).map_err(|e| e.to_string())?;
-    parse_classify_frame(&value)
 }
 
 /// Render one classification result, including the uncertainty verdict:

@@ -1,5 +1,4 @@
-//! Request routing: map a parsed HTTP request or line-JSON command onto
-//! the serving runtime.
+//! Request routing: map a parsed HTTP request onto the serving runtime.
 //!
 //! Routing never blocks. A classify request becomes a queued
 //! [`Pending`] holding the runtime's completion handle; everything else
@@ -11,7 +10,7 @@
 use std::sync::Arc;
 
 use tn_serve::{ServeBackend, ServeError, SubmitRequest};
-use tn_telemetry::json::{self, JsonValue};
+use tn_telemetry::json;
 use tn_telemetry::LatestSink;
 
 use crate::conn::Pending;
@@ -32,20 +31,15 @@ pub(crate) struct ServiceCtx {
 pub(crate) fn handle_http(req: &HttpRequest, ctx: &ServiceCtx) -> Pending {
     let path = req.target.split('?').next().unwrap_or("");
     let mut pending = match (req.method.as_str(), path) {
-        ("POST", "/v1/classify") => classify(&req.body, ctx, false),
-        ("GET", "/v1/config") => Pending::ready(200, proto::config_json(&*ctx.rt), false),
-        ("GET", "/v1/snapshot") => snapshot(ctx, false),
-        ("GET", "/healthz") => Pending::ready(200, proto::health_json(), false),
+        ("POST", "/v1/classify") => classify(&req.body, ctx),
+        ("GET", "/v1/config") => Pending::ready(200, proto::config_json(&*ctx.rt)),
+        ("GET", "/v1/snapshot") => snapshot(ctx),
+        ("GET", "/healthz") => Pending::ready(200, proto::health_json()),
         (_, "/v1/classify" | "/v1/config" | "/v1/snapshot" | "/healthz") => Pending::ready(
             405,
             proto::error_json("method_not_allowed", "unsupported method for this endpoint"),
-            false,
         ),
-        _ => Pending::ready(
-            404,
-            proto::error_json("not_found", "unknown endpoint"),
-            false,
-        ),
+        _ => Pending::ready(404, proto::error_json("not_found", "unknown endpoint")),
     };
     if !req.keep_alive {
         pending = pending.closing();
@@ -53,41 +47,11 @@ pub(crate) fn handle_http(req: &HttpRequest, ctx: &ServiceCtx) -> Pending {
     pending
 }
 
-/// Route one line-JSON command. The line protocol mirrors the HTTP
-/// endpoints: `{"op":"classify","frame":[...]}` (the `op` defaults to
-/// `classify`), `{"op":"config"}`, `{"op":"snapshot"}`, `{"op":"health"}`.
-pub(crate) fn route_line(line: &str, ctx: &ServiceCtx) -> Pending {
-    let value = match json::parse(line) {
-        Ok(v) => v,
-        Err(e) => {
-            return Pending::ready(400, proto::error_json("bad_request", &e.to_string()), true)
-        }
-    };
-    let op = value
-        .get("op")
-        .and_then(JsonValue::as_str)
-        .unwrap_or("classify");
-    match op {
-        "classify" => match proto::parse_classify_frame(&value) {
-            Ok(request) => submit(request, ctx, true),
-            Err(msg) => Pending::ready(400, proto::error_json("bad_request", &msg), true),
-        },
-        "config" => Pending::ready(200, proto::config_json(&*ctx.rt), true),
-        "snapshot" => snapshot(ctx, true),
-        "health" => Pending::ready(200, proto::health_json(), true),
-        other => Pending::ready(
-            400,
-            proto::error_json("bad_request", &format!("unknown op {other:?}")),
-            true,
-        ),
-    }
-}
-
 /// Parse a classify body and submit it.
-fn classify(body: &[u8], ctx: &ServiceCtx, line_mode: bool) -> Pending {
+fn classify(body: &[u8], ctx: &ServiceCtx) -> Pending {
     match proto::parse_classify_body(body) {
-        Ok(request) => submit(request, ctx, line_mode),
-        Err(msg) => Pending::ready(400, proto::error_json("bad_request", &msg), line_mode),
+        Ok(request) => submit(request, ctx),
+        Err(msg) => Pending::ready(400, proto::error_json("bad_request", &msg)),
     }
 }
 
@@ -95,19 +59,17 @@ fn classify(body: &[u8], ctx: &ServiceCtx, line_mode: bool) -> Pending {
 /// responses. The routing failures (`unknown_model` / `unknown_quality`)
 /// share one structured 400 shape whose `detail` object names what was
 /// asked for and what this runtime serves.
-fn submit(request: SubmitRequest, ctx: &ServiceCtx, line_mode: bool) -> Pending {
+fn submit(request: SubmitRequest, ctx: &ServiceCtx) -> Pending {
     match ctx.rt.submit_request(request) {
-        Ok(handle) => Pending::handle(handle, line_mode),
+        Ok(handle) => Pending::handle(handle),
         Err(ServeError::QueueFull) => Pending::ready(
             503,
             proto::error_json("queue_full", "submission queue is full; retry later"),
-            line_mode,
         )
         .with_retry_after(retry_after_secs(&*ctx.rt)),
         Err(ServeError::ShuttingDown) => Pending::ready(
             503,
             proto::error_json("shutting_down", "gateway is draining"),
-            line_mode,
         )
         .closing(),
         // Unlike a drain, the connection stays open: unavailability is a
@@ -116,12 +78,11 @@ fn submit(request: SubmitRequest, ctx: &ServiceCtx, line_mode: bool) -> Pending 
         Err(ServeError::Unavailable(msg)) => Pending::ready(
             503,
             proto::error_json("unavailable", &format!("backend unavailable: {msg}")),
-            line_mode,
         )
         .with_retry_after(retry_after_secs(&*ctx.rt)),
-        Err(
-            e @ (ServeError::BadInput { .. } | ServeError::InputOutOfRange { .. }),
-        ) => Pending::ready(400, proto::error_json("bad_input", &e.to_string()), line_mode),
+        Err(e @ (ServeError::BadInput { .. } | ServeError::InputOutOfRange { .. })) => {
+            Pending::ready(400, proto::error_json("bad_input", &e.to_string()))
+        }
         Err(e @ ServeError::UnknownModel { model, models }) => Pending::ready(
             400,
             proto::error_json_detail(
@@ -129,7 +90,6 @@ fn submit(request: SubmitRequest, ctx: &ServiceCtx, line_mode: bool) -> Pending 
                 &e.to_string(),
                 Some(&format!("{{\"model\":{model},\"models\":{models}}}")),
             ),
-            line_mode,
         ),
         Err(ref e @ ServeError::UnknownQuality { ref quality, ref tiers }) => {
             let listed = tiers
@@ -147,24 +107,22 @@ fn submit(request: SubmitRequest, ctx: &ServiceCtx, line_mode: bool) -> Pending 
                         json::escape(quality)
                     )),
                 ),
-                line_mode,
             )
         }
-        Err(e) => Pending::ready(500, proto::error_json("internal", &e.to_string()), line_mode),
+        Err(e) => Pending::ready(500, proto::error_json("internal", &e.to_string())),
     }
 }
 
 /// The latest telemetry snapshot, or 404 while none has been exported.
-fn snapshot(ctx: &ServiceCtx, line_mode: bool) -> Pending {
+fn snapshot(ctx: &ServiceCtx) -> Pending {
     match ctx.latest.latest() {
-        Some(snap) => Pending::ready(200, snap.to_json_line().trim_end().to_string(), line_mode),
+        Some(snap) => Pending::ready(200, snap.to_json_line().trim_end().to_string()),
         None => Pending::ready(
             404,
             proto::error_json(
                 "no_snapshot",
                 "no telemetry snapshot exported yet (enable ServeConfig::telemetry)",
             ),
-            line_mode,
         ),
     }
 }

@@ -168,7 +168,6 @@ fn refuse(mut stream: TcpStream, conns: &Conns) {
     let refusal = Pending::ready(
         503,
         proto::error_json("overloaded", "gateway connection limit reached"),
-        false,
     )
     .with_retry_after(1)
     .closing();

@@ -20,16 +20,12 @@ use crate::tier::{validate_tiers, QualityTier};
 pub struct TelemetryConfig {
     /// Snapshot export period.
     pub interval: Duration,
-    /// Capacity of the per-stage span ring buffer
-    /// ([`tn_telemetry::SpanRecorder`]).
-    pub span_ring: usize,
 }
 
 impl Default for TelemetryConfig {
     fn default() -> Self {
         Self {
             interval: Duration::from_millis(250),
-            span_ring: 1024,
         }
     }
 }
@@ -44,11 +40,6 @@ impl TelemetryConfig {
         if self.interval.is_zero() {
             return Err(ServeError::BadConfig(
                 "telemetry interval must be > 0".into(),
-            ));
-        }
-        if self.span_ring == 0 {
-            return Err(ServeError::BadConfig(
-                "telemetry span_ring must be >= 1".into(),
             ));
         }
         Ok(())
@@ -426,12 +417,11 @@ mod tests {
             Err(ServeError::BadConfig(msg)) if msg.contains("queue")
         ));
         let bad_tel = TelemetryConfig {
-            span_ring: 0,
-            ..TelemetryConfig::default()
+            interval: Duration::ZERO,
         };
         assert!(matches!(
             ServeConfig::builder(1).telemetry(bad_tel).build(),
-            Err(ServeError::BadConfig(msg)) if msg.contains("span_ring")
+            Err(ServeError::BadConfig(msg)) if msg.contains("interval")
         ));
         ServeConfig::builder(1)
             .controller(ControllerConfig::default())

@@ -248,19 +248,6 @@ pub enum ControlAction {
     /// actuator makes time-dependent is *which* spf an in-flight request
     /// is served at.
     SetSpf(usize),
-    /// Rebuild the default replica set as ensemble sample `sample`
-    /// (fresh Bernoulli synapse draws from the same trained
-    /// probabilities; `0` restores the original build). Applied through
-    /// the same epoch-swap machinery as [`ControlAction::SetReplicas`],
-    /// so in-flight work is unaffected. The current controller never
-    /// emits this; it exists for external operators
-    /// ([`crate::ServeRuntime::apply_control`] /
-    /// [`crate::ServeRuntime::resample`]).
-    Resample {
-        /// Ensemble sample index (see
-        /// [`tn_chip::pack::PackedDeployment::build`]).
-        sample: u64,
-    },
 }
 
 /// The adaptive controller: a small deterministic state machine.
@@ -613,9 +600,6 @@ mod tests {
                         ControlAction::SetKernelBatch(v) => kb = v,
                         ControlAction::SetReplicas(v) => replicas = v,
                         ControlAction::SetSpf(_) => unreachable!("no spf range configured"),
-                        ControlAction::Resample { .. } => {
-                            unreachable!("the controller never emits Resample")
-                        }
                     }
                     log.push((i, action));
                 }

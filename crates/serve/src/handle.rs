@@ -247,9 +247,8 @@ impl RequestHandle {
     /// Block until the request completes or `timeout` elapses.
     ///
     /// Does not consume the handle: after a [`ServeError::WaitTimeout`] the
-    /// request is still in flight and the caller may wait again (or poll
-    /// with [`RequestHandle::try_take`]). Like `try_take`, the result is
-    /// handed out exactly once.
+    /// request is still in flight and the caller may wait again. The
+    /// result is handed out exactly once.
     ///
     /// # Errors
     ///
@@ -277,11 +276,6 @@ impl RequestHandle {
                 .wait_timeout(slot, remaining)
                 .expect("handle lock");
         }
-    }
-
-    /// Non-blocking poll; returns the result once, `None` while pending.
-    pub fn try_take(&self) -> Option<Result<Response, ServeError>> {
-        self.cell.slot.lock().expect("handle lock").take()
     }
 }
 
@@ -400,14 +394,5 @@ mod tests {
             Err(ServeError::ShuttingDown),
             "dropped runtime must not consume the full timeout"
         );
-    }
-
-    #[test]
-    fn try_take_polls_without_blocking() {
-        let (handle, completer) = pair(1);
-        assert!(handle.try_take().is_none());
-        completer.complete(Err(ServeError::QueueFull));
-        assert_eq!(handle.try_take(), Some(Err(ServeError::QueueFull)));
-        assert!(handle.try_take().is_none(), "result is taken once");
     }
 }

@@ -66,14 +66,12 @@
 //! * **Quality tiers** (optional): [`ServeConfig::tiers`] names
 //!   (replicas × spf × kernel_batch) operating points selectable per
 //!   request via [`SubmitRequest::quality`]. Each tier owns its own
-//!   deployment set (optionally a fresh Bernoulli ensemble *sample* — see
-//!   [`QualityTier::sample`] and [`ServeRuntime::resample_tier`]),
-//!   responses carry calibrated confidence from the pooled vote margin
-//!   ([`vote_margin`] mapped through a per-tier [`CalibrationMap`]
-//!   fitted by [`ServeRuntime::calibrate_tiers`]), and a low-confidence
-//!   answer on a tier with an `escalate_to` edge is transparently
-//!   re-run on the target tier — bit-identical to having submitted
-//!   there directly. Per-tier `serve.tier.{t}.*` counters ride the
+//!   deployment set, responses carry calibrated confidence from the
+//!   pooled vote margin ([`vote_margin`] mapped through a per-tier
+//!   [`CalibrationMap`] fitted by [`ServeRuntime::calibrate_tiers`]),
+//!   and a low-confidence answer on a tier with an `escalate_to` edge
+//!   is transparently re-run on the target tier — bit-identical to
+//!   having submitted there directly. Per-tier `serve.tier.{t}.*` counters ride the
 //!   telemetry snapshots.
 //! * **Backpressure**: the submission queue is bounded;
 //!   [`Backpressure::Block`] throttles producers, [`Backpressure::Reject`]

@@ -6,11 +6,11 @@
 //! Every runtime serves from **deployment sets**, each one
 //! [`PackedDeployment`] holding every tenant model at one operating
 //! point. A solo runtime is a pack with one tenant. Set 0 is the default
-//! operating point (the live replica count and ensemble sample); sets
-//! `1..` are the quality tiers, each packing every tenant at the tier's
-//! `replicas` and `sample`. Each set has one live spf slot: a tier's
-//! holds the tier's spf, the default set's is what the controller's spf
-//! actuator moves (within [`crate::ControllerConfig::spf_range`]). Every
+//! operating point (the live replica count); sets `1..` are the quality
+//! tiers, each packing every tenant at the tier's `replicas`. Each set
+//! has one live spf slot: a tier's holds the tier's spf, the default
+//! set's is what the controller's spf actuator moves (within
+//! [`crate::ControllerConfig::spf_range`]). Every
 //! worker owns a *clone* of each set's prototype and serves all of them
 //! from one loop: it buckets a drained micro-batch by set, chunks each
 //! set per tenant at the live (or tier) fusion width, tallies votes, and
@@ -20,7 +20,7 @@
 //!
 //! Each tenant of each set is built (and Bernoulli-sampled) exactly as a
 //! solo runtime configured at that operating point builds it, from
-//! `(spec, replicas, cfg.seed, sample)`. A request's spike trains are
+//! `(spec, replicas, cfg.seed)`. A request's spike trains are
 //! seeded purely by [`frame_seed`]`(cfg.seed, seq)` — the derivation the
 //! offline evaluator uses per frame — so the result of serving request
 //! `seq` is a pure function of the config and the seq, never of worker
@@ -35,9 +35,9 @@
 //! * `kernel_batch` changes are invisible in results by the batch-first
 //!   contract (lane fusion never changes any vote), so the queue-depth
 //!   controller only moves throughput and latency.
-//! * Replica rescaling and resampling rebuild every tenant with the
-//!   *same* build a fresh runtime configured at the new point makes and
-//!   repack them, so once the swap lands, responses are bit-identical to
+//! * Replica rescaling rebuilds every tenant with the *same* build a
+//!   fresh runtime configured at the new count makes and repacks them,
+//!   so once the swap lands, responses are bit-identical to
 //!   that fresh runtime's (see
 //!   `apply_control_set_replicas_matches_fresh_runtime`). Seq keying makes
 //!   the repack invisible in answers. What autoscaling does make
@@ -103,7 +103,7 @@ struct DeploySet {
     /// Resolved [`QualityTier::escalate_to`] as a set index (validated at
     /// build time).
     escalate_to: Option<usize>,
-    /// Prototype workers clone (swapped on rescale and resample).
+    /// Prototype workers clone (swapped on rescale).
     proto: Mutex<Arc<PackedDeployment>>,
     /// Bumped on every prototype swap; workers re-clone when it moves.
     /// Release on the swap pairs with the workers' Acquire read, so a
@@ -171,31 +171,25 @@ struct ControlState {
     cores: AtomicUsize,
     /// Replica rebuilds that failed (the action was skipped).
     rebuild_failures: AtomicU64,
-    /// Deploy spec per tenant, kept so rescaling and resampling can
-    /// rebuild every set.
+    /// Deploy spec per tenant, kept so rescaling can rebuild the
+    /// default set.
     specs: Vec<NetworkDeploySpec>,
-    /// Ensemble sample index of the default set (0 = the default build;
-    /// moved by [`ControlAction::Resample`], and replica rescales rebuild
-    /// at this sample so the two actuators compose).
-    sample: AtomicU64,
     /// Set 0 is the default operating point; set `t + 1` is quality tier
     /// `t` of [`ServeConfig::tiers`].
     sets: Vec<DeploySet>,
 }
 
-/// Build every tenant at `(replicas, sample)` — the build a solo runtime
-/// configured at that point makes — packed onto one chip and compiled once.
+/// Build every tenant at `replicas` — the build a solo runtime
+/// configured at that count makes — packed onto one chip and compiled
+/// once.
 fn build_set(
     specs: &[NetworkDeploySpec],
     cfg: &ServeConfig,
     replicas: usize,
-    sample: u64,
 ) -> Result<PackedDeployment, ServeError> {
-    PackedDeployment::build(specs, replicas, cfg.seed, cfg.connectivity, sample).map_err(|e| {
-        match e {
-            PackError::Deploy(e) => ServeError::Deploy(e),
-            e => ServeError::Pack(e.to_string()),
-        }
+    PackedDeployment::build(specs, replicas, cfg.seed, cfg.connectivity, 0).map_err(|e| match e {
+        PackError::Deploy(e) => ServeError::Deploy(e),
+        e => ServeError::Pack(e.to_string()),
     })
 }
 
@@ -278,14 +272,14 @@ impl ServeRuntime {
                     .into(),
             ));
         }
-        let default = build_set(specs, &cfg, cfg.replicas, 0)?;
+        let default = build_set(specs, &cfg, cfg.replicas)?;
         let models: Vec<(usize, usize)> = (0..default.models())
             .map(|m| (default.model(m).n_inputs(), default.model(m).n_classes()))
             .collect();
         let cores = default.core_count();
         let mut sets = vec![DeploySet::new(&cfg, None, None, default)];
         // Each tier set is seeded exactly as a runtime *configured* at
-        // (tier.replicas, tier.sample) would be — the escalate path's
+        // the tier's replica count would be — the escalate path's
         // bit-identity contract rests on this.
         for t in &cfg.tiers {
             let escalate_to = t.escalate_to.as_ref().map(|name| {
@@ -295,7 +289,7 @@ impl ServeRuntime {
                     .position(|o| o.name == *name)
                     .expect("escalate_to validated by ServeConfig::validate")
             });
-            let proto = build_set(specs, &cfg, t.replicas, t.sample)?;
+            let proto = build_set(specs, &cfg, t.replicas)?;
             sets.push(DeploySet::new(&cfg, Some(t.clone()), escalate_to, proto));
         }
         let control = Arc::new(ControlState {
@@ -304,7 +298,6 @@ impl ServeRuntime {
             cores: AtomicUsize::new(cores),
             rebuild_failures: AtomicU64::new(0),
             specs: specs.to_vec(),
-            sample: AtomicU64::new(0),
             sets,
         });
         let shape = ServeShape {
@@ -318,10 +311,7 @@ impl ServeRuntime {
         };
 
         let clock: Arc<dyn Clock> = Arc::new(MonotonicClock::new());
-        let spans = cfg
-            .telemetry
-            .as_ref()
-            .map(|t| Arc::new(SpanRecorder::new(t.span_ring)));
+        let spans = cfg.telemetry.is_some().then(|| Arc::new(SpanRecorder::new()));
         let queue = Arc::new(BoundedQueue::new(cfg.queue_capacity));
         let metrics = Arc::new(Metrics::new(cfg.workers, shape.models.len(), cfg.tiers.len()));
         let mut workers = Vec::with_capacity(cfg.workers);
@@ -443,11 +433,11 @@ impl ServeRuntime {
     /// tests) can drive the actuators without a live controller.
     ///
     /// `SetKernelBatch` takes effect on the next kernel chunk and never
-    /// changes results. `SetReplicas` and `Resample` rebuild every tenant
-    /// of the default set at the new point — deterministically seeded by
-    /// `(cfg.seed, count, sample)` — and repack them; workers pick the new
-    /// set up at their next micro-batch, and requests served after the
-    /// swap are bit-identical to a fresh runtime configured at that point.
+    /// changes results. `SetReplicas` rebuilds every tenant of the default
+    /// set at the new count — deterministically seeded by
+    /// `(cfg.seed, count)` — and repacks them; workers pick the new set
+    /// up at their next micro-batch, and requests served after the swap
+    /// are bit-identical to a fresh runtime configured at that count.
     ///
     /// # Errors
     ///
@@ -680,47 +670,6 @@ impl ServeRuntime {
         samples
     }
 
-    /// Swap the *base* (tier-less) deployment set for a fresh Bernoulli
-    /// ensemble draw of every tenant — sample `0` reproduces the original
-    /// build; see [`tn_chip::pack::PackedDeployment::build`].
-    /// Shorthand for [`ControlAction::Resample`] via
-    /// [`ServeRuntime::apply_control`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ServeRuntime::apply_control`] on that action (the old
-    /// set keeps serving on a failed rebuild).
-    pub fn resample(&self, sample: u64) -> Result<(), ServeError> {
-        self.apply_control(&ControlAction::Resample { sample })
-    }
-
-    /// Swap the named tier's deployment set for a fresh Bernoulli ensemble
-    /// draw. Workers re-clone at their next micro-batch; the tier's
-    /// previously fitted calibration is kept (re-run
-    /// [`ServeRuntime::calibrate_tiers`] if the draw should be
-    /// re-calibrated).
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::UnknownQuality`] for an unknown tier name,
-    /// [`ServeError::Deploy`] if the redraw cannot be built (the old
-    /// set keeps serving).
-    pub fn resample_tier(&self, quality: &str, sample: u64) -> Result<(), ServeError> {
-        let Some((set, tier)) = self
-            .control
-            .sets
-            .iter()
-            .find_map(|s| s.tier.as_ref().filter(|t| t.name == quality).map(|t| (s, t)))
-        else {
-            return Err(ServeError::UnknownQuality {
-                quality: quality.to_string(),
-                tiers: self.shape.tiers.clone(),
-            });
-        };
-        set.swap(build_set(&self.control.specs, &self.cfg, tier.replicas, sample)?);
-        Ok(())
-    }
-
     /// Live queue-depth / in-flight gauge for admission decisions.
     ///
     /// A few atomic loads (the queue length and each tenant row's
@@ -818,21 +767,10 @@ fn apply_action(
                 return Ok(());
             }
             // The same build a fresh runtime at `r` replicas performs, so
-            // post-swap responses match that runtime bit for bit. Rebuilt
-            // at the *current* ensemble sample so a rescale after
-            // `Resample` stays on the resampled draw (sample 0 is the
-            // plain build, so un-resampled runtimes are unchanged).
-            let set = build_set(&control.specs, cfg, r, control.sample.load(Ordering::Relaxed))?;
+            // post-swap responses match that runtime bit for bit.
+            let set = build_set(&control.specs, cfg, r)?;
             control.cores.store(set.core_count(), Ordering::Relaxed);
             control.replicas.store(r, Ordering::Relaxed);
-            control.sets[0].swap(set);
-            Ok(())
-        }
-        ControlAction::Resample { sample } => {
-            let r = control.replicas.load(Ordering::Relaxed);
-            let set = build_set(&control.specs, cfg, r, sample)?;
-            control.cores.store(set.core_count(), Ordering::Relaxed);
-            control.sample.store(sample, Ordering::Relaxed);
             control.sets[0].swap(set);
             Ok(())
         }
@@ -1065,7 +1003,7 @@ fn assemble_snapshot(ctx: &ObserverCtx, seq: u64, now_ns: u64) -> Snapshot {
 /// closed-and-empty and serve every job on a clone of its deployment set.
 ///
 /// Per drained batch the worker re-clones any set whose prototype was
-/// swapped (rescale, resample); buckets the jobs by set; and serves
+/// swapped (rescale); buckets the jobs by set; and serves
 /// the sets lowest index first. Each set is sliced into kernel chunks of
 /// up to `width` frames *per tenant* — the live `kernel_batch`, or the
 /// tier's own width — each served by one `PackedDeployment::run_frames`
@@ -1100,11 +1038,11 @@ fn worker_loop(
         }
         if let (Some(t), Some(t0)) = (telemetry, drain_from) {
             let now = t.clock.now_ns();
-            t.spans.record(Stage::Drain, t0, now.saturating_sub(t0));
+            t.spans.record(Stage::Drain, now.saturating_sub(t0));
             // Enqueue: the longest queue wait in the drained batch.
             if let Some(wait) = batch.iter().map(|j| j.submitted.elapsed()).max() {
                 let ns = u64::try_from(wait.as_nanos()).unwrap_or(u64::MAX);
-                t.spans.record(Stage::Enqueue, now.saturating_sub(ns), ns);
+                t.spans.record(Stage::Enqueue, ns);
             }
         }
         for (s, set) in sets.iter().enumerate() {
@@ -1156,8 +1094,7 @@ fn worker_loop(
                 let kernel_from = telemetry.map(|t| t.clock.now_ns());
                 let results = dep.run_frames(&frames);
                 if let (Some(t), Some(t0)) = (telemetry, kernel_from) {
-                    t.spans
-                        .record(Stage::Kernel, t0, t.clock.now_ns().saturating_sub(t0));
+                    t.spans.record(Stage::Kernel, t.clock.now_ns().saturating_sub(t0));
                 }
                 metrics.kernel_batches.fetch_add(1, Ordering::Relaxed);
                 // Fold the chunk's hardware work before any of its answers
@@ -1214,8 +1151,7 @@ fn worker_loop(
                     job.completer.complete(Ok(response));
                 }
                 if let (Some(t), Some(t0)) = (telemetry, vote_from) {
-                    t.spans
-                        .record(Stage::Vote, t0, t.clock.now_ns().saturating_sub(t0));
+                    t.spans.record(Stage::Vote, t.clock.now_ns().saturating_sub(t0));
                 }
             }
         }
@@ -2321,86 +2257,5 @@ mod tests {
             err,
             ServeError::BadConfig(msg) if msg.contains("packed")
         ));
-    }
-
-    #[test]
-    fn resample_zero_restores_the_plain_build() {
-        // After a Resample{sample} excursion, Resample{0} must put the
-        // runtime back on the original deployment: requests then served
-        // are bit-identical to a never-resampled runtime at the same
-        // seqs (frame seeds ride the global seq, so the comparison
-        // runtime serves three batches too).
-        let mk = || {
-            runtime(
-                ServeConfig::builder(47)
-                    .replicas(2)
-                    .workers(1)
-                    .build()
-                    .expect("cfg"),
-            )
-        };
-        let rt = mk();
-        let before = serve_n(&rt, 12);
-        rt.resample(5).expect("resample");
-        serve_n(&rt, 12);
-        rt.resample(0).expect("restore");
-        let after = serve_n(&rt, 12);
-        rt.shutdown();
-        let fresh = mk();
-        let want_before = serve_n(&fresh, 12);
-        serve_n(&fresh, 12);
-        let want_after = serve_n(&fresh, 12);
-        fresh.shutdown();
-        assert_eq!(before, want_before);
-        assert_eq!(after, want_after, "sample 0 is the plain build");
-        ServeRuntime::new(
-            &[xor_free_spec(), three_class_spec()],
-            ServeConfig::new(3),
-            Arc::new(NullSink),
-        )
-        .expect("packed")
-        .resample(1)
-        .expect("packed runtimes resample every tenant");
-    }
-
-    #[test]
-    fn resample_tier_swaps_one_tier_only() {
-        let rt = runtime(tier_cfg(53).workers(1).build().expect("cfg"));
-        assert!(matches!(
-            rt.resample_tier("turbo", 1),
-            Err(ServeError::UnknownQuality { .. })
-        ));
-        let serve_tiered = |rt: &ServeRuntime, quality: &str, n: usize| -> Vec<_> {
-            (0..n)
-                .map(|i| {
-                    let x = (i % 5) as f32 / 4.0;
-                    rt.classify(SubmitRequest::new(vec![x, 1.0 - x]).quality(quality))
-                        .map(|r| (r.predicted, r.votes, r.replica_predictions))
-                        .expect("serve")
-                })
-                .collect()
-        };
-        let fast_before = serve_tiered(&rt, "fast", 8);
-        let certain_before = serve_tiered(&rt, "certain", 8);
-        rt.resample_tier("certain", 7).expect("resample certain");
-        // Note: seqs advanced, so re-serve the *same seq-relative* stream
-        // on a fresh runtime to compare: instead just assert the fast
-        // tier still matches a freshly built tiered runtime's fast tier.
-        let fast_after = serve_tiered(&rt, "fast", 8);
-        rt.shutdown();
-        // Fast tier frames depend only on (seed, seq); seq moved between
-        // the two fast batches, so compare against fresh runtimes at the
-        // matching seq offsets rather than each other.
-        let fresh = runtime(tier_cfg(53).workers(1).build().expect("cfg"));
-        let fresh_fast = serve_tiered(&fresh, "fast", 8);
-        let fresh_certain = serve_tiered(&fresh, "certain", 8);
-        let fresh_fast_after = serve_tiered(&fresh, "fast", 8);
-        fresh.shutdown();
-        assert_eq!(fast_before, fresh_fast);
-        assert_eq!(certain_before, fresh_certain);
-        assert_eq!(
-            fast_after, fresh_fast_after,
-            "resampling the certain tier must not move the fast tier"
-        );
     }
 }

@@ -45,15 +45,11 @@ pub struct QualityTier {
     /// Tier to re-run low-confidence answers on (single hop — the target
     /// tier's own `escalate_to` is never followed).
     pub escalate_to: Option<String>,
-    /// Ensemble sample index for this tier's deployment: `0` reproduces
-    /// the default build; other values realize fresh Bernoulli synapse
-    /// draws (see `tn_chip::pack::PackedDeployment::build`).
-    pub sample: u64,
 }
 
 impl QualityTier {
-    /// A tier with the given operating point, no confidence floor, no
-    /// escalation, and the default deployment sample.
+    /// A tier with the given operating point, no confidence floor and no
+    /// escalation.
     pub fn new(name: impl Into<String>, replicas: usize, spf: usize) -> Self {
         Self {
             name: name.into(),
@@ -62,7 +58,6 @@ impl QualityTier {
             kernel_batch: 0,
             confidence_target: 0.0,
             escalate_to: None,
-            sample: 0,
         }
     }
 
@@ -84,13 +79,6 @@ impl QualityTier {
     #[must_use]
     pub fn escalate_to(mut self, tier: impl Into<String>) -> Self {
         self.escalate_to = Some(tier.into());
-        self
-    }
-
-    /// Set the ensemble sample index for this tier's deployment.
-    #[must_use]
-    pub fn sample(mut self, sample: u64) -> Self {
-        self.sample = sample;
         self
     }
 }

@@ -10,8 +10,8 @@
 //!   `u64` nanoseconds, never `std::time::Instant`, so adaptive decisions
 //!   are testable with a scripted clock and deterministic by construction.
 //! * **Spans** ([`SpanRecorder`], [`Stage`]) — per-stage latency breakdown
-//!   of the serving pipeline (`enqueue → drain → kernel → vote`) recorded
-//!   into a fixed ring buffer with lifetime aggregates.
+//!   of the serving pipeline (`enqueue → drain → kernel → vote`) folded
+//!   into lifetime per-stage aggregates.
 //! * **Snapshots** ([`Snapshot`]) — a periodic export of monotonic
 //!   counters, gauges, and stage statistics, with a line-delimited JSON
 //!   wire format (`tn-telemetry/1`) and a strict parser/validator.
@@ -37,12 +37,12 @@
 //! };
 //!
 //! let clock = ManualClock::new();
-//! let spans = SpanRecorder::new(128);
+//! let spans = SpanRecorder::new();
 //!
 //! // ... the serving hot path records spans as work happens ...
 //! let t0 = clock.now_ns();
 //! clock.advance_ns(42_000); // (the real path does real work here)
-//! spans.record(Stage::Kernel, t0, clock.now_ns() - t0);
+//! spans.record(Stage::Kernel, clock.now_ns() - t0);
 //!
 //! // ... and an observer periodically exports a snapshot ...
 //! let mut snap = Snapshot::new(0, clock.now_ns());
@@ -74,5 +74,5 @@ pub use clock::{Clock, ManualClock, MonotonicClock};
 pub use histogram::LatencyHistogram;
 pub use sink::{emit, JsonLinesSink, LatestSink, MemorySink, MetricsSink, NullSink};
 pub use snapshot::{Snapshot, SnapshotError, SCHEMA};
-pub use span::{SpanRecord, SpanRecorder, Stage, StageStats};
+pub use span::{SpanRecorder, Stage, StageStats};
 pub use staleness::FreshnessTracker;

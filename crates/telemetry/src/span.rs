@@ -1,12 +1,11 @@
-//! Lightweight tracing spans with a fixed-capacity ring-buffer recorder.
+//! Lightweight tracing spans folded into per-stage aggregates.
 //!
 //! A span is one timed stage of a request's life on the serving path:
-//! `enqueue → drain → kernel → vote`. Recording is a single mutex-guarded
-//! ring write — no allocation, no channel, no background thread — cheap
-//! enough to call once per drained batch on the serving hot path. The ring
-//! keeps the most recent spans; aggregate per-stage statistics
-//! ([`SpanRecorder::stage_stats`]) are maintained over *everything* ever
-//! recorded, so snapshots see both a live window and lifetime totals.
+//! `enqueue → drain → kernel → vote`. Recording is one mutex-guarded
+//! update of that stage's lifetime statistics — no allocation, no
+//! channel, no background thread — cheap enough to call once per drained
+//! batch on the serving hot path. Snapshots export the aggregates
+//! ([`SpanRecorder::stage_stats`]); individual spans are not kept.
 
 use std::sync::Mutex;
 
@@ -47,17 +46,6 @@ impl Stage {
     }
 }
 
-/// One recorded span.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpanRecord {
-    /// Which pipeline stage this span timed.
-    pub stage: Stage,
-    /// Start time, in the recording clock's nanoseconds.
-    pub start_ns: u64,
-    /// Span duration in nanoseconds.
-    pub duration_ns: u64,
-}
-
 /// Lifetime aggregate for one stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StageStats {
@@ -76,89 +64,31 @@ impl StageStats {
     }
 }
 
-#[derive(Debug)]
-struct RingState {
-    /// Most recent spans, oldest first once full (ring semantics).
-    buf: Vec<SpanRecord>,
-    /// Next write position.
-    head: usize,
-    /// Spans ever recorded (≥ buf.len()).
-    recorded: u64,
-    /// Lifetime per-stage aggregates, indexed by [`Stage::index`].
-    stats: [StageStats; 4],
-}
-
-/// Fixed-capacity span recorder shared across worker threads.
-#[derive(Debug)]
+/// Per-stage span aggregates shared across worker threads.
+#[derive(Debug, Default)]
 pub struct SpanRecorder {
-    state: Mutex<RingState>,
-    capacity: usize,
+    /// Lifetime per-stage aggregates, indexed by [`Stage::index`].
+    stats: Mutex<[StageStats; 4]>,
 }
 
 impl SpanRecorder {
-    /// A recorder keeping the most recent `capacity` spans (clamped ≥ 1).
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        Self {
-            state: Mutex::new(RingState {
-                buf: Vec::with_capacity(capacity),
-                head: 0,
-                recorded: 0,
-                stats: [StageStats::default(); 4],
-            }),
-            capacity,
-        }
+    /// An empty recorder.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Record one span.
-    pub fn record(&self, stage: Stage, start_ns: u64, duration_ns: u64) {
-        let record = SpanRecord {
-            stage,
-            start_ns,
-            duration_ns,
-        };
-        let mut st = self.state.lock().expect("span ring lock");
-        if st.buf.len() < self.capacity {
-            st.buf.push(record);
-        } else {
-            let head = st.head;
-            st.buf[head] = record;
-        }
-        st.head = (st.head + 1) % self.capacity;
-        st.recorded += 1;
-        let s = &mut st.stats[stage.index()];
+    /// Record one span of `duration_ns` nanoseconds.
+    pub fn record(&self, stage: Stage, duration_ns: u64) {
+        let mut stats = self.stats.lock().expect("span stats lock");
+        let s = &mut stats[stage.index()];
         s.count += 1;
         s.total_ns += duration_ns;
         s.max_ns = s.max_ns.max(duration_ns);
     }
 
-    /// Spans ever recorded (including those the ring has since evicted).
-    pub fn recorded(&self) -> u64 {
-        self.state.lock().expect("span ring lock").recorded
-    }
-
     /// Lifetime aggregates for every stage, in [`Stage::ALL`] order.
     pub fn stage_stats(&self) -> [StageStats; 4] {
-        self.state.lock().expect("span ring lock").stats
-    }
-
-    /// The ring's current contents, oldest span first.
-    pub fn recent(&self) -> Vec<SpanRecord> {
-        let st = self.state.lock().expect("span ring lock");
-        if st.buf.len() < self.capacity {
-            st.buf.clone()
-        } else {
-            // Full ring: head points at the oldest entry.
-            let mut out = Vec::with_capacity(self.capacity);
-            out.extend_from_slice(&st.buf[st.head..]);
-            out.extend_from_slice(&st.buf[..st.head]);
-            out
-        }
+        *self.stats.lock().expect("span stats lock")
     }
 }
 
@@ -168,10 +98,10 @@ mod tests {
 
     #[test]
     fn records_and_aggregates_per_stage() {
-        let rec = SpanRecorder::new(8);
-        rec.record(Stage::Kernel, 0, 100);
-        rec.record(Stage::Kernel, 100, 300);
-        rec.record(Stage::Vote, 400, 50);
+        let rec = SpanRecorder::new();
+        rec.record(Stage::Kernel, 100);
+        rec.record(Stage::Kernel, 300);
+        rec.record(Stage::Vote, 50);
         let stats = rec.stage_stats();
         let kernel = stats[2];
         assert_eq!(kernel.count, 2);
@@ -180,35 +110,6 @@ mod tests {
         assert_eq!(kernel.mean_ns(), 200);
         assert_eq!(stats[3].count, 1);
         assert_eq!(stats[0], StageStats::default());
-        assert_eq!(rec.recorded(), 3);
-    }
-
-    #[test]
-    fn ring_keeps_most_recent_in_order() {
-        let rec = SpanRecorder::new(3);
-        for i in 0..5u64 {
-            rec.record(Stage::Drain, i, i);
-        }
-        let recent = rec.recent();
-        assert_eq!(recent.len(), 3);
-        assert_eq!(
-            recent.iter().map(|s| s.start_ns).collect::<Vec<_>>(),
-            vec![2, 3, 4],
-            "oldest-first, evicting the earliest spans"
-        );
-        // Lifetime stats still cover everything ever recorded.
-        assert_eq!(rec.recorded(), 5);
-        assert_eq!(rec.stage_stats()[1].count, 5);
-        assert_eq!(rec.stage_stats()[1].total_ns, 10, "sum of 0..=4");
-    }
-
-    #[test]
-    fn partial_ring_returns_what_it_has() {
-        let rec = SpanRecorder::new(16);
-        rec.record(Stage::Enqueue, 7, 1);
-        let recent = rec.recent();
-        assert_eq!(recent.len(), 1);
-        assert_eq!(recent[0].stage, Stage::Enqueue);
     }
 
     #[test]

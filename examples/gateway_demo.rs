@@ -8,11 +8,10 @@
 //!    keep-alive HTTP/1.1;
 //! 3. load it from several concurrent pipelining clients and report
 //!    over-the-wire accuracy and throughput;
-//! 4. speak the line-JSON mode on the same port;
-//! 5. poll `/v1/snapshot` for the live telemetry trail;
-//! 6. saturate a deliberately tiny queue to show `503` + `Retry-After`
+//! 4. poll `/v1/snapshot` for the live telemetry trail;
+//! 5. saturate a deliberately tiny queue to show `503` + `Retry-After`
 //!    load shedding;
-//! 7. drain gracefully and print the final metrics.
+//! 6. drain gracefully and print the final metrics.
 //!
 //! Run with: `cargo run --release --example gateway_demo`
 //!
@@ -22,7 +21,7 @@
 //! usual `TN_TRAIN`/`TN_TEST`/`TN_EPOCHS`.
 
 use std::fs::File;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -172,7 +171,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .kernel_batch(8)
         .telemetry(TelemetryConfig {
             interval: Duration::from_millis(25),
-            ..TelemetryConfig::default()
         })
         .build()?;
     let spec = extract_spec(&model.network)?;
@@ -215,20 +213,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         total as f64 / wall.as_secs_f64(),
         correct as f32 / total as f32,
     );
-
-    // -- the line-JSON mode on the same port -----------------------------
-    let line_stream = TcpStream::connect(addr)?;
-    let mut line_reader = BufReader::new(line_stream.try_clone()?);
-    let mut line_writer = line_stream;
-    let nums: Vec<String> = data.test_x.row(1).iter().map(|v| v.to_string()).collect();
-    writeln!(line_writer, "{{\"frame\":[{}]}}", nums.join(","))?;
-    writeln!(line_writer, "{{\"op\":\"health\"}}")?;
-    for label in ["classify", "health"] {
-        let mut line = String::new();
-        line_reader.read_line(&mut line)?;
-        println!("line-JSON {label:<9} -> {}", line.trim());
-    }
-    drop(line_writer);
 
     // -- live telemetry over the wire ------------------------------------
     let deadline = Instant::now() + Duration::from_secs(10);

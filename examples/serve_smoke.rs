@@ -60,7 +60,6 @@ fn cfg(replicas: usize) -> ServeConfigBuilder {
 fn telemetry(interval_ms: u64) -> TelemetryConfig {
     TelemetryConfig {
         interval: Duration::from_millis(interval_ms),
-        ..TelemetryConfig::default()
     }
 }
 

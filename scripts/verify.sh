@@ -102,7 +102,8 @@ cargo run --release -q -p tn-telemetry --bin snapshot_check -- \
   "$SMOKE_DIR/fleet.jsonl" --min 2
 
 echo "== gateway smoke: wire serving, load shedding, graceful drain =="
-# The demo asserts: concurrent std-TCP clients all served 200, at least
+# The demo speaks HTTP/1.1, the gateway's only protocol, over bare std
+# TcpStreams. It asserts: concurrent clients all served 200, at least
 # one 503 + Retry-After under a forced-saturation burst, and a clean
 # drain losing no admitted request. Its telemetry trail is then fed to
 # snapshot_check on stdin (the '-' path).

@@ -24,7 +24,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use tn_chip::nscs::{CoreDeploySpec, InputSource, NetworkDeploySpec};
-use tn_fleet::{DispatchPolicy, FleetConfig, FleetRouter, LocalFleet, ShardServer};
+use tn_fleet::{FleetConfig, FleetRouter, LocalFleet, ShardServer};
 use tn_gateway::{Gateway, GatewayConfig};
 use tn_serve::pipe::duplex;
 use tn_serve::{
@@ -102,43 +102,41 @@ fn solo_answers(cfg: &ServeConfig, n: usize) -> Vec<Response> {
 }
 
 #[test]
-fn fleet_answers_are_bit_identical_to_solo_under_both_policies() {
+fn fleet_answers_are_bit_identical_to_solo_under_rendezvous_dispatch() {
     let solo = solo_answers(&serve_cfg(), 30);
-    for policy in [DispatchPolicy::ConsistentHash, DispatchPolicy::LeastLoaded] {
-        let fleet = LocalFleet::launch(
-            fractional_spec(),
-            3,
-            FleetConfig::new(serve_cfg()).policy(policy),
-            Arc::new(NullSink),
-        )
-        .expect("launch fleet");
-        let handles: Vec<_> = (0..30)
-            .map(|i| {
-                fleet
-                    .router()
-                    .submit_request(SubmitRequest::new(request_inputs(i)))
-                    .expect("fleet submit")
-            })
-            .collect();
-        for (i, h) in handles.into_iter().enumerate() {
-            let got = h.wait().expect("fleet answer");
-            assert_eq!(
-                identity_key(&got),
-                identity_key(&solo[i]),
-                "{policy:?} diverged from solo at seq {i}"
-            );
-        }
-        // The drain served every admitted request, and the work was
-        // actually spread: every shard saw submissions.
-        let (router_metrics, shard_metrics) = fleet.shutdown();
-        assert_eq!(router_metrics.completed, 30, "{policy:?}: drain lost requests");
-        let per_shard: Vec<u64> = shard_metrics.iter().map(|m| m.submitted).collect();
-        assert_eq!(per_shard.iter().sum::<u64>(), 30, "{policy:?}: {per_shard:?}");
-        assert!(
-            per_shard.iter().all(|&n| n > 0),
-            "{policy:?} starved a shard: {per_shard:?}"
+    let fleet = LocalFleet::launch(
+        fractional_spec(),
+        3,
+        FleetConfig::new(serve_cfg()),
+        Arc::new(NullSink),
+    )
+    .expect("launch fleet");
+    let handles: Vec<_> = (0..30)
+        .map(|i| {
+            fleet
+                .router()
+                .submit_request(SubmitRequest::new(request_inputs(i)))
+                .expect("fleet submit")
+        })
+        .collect();
+    for (i, h) in handles.into_iter().enumerate() {
+        let got = h.wait().expect("fleet answer");
+        assert_eq!(
+            identity_key(&got),
+            identity_key(&solo[i]),
+            "fleet diverged from solo at seq {i}"
         );
     }
+    // The drain served every admitted request, and the work was
+    // actually spread: every shard saw submissions.
+    let (router_metrics, shard_metrics) = fleet.shutdown();
+    assert_eq!(router_metrics.completed, 30, "drain lost requests");
+    let per_shard: Vec<u64> = shard_metrics.iter().map(|m| m.submitted).collect();
+    assert_eq!(per_shard.iter().sum::<u64>(), 30, "{per_shard:?}");
+    assert!(
+        per_shard.iter().all(|&n| n > 0),
+        "rendezvous dispatch starved a shard: {per_shard:?}"
+    );
 }
 
 /// A second tenant for the packed-shard fleet: three inputs, three
@@ -362,7 +360,6 @@ fn stale_shard_is_quarantined_without_dropping_requests() {
     let mut cfg = serve_cfg();
     cfg.telemetry = Some(TelemetryConfig {
         interval: Duration::from_millis(2),
-        span_ring: 64,
     });
     let fleet = LocalFleet::launch(
         fractional_spec(),
@@ -475,7 +472,6 @@ fn aggregated_heartbeat_trail_is_a_valid_snapshot_stream() {
     let mut cfg = serve_cfg();
     cfg.telemetry = Some(TelemetryConfig {
         interval: Duration::from_millis(2),
-        span_ring: 64,
     });
     let sink = Arc::new(MemorySink::new());
     let fleet = LocalFleet::launch(
@@ -527,7 +523,6 @@ fn router_joules_per_frame_equals_its_snapshot_value() {
     let mut cfg = serve_cfg();
     cfg.telemetry = Some(TelemetryConfig {
         interval: Duration::from_millis(2),
-        span_ring: 64,
     });
     let fleet =
         LocalFleet::launch(fractional_spec(), 2, FleetConfig::new(cfg), Arc::new(NullSink))
@@ -566,8 +561,7 @@ fn fleet_energy_is_the_sum_of_its_shards_energy() {
         .kernel_batch(8)
         .telemetry(TelemetryConfig {
             interval: Duration::from_millis(2),
-            span_ring: 64,
-        })
+            })
         .build()
         .expect("valid config");
     let fleet = LocalFleet::launch(fractional_spec(), 2, FleetConfig::new(cfg), Arc::new(NullSink))
@@ -601,7 +595,6 @@ fn gateway_serves_a_fleet_backend_over_tcp() {
     let mut cfg = serve_cfg();
     cfg.telemetry = Some(TelemetryConfig {
         interval: Duration::from_millis(2),
-        span_ring: 64,
     });
     let latest = Arc::new(LatestSink::tee(Arc::new(NullSink)));
     let fleet = LocalFleet::launch(
@@ -694,8 +687,7 @@ fn fleet_shape_follows_the_shards_live_knobs() {
         .tier(QualityTier::new("q", 1, 8))
         .telemetry(TelemetryConfig {
             interval: Duration::from_millis(2),
-            span_ring: 64,
-        })
+            })
         .build()
         .expect("valid config");
     let latest = Arc::new(LatestSink::tee(Arc::new(NullSink)));

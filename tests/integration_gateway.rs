@@ -9,9 +9,9 @@
 //!   the per-connection in-flight cap holds under a pipelined burst;
 //! * graceful drain completes every admitted request and emits a final
 //!   telemetry snapshot;
-//! * both wire modes (HTTP/1.1 and line-JSON) serve the same payloads.
+//! * a malformed request line is refused with a `400` as soon as it ends.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -244,95 +244,49 @@ fn wire_classify_matches_in_process_runtime() {
 }
 
 #[test]
-fn line_json_mode_serves_the_same_payloads() {
-    let spec = fractional_spec();
-    let cfg = || ServeConfig::builder(31).workers(1).build().expect("cfg");
+fn a_non_http_line_is_refused_at_its_newline() {
+    // A client that writes one JSON command per line never sends the
+    // blank line that ends an HTTP head. Its first line is a malformed
+    // request line, so it must get a 400 and a close as soon as that line
+    // ends — not a hang until the header cap fills or the client gives up.
     let gw = Gateway::bind(
         "127.0.0.1:0",
-        &spec,
-        cfg(),
+        fractional_spec(),
+        ServeConfig::new(7),
         GatewayConfig::default(),
         Arc::new(NullSink),
     )
     .expect("bind");
-
-    let client = TcpStream::connect(gw.local_addr()).expect("connect");
-    let mut reader = BufReader::new(client.try_clone().expect("clone"));
-    let mut writer = client;
-    writeln!(writer, "{}", classify_body(&request_inputs(0))).expect("classify line");
-    writeln!(writer, "{{\"op\":\"config\"}}").expect("config line");
-    writeln!(writer, "{{\"op\":\"health\"}}").expect("health line");
-    let mut lines = Vec::new();
-    for _ in 0..3 {
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("read line");
-        lines.push(json::parse(line.trim()).expect("line JSON"));
-    }
-    drop(writer);
-    gw.shutdown();
-
-    // Line 1: classify — identical to the in-process result for seq 0.
-    let rt = ServeRuntime::new(&spec, cfg(), Arc::new(NullSink)).expect("runtime");
-    let local = rt.classify(request_inputs(0)).expect("classify");
-    rt.shutdown();
-    assert_eq!(lines[0].get("seq").unwrap().as_u64(), Some(0));
+    let mut client = TcpStream::connect(gw.local_addr()).expect("connect");
+    client
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    client.write_all(b"{\"op\":\"health\"}\n").expect("send line");
+    let refused = read_responses(&mut client, 1).remove(0);
+    assert_eq!(refused.status, 400);
+    assert_eq!(refused.header("Connection"), Some("close"));
     assert_eq!(
-        lines[0].get("predicted").unwrap().as_u64(),
-        Some(local.predicted as u64)
-    );
-    assert_eq!(votes_of(&lines[0]), local.votes);
-
-    // Line 2: config introspection.
-    assert_eq!(
-        lines[1].get("schema").unwrap().as_str(),
-        Some("tn-gateway/1")
-    );
-    let model = lines[1].get("model").expect("model");
-    assert_eq!(model.get("n_inputs").unwrap().as_u64(), Some(2));
-    assert_eq!(model.get("n_classes").unwrap().as_u64(), Some(2));
-    assert_eq!(
-        lines[1]
-            .get("serve")
-            .and_then(|s| s.get("backpressure"))
+        refused
+            .json()
+            .get("error")
+            .and_then(|e| e.get("code"))
             .and_then(JsonValue::as_str),
-        Some("reject"),
-        "gateway must force rejecting admission"
+        Some("bad_request")
     );
+    let mut rest = Vec::new();
+    client.read_to_end(&mut rest).expect("the gateway closes the connection");
+    assert!(rest.is_empty(), "bytes after the close-bound 400: {rest:?}");
 
-    // Line 3: health.
-    assert_eq!(lines[2].get("status").unwrap().as_str(), Some("ok"));
-}
-
-#[test]
-fn line_mode_refuses_invalid_utf8_and_keeps_serving() {
-    // A line that is not UTF-8 gets the same 400 the HTTP path gives a
-    // non-UTF-8 body, rather than being lossily rewritten into a request
-    // the client never sent; the connection then serves the next line.
-    let spec = fractional_spec();
-    let cfg = ServeConfig::builder(31).workers(1).build().expect("cfg");
-    let gw = Gateway::bind("127.0.0.1:0", &spec, cfg, GatewayConfig::default(), Arc::new(NullSink))
-        .expect("bind");
-
-    let client = TcpStream::connect(gw.local_addr()).expect("connect");
-    let mut reader = BufReader::new(client.try_clone().expect("clone"));
-    let mut writer = client;
-    writer
-        .write_all(b"{\"op\":\"health\",\"x\":\"\xFF\"}\n{\"op\":\"health\"}\n")
-        .expect("lines");
-    let mut lines = Vec::new();
-    for _ in 0..2 {
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("read line");
-        lines.push(json::parse(line.trim()).expect("line JSON"));
-    }
-    drop(writer);
+    // The gateway itself keeps serving.
+    let mut client = TcpStream::connect(gw.local_addr()).expect("reconnect");
+    client
+        .write_all(b"GET /healthz HTTP/1.1\r\n\r\n")
+        .expect("send health");
+    let health = read_responses(&mut client, 1).remove(0);
+    assert_eq!(health.status, 200);
+    assert_eq!(health.json().get("status").and_then(JsonValue::as_str), Some("ok"));
+    drop(client);
     gw.shutdown();
-
-    let error = lines[0].get("error").expect("an error object");
-    assert_eq!(error.get("code").and_then(JsonValue::as_str), Some("bad_request"));
-    let message = error.get("message").and_then(JsonValue::as_str).expect("message");
-    assert!(message.contains("not valid UTF-8"), "{message}");
-    assert_eq!(lines[1].get("status").and_then(JsonValue::as_str), Some("ok"));
 }
 
 #[test]
@@ -483,7 +437,6 @@ fn snapshot_endpoint_serves_the_telemetry_trail() {
     let cfg = ServeConfig::builder(3)
         .telemetry(TelemetryConfig {
             interval: Duration::from_millis(20),
-            ..TelemetryConfig::default()
         })
         .build()
         .expect("cfg");
@@ -786,7 +739,8 @@ fn tiered_gateway_serves_quality_keys_and_structured_errors() {
 #[test]
 fn http_errors_keep_the_connection_serving() {
     // Routing and payload errors are per-request: after a 404, a 405 and
-    // a 400, the same connection still classifies.
+    // 400s (an empty object, a wrong-width frame, a non-UTF-8 body), the
+    // same connection still classifies.
     let spec = fractional_spec();
     let gw = Gateway::bind(
         "127.0.0.1:0",
@@ -810,13 +764,23 @@ fn http_errors_keep_the_connection_serving() {
         .write_all(b"POST /v1/classify HTTP/1.1\r\nContent-Length: 26\r\n\r\n{\"frame\":[0.25,0.75,0.25]}")
         .expect("wrong width");
     client
+        .write_all(b"POST /v1/classify HTTP/1.1\r\nContent-Length: 15\r\n\r\n{\"frame\":[\"\xFF\"]}")
+        .expect("non-UTF-8 body");
+    client
         .write_all(&classify_request(&request_inputs(0)))
         .expect("valid");
-    let responses = read_responses(&mut client, 5);
+    let responses = read_responses(&mut client, 6);
     assert_eq!(
         responses.iter().map(|r| r.status).collect::<Vec<_>>(),
-        vec![404, 405, 400, 400, 200]
+        vec![404, 405, 400, 400, 400, 200]
     );
+    let not_utf8 = responses[4].json();
+    let message = not_utf8
+        .get("error")
+        .and_then(|e| e.get("message"))
+        .and_then(JsonValue::as_str)
+        .expect("message");
+    assert!(message.contains("UTF-8"), "{message}");
     let wrong_width = responses[3].json();
     assert_eq!(
         wrong_width

@@ -301,7 +301,6 @@ fn builder_rejections_carry_distinct_variants_and_messages() {
         ServeConfig::builder(1)
             .telemetry(TelemetryConfig {
                 interval: Duration::ZERO,
-                ..TelemetryConfig::default()
             })
             .build(),
     );

@@ -52,7 +52,6 @@ fn jsonl_snapshot_trail_is_valid_and_ordered() {
         .workers(2)
         .telemetry(TelemetryConfig {
             interval: Duration::from_millis(10),
-            ..TelemetryConfig::default()
         })
         .build()
         .expect("cfg");
